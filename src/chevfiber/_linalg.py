@@ -49,7 +49,8 @@ def rank(rows: Sequence[Sequence]) -> int:
 
 
 def det(a: Sequence[Sequence]) -> Fraction:
-    """Exact determinant by fraction-free row elimination with pivoting."""
+    """Exact determinant by Gaussian elimination over the rationals, with
+    row pivoting on the first nonzero entry."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix is not square")

@@ -6,7 +6,9 @@ bytes depend only on the inputs and the seed, and --format csv emits flat
 tables.  All floating point numbers are printed with 17 significant digits.
 
 Exit codes: 0 success, 1 usage or parse failure, 2 integrity or verdict
-failure, 3 numerical failure.
+failure, 3 numerical failure or exact construction failure
+(ConstructionError: the Weyl enumeration cap, or no independent invariant
+with a nonzero Jacobian certificate).
 """
 
 from __future__ import annotations
@@ -17,9 +19,11 @@ import io
 import sys
 
 from .fiber import (
+    DEFAULT_RESIDUAL_TOL,
     DeformedSystem,
     FiberResult,
     FiberSolveError,
+    _fmt_float,
     solve_fiber,
     solve_lambda_xi,
 )
@@ -61,13 +65,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % float(x)
-
-
 def _fmt_complex(z: complex) -> str:
     sign = "+" if z.imag >= 0 else "-"
-    return "%s%s%sj" % (_fmt(z.real), sign, _fmt(abs(z.imag)))
+    return "%s%s%sj" % (_fmt_float(z.real), sign, _fmt_float(abs(z.imag)))
 
 
 def _json_str(s: str) -> str:
@@ -156,31 +156,31 @@ def _parse_system_config(text: str):
     return parsed, t_vars, x_vars, little, d
 
 
-def _build_system(args, zeta, target) -> DeformedSystem:
+def _build_system(args, zeta, target=None) -> DeformedSystem:
+    """The system of a config file; target None means all zeros."""
     text = _load_config_text(args.config)
     if _is_system_config(text):
         polys, t_vars, x_vars, little, d = _parse_system_config(text)
-        if len(target) != len(polys):
-            raise UsageError(
-                f"target needs {len(polys)} entries, got {len(target)}"
-            )
-        return DeformedSystem(
-            polys=polys,
-            t_vars=t_vars,
-            x_vars=x_vars,
-            zeta=zeta,
-            target=target,
-            little=little,
-            d=d,
-        )
-    cfg = parse_pair_config(text)
-    fam = invariant_family(build_root_system(cfg.ambient_type, cfg.ambient_rank))
-    res = restrict_family(fam, cfg, selection=_selection(args))
-    if len(target) != len(res.adapted):
+    else:
+        cfg = parse_pair_config(text)
+        fam = invariant_family(build_root_system(cfg.ambient_type, cfg.ambient_rank))
+        res = restrict_family(fam, cfg, selection=_selection(args))
+        polys, t_vars, x_vars, little, d = res.adapted, res.t_vars, res.x_vars, res.little, res.d
+    if target is None:
+        target = tuple(0j for _ in polys)
+    elif len(target) != len(polys):
         raise UsageError(
-            f"target needs {len(res.adapted)} entries, got {len(target)}"
+            f"target needs {len(polys)} entries, got {len(target)}"
         )
-    return DeformedSystem.from_restriction(res, zeta, target)
+    return DeformedSystem(
+        polys=polys,
+        t_vars=t_vars,
+        x_vars=x_vars,
+        zeta=zeta,
+        target=target,
+        little=little,
+        d=d,
+    )
 
 
 def _selection(args):
@@ -363,8 +363,8 @@ def _fiber_payload(result: FiberResult, fmt: str) -> str:
         for k, (point, res) in enumerate(zip(result.solutions, result.residuals)):
             cells = [str(result.seed), str(k)]
             for z in point:
-                cells += [_fmt(z.real), _fmt(z.imag)]
-            cells.append(_fmt(res))
+                cells += [_fmt_float(z.real), _fmt_float(z.imag)]
+            cells.append(_fmt_float(res))
             rows.append(tuple(cells))
         return _csv_payload(rows)
     lines = [f"seed: {result.seed}"]
@@ -380,7 +380,7 @@ def _fiber_payload(result: FiberResult, fmt: str) -> str:
     )
     for point, res in zip(result.solutions, result.residuals):
         coords = "  ".join(_fmt_complex(z) for z in point)
-        lines.append(f"x = {coords}   residual {_fmt(res)}")
+        lines.append(f"x = {coords}   residual {_fmt_float(res)}")
     if result.orbit_classes is not None:
         lines.append(
             "orbit classes: "
@@ -396,7 +396,7 @@ def cmd_fiber(args) -> int:
     result = solve_fiber(
         system,
         seed=args.seed,
-        residual_tol=args.tol if args.tol is not None else 1e-8,
+        residual_tol=args.tol if args.tol is not None else DEFAULT_RESIDUAL_TOL,
     )
     _emit(_fiber_payload(result, args.format), args.out)
     verdict, code = _fiber_verdict(system, result)
@@ -407,32 +407,14 @@ def cmd_fiber(args) -> int:
 def cmd_lambda(args) -> int:
     zeta = _parse_complex_list(args.zeta)
     xi = _parse_complex_list(args.xi)
-    text = _load_config_text(args.config)
-    if _is_system_config(text):
-        polys, t_vars, x_vars, little, d = _parse_system_config(text)
-        system = DeformedSystem(
-            polys=polys,
-            t_vars=t_vars,
-            x_vars=x_vars,
-            zeta=zeta,
-            target=tuple(0j for _ in polys),
-            little=little,
-            d=d,
-        )
-    else:
-        cfg = parse_pair_config(text)
-        fam = invariant_family(build_root_system(cfg.ambient_type, cfg.ambient_rank))
-        res = restrict_family(fam, cfg, selection=_selection(args))
-        system = DeformedSystem.from_restriction(
-            res, zeta, tuple(0j for _ in res.adapted)
-        )
+    system = _build_system(args, zeta)
     if len(xi) != len(system.x_vars):
         raise UsageError(f"xi needs {len(system.x_vars)} entries, got {len(xi)}")
     result = solve_lambda_xi(
         system,
         xi,
         seed=args.seed,
-        residual_tol=args.tol if args.tol is not None else 1e-8,
+        residual_tol=args.tol if args.tol is not None else DEFAULT_RESIDUAL_TOL,
     )
     _emit(_fiber_payload(result, args.format), args.out)
     classes = len(result.orbit_classes) if result.orbit_classes is not None else 0

@@ -18,11 +18,9 @@ test points against it numerically.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -92,9 +90,13 @@ class DeformedSystem:
         if len(self.target) != len(self.polys):
             raise ValueError("target length must match the system")
         allvars = self.t_vars + self.x_vars
-        for p in self.polys:
+        for i, p in enumerate(self.polys, start=1):
             if p.variables != allvars:
                 raise ValueError("every polynomial must use the t + x variable tuple")
+            if p.is_zero:
+                raise ValueError(f"equation {i} is the zero polynomial")
+        if self.d is not None and self.d < 1:
+            raise ValueError(f"fiber degree d must be at least 1, got {self.d}")
         if self.little is not None and self.d is None:
             degs = self.x_degrees()
             object.__setattr__(
@@ -284,19 +286,6 @@ def _track_one(
     return x, residual
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is None:
-        env = os.environ.get("CHEVFIBER_THREADS")
-        if env is None:
-            return 1
-        threads = int(env)
-    if threads < 0:
-        raise ValueError("thread count must be nonnegative")
-    if threads == 0:
-        return os.cpu_count() or 1
-    return threads
-
-
 @dataclass(frozen=True)
 class FiberResult:
     seed: int
@@ -356,7 +345,6 @@ def solve_fiber(
     seed: int = 0,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
     cluster_radius: float = DEFAULT_CLUSTER_RADIUS,
-    threads: int | None = None,
 ) -> FiberResult:
     """Track every start path and return the merged, sorted fiber.
 
@@ -369,7 +357,6 @@ def solve_fiber(
         raise FiberSolveError("system has a constant equation in x")
     a = np.array(system.target, dtype=np.complex128)
     rng = np.random.default_rng(seed)
-    workers = _thread_count(threads)
 
     total = math.prod(degrees)
     attempt = 0
@@ -392,15 +379,7 @@ def solve_fiber(
             starts.append(
                 np.array([roots[i][idx[i]] for i in range(len(degrees))])
             )
-
-        def work(x0):
-            return _track_one(num, a, gamma, degrees, cs, x0, residual_tol)
-
-        if workers == 1:
-            outcomes = [work(x0) for x0 in starts]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(work, starts))
+        outcomes = [_track_one(num, a, gamma, degrees, cs, x0, residual_tol) for x0 in starts]
         accepted = [o for o in outcomes if o is not None]
         failed = total - len(accepted)
         if failed <= _FAILURE_RATE_LIMIT * total:
@@ -412,28 +391,14 @@ def solve_fiber(
             )
 
     # merge endpoints that landed on the same point
-    parent = list(range(len(accepted)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(accepted)):
-        for j in range(i + 1, len(accepted)):
-            if (
-                float(np.max(np.abs(accepted[i][0] - accepted[j][0])))
-                < cluster_radius
-            ):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    clusters: dict[int, list[int]] = {}
-    for i in range(len(accepted)):
-        clusters.setdefault(find(i), []).append(i)
+    near = (
+        (i, j)
+        for i in range(len(accepted))
+        for j in range(i + 1, len(accepted))
+        if float(np.max(np.abs(accepted[i][0] - accepted[j][0]))) < cluster_radius
+    )
     reps = []
-    for members in clusters.values():
+    for members in _components(len(accepted), near):
         best = min(members, key=lambda i: accepted[i][1])
         reps.append(accepted[best])
     merged = len(accepted) - len(reps)
@@ -456,6 +421,29 @@ def solve_fiber(
         path_stats={"tracked": total, "failed": failed, "merged": merged},
         orbit_classes=orbit_classes,
     )
+
+
+def _components(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Connected components of the graph on range(n), by union-find.
+
+    Each component is ascending and the list is ordered by smallest member.
+    """
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in edges:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[rj] = ri
+    classes: dict[int, list[int]] = {}
+    for i in range(n):
+        classes.setdefault(find(i), []).append(i)
+    return list(classes.values())
 
 
 _FLOAT_GROUP_CACHE: dict[tuple[str, int], tuple[np.ndarray, ...]] = {}
@@ -482,34 +470,24 @@ def orbit_partition(
     the point spacing.
     """
     pts = [np.array(p, dtype=np.complex128) for p in points]
-    parent = list(range(len(pts)))
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    def edges():
+        for i, p in enumerate(pts):
+            for m in matrices:
+                image = m @ p
+                matches = [
+                    j
+                    for j, q in enumerate(pts)
+                    if float(np.max(np.abs(image - q))) < radius
+                ]
+                if len(matches) > 1:
+                    raise InconsistentClusteringError(
+                        f"point {i} maps within {radius} of {len(matches)} fiber points"
+                    )
+                if matches:
+                    yield i, matches[0]
 
-    for i, p in enumerate(pts):
-        for m in matrices:
-            image = m @ p
-            matches = [
-                j
-                for j, q in enumerate(pts)
-                if float(np.max(np.abs(image - q))) < radius
-            ]
-            if len(matches) > 1:
-                raise InconsistentClusteringError(
-                    f"point {i} maps within {radius} of {len(matches)} fiber points"
-                )
-            if matches:
-                ri, rj = find(i), find(matches[0])
-                if ri != rj:
-                    parent[rj] = ri
-    classes: dict[int, list[int]] = {}
-    for i in range(len(pts)):
-        classes.setdefault(find(i), []).append(i)
-    return tuple(tuple(sorted(c)) for c in sorted(classes.values(), key=min))
+    return tuple(tuple(c) for c in _components(len(pts), edges()))
 
 
 def is_unramified(

@@ -237,12 +237,13 @@ def verify_database(db: Iterable[PairRecord]) -> list[str]:
 
     def check(fn, *args):
         try:
-            fn(*args)
+            return fn(*args)
         except (IntegrityError, ValueError) as exc:
             problems.append(str(exc))
+            return None
 
     check(corrected_prop31, records)
-    check(b_exceptional_list, records)
+    b_exceptional = check(b_exceptional_list, records) or []
 
     confirmed = [r for r in records if r.provenance == "erratum-confirmed"]
     if len(confirmed) != 4:
@@ -253,10 +254,8 @@ def verify_database(db: Iterable[PairRecord]) -> list[str]:
     for r in records:
         if r.dual_name is None:
             continue
-        try:
-            dual = dual_of(r, records)
-        except (IntegrityError, ValueError) as exc:
-            problems.append(str(exc))
+        dual = check(dual_of, r, records)
+        if dual is None:
             continue
         if dual.dual_name != r.label:
             problems.append(f"dual link of {r.label} is not an involution")
@@ -267,11 +266,8 @@ def verify_database(db: Iterable[PairRecord]) -> list[str]:
         if r.sigma_b is not None and is_split(r) and is_b_exceptional(r):
             problems.append(f"split record {r.label} claims b-exceptional")
 
-    try:
-        for r in b_exceptional_list(records):
-            if not is_exceptional(r):
-                problems.append(f"b-exceptional {r.label} is not exceptional")
-    except (IntegrityError, ValueError):
-        pass  # already reported above
+    for r in b_exceptional:
+        if not is_exceptional(r):
+            problems.append(f"b-exceptional {r.label} is not exceptional")
 
     return problems

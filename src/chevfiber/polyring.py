@@ -54,6 +54,16 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    @classmethod
+    def _trusted(cls, variables: tuple[str, ...], terms: dict) -> "Polynomial":
+        """Wrap terms that are already clean: int-tuple exponents of the right
+        length, nonzero Fraction coefficients.  For results of this class's
+        own arithmetic, which `__init__` would only re-validate."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "variables", variables)
+        object.__setattr__(p, "terms", terms)
+        return p
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -106,12 +116,12 @@ class Polynomial:
             acc[e] = acc.get(e, Fraction(0)) + c
             if acc[e] == 0:
                 del acc[e]
-        return Polynomial(self.variables, acc)
+        return Polynomial._trusted(self.variables, acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.variables, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Polynomial) else -Fraction(other))
@@ -124,7 +134,7 @@ class Polynomial:
             f = _coeff(other)
             if f == 0:
                 return Polynomial.zero(self.variables)
-            return Polynomial(self.variables, {e: c * f for e, c in self.terms.items()})
+            return Polynomial._trusted(self.variables, {e: c * f for e, c in self.terms.items()})
         self._check_compatible(other)
         acc: dict[Exponent, Fraction] = {}
         for e1, c1 in self.terms.items():
@@ -133,7 +143,7 @@ class Polynomial:
                 acc[e] = acc.get(e, Fraction(0)) + c1 * c2
                 if acc[e] == 0:
                     del acc[e]
-        return Polynomial(self.variables, acc)
+        return Polynomial._trusted(self.variables, acc)
 
     __rmul__ = __mul__
 
@@ -174,7 +184,7 @@ class Polynomial:
             new = list(e)
             new[idx] -= 1
             acc[tuple(new)] = c * e[idx]
-        return Polynomial(self.variables, acc)
+        return Polynomial._trusted(self.variables, acc)
 
     # -- evaluation ----------------------------------------------------
 
@@ -211,7 +221,7 @@ class Polynomial:
             if any(e[i] for i in drop):
                 continue
             acc[tuple(e[i] for i in keep)] = c
-        return Polynomial([self.variables[i] for i in keep], acc)
+        return Polynomial._trusted(tuple(self.variables[i] for i in keep), acc)
 
     def substitute(self, images: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Replace every variable by its image polynomial (all over one tuple).
@@ -241,6 +251,24 @@ class Polynomial:
                     term = term * power(v, e[i])
             out = out + term
         return out
+
+    def linear_change(
+        self, matrix: Sequence[Sequence], new_vars: Sequence[str] | None = None
+    ) -> "Polynomial":
+        """Substitute u = M y: variable i becomes sum_j M[i][j] * new_vars[j].
+
+        `new_vars` defaults to this polynomial's own variables, so a square
+        matrix acting on coordinates (a reflection, say) maps p to p o M.
+        """
+        new_vars = self.variables if new_vars is None else tuple(new_vars)
+        images = {}
+        for v, row in zip(self.variables, matrix):
+            terms = {}
+            for j, m in enumerate(row):
+                if m != 0:
+                    terms[tuple(int(k == j) for k in range(len(new_vars)))] = m
+            images[v] = Polynomial(new_vars, terms)
+        return self.substitute(images)
 
     # -- text form -------------------------------------------------------
 

@@ -22,7 +22,6 @@ from ._linalg import (
     Matrix,
     Vector,
     clear_denominators,
-    det,
     matvec,
     rank as matrix_rank,
 )
@@ -30,6 +29,8 @@ from .polyring import Polynomial
 from .rootsys import (
     InvariantFamily,
     RootSystem,
+    _compositions,
+    _jacobian_certificate,
     build_root_system,
     fundamental_degrees,
     simple_reflections,
@@ -200,28 +201,6 @@ class Restriction:
     d: int
 
 
-def _substitution_images(
-    ambient_vars: Sequence[str], change: Matrix, new_vars: Sequence[str]
-) -> dict[str, Polynomial]:
-    images = {}
-    for i, u in enumerate(ambient_vars):
-        terms = {}
-        for j in range(len(new_vars)):
-            if change[i][j] != 0:
-                exp = tuple(int(k == j) for k in range(len(new_vars)))
-                terms[exp] = change[i][j]
-        images[u] = Polynomial(new_vars, terms)
-    return images
-
-
-def _apply_matrix(p: Polynomial, m: Matrix) -> Polynomial:
-    return p.substitute(_substitution_images(p.variables, m, p.variables))
-
-
-def _test_points(r: int) -> list[tuple[Fraction, ...]]:
-    return [tuple(Fraction(s**i) for i in range(r)) for s in (2, 3, 5, 7, 11)]
-
-
 def restrict_family(
     family: InvariantFamily,
     config: PairConfig,
@@ -243,30 +222,21 @@ def restrict_family(
         raise RestrictionError("family group does not match the config ambient type")
     little = build_root_system(config.little_type, config.little_rank)
     t_vars, x_vars, change = adapt_coordinates(config, family.group.form)
-    new_vars = t_vars + x_vars
-    images = _substitution_images(family.variables, change, new_vars)
-    adapted_all = [p.substitute(images) for p in family.polys]
+    adapted_all = [p.linear_change(change, t_vars + x_vars) for p in family.polys]
     restricted_all = [p.restrict_zero(t_vars) for p in adapted_all]
 
     r = config.little_rank
-    points = _test_points(r)
-
-    def rank_at(polys, point):
-        rows = [[q.derivative(x).eval_exact(point) for x in x_vars] for q in polys]
-        return matrix_rank(rows)
-
     if isinstance(selection, str):
         if selection != "first-by-degree":
             raise ValueError(f"unknown selection rule {selection!r}")
         chosen: list[int] = []
-        for idx in range(len(family.polys)):
+        for idx, w in enumerate(restricted_all):
             if len(chosen) == r:
                 break
-            w = restricted_all[idx]
             if w.is_zero:
                 continue
             trial = [restricted_all[i] for i in chosen] + [w]
-            if any(rank_at(trial, p) == len(trial) for p in points):
+            if _jacobian_certificate(trial, x_vars) is not None:
                 chosen.append(idx)
         if len(chosen) < r:
             raise RestrictionError(
@@ -281,34 +251,22 @@ def restrict_family(
             )
         if any(i < 0 or i >= len(family.polys) for i in chosen):
             raise RestrictionError("selection index out of range")
-        trial = [restricted_all[i] for i in chosen]
-        if any(w.is_zero for w in trial):
+        if any(restricted_all[i].is_zero for i in chosen):
             raise RestrictionError("a selected invariant restricts to zero")
-        if all(rank_at(trial, p) < r for p in points):
-            raise RestrictionError(
-                "selected restrictions are dependent; the Jacobian vanishes "
-                "identically on the subspace"
-            )
 
     selected = tuple(chosen)
     w_polys = tuple(restricted_all[i] for i in selected)
     degrees = tuple(family.degrees[i] for i in selected)
-
-    certificate = None
-    for p in points:
-        rows = [[q.derivative(x).eval_exact(p) for x in x_vars] for q in w_polys]
-        value = det(rows)
-        if value != 0:
-            certificate = (p, value)
-            break
+    certificate = _jacobian_certificate(w_polys, x_vars)
     if certificate is None:
         raise RestrictionError(
-            "restricted family passed rank tests but no determinant certificate exists"
+            "selected restrictions are dependent; the Jacobian vanishes "
+            "identically on the subspace"
         )
 
     for w in w_polys:
         for s in simple_reflections(little):
-            if _apply_matrix(w, s) != w:
+            if w.linear_change(s) != w:
                 raise RestrictionError(
                     "restricted invariant is not little-group invariant; "
                     "the embedding does not respect the little root system"
@@ -337,16 +295,6 @@ class SurjectivityReport:
     ok: bool
     failing_degree: int | None
     degree_bound: int
-
-
-def _monomials(total: int, nvars: int) -> list[tuple[int, ...]]:
-    if nvars == 1:
-        return [(total,)]
-    out = []
-    for head in range(total + 1):
-        for tail in _monomials(total - head, nvars - 1):
-            out.append((head,) + tail)
-    return out
 
 
 def _product_exponents(degrees: Sequence[int], k: int) -> list[tuple[int, ...]]:
@@ -385,9 +333,6 @@ def surjectivity_check(
     if len(variables) != little.rank:
         raise ValueError("family variable count does not match the little rank")
     group = weyl_group(little)
-    images_per_w = [
-        _substitution_images(variables, w, variables) for w in group
-    ]
     power_cache: dict[tuple[int, int], Polynomial] = {}
 
     def family_power(i: int, a: int) -> Polynomial:
@@ -397,7 +342,7 @@ def surjectivity_check(
         return power_cache[key]
 
     for k in range(1, degree_bound + 1):
-        monos = _monomials(k, len(variables))
+        monos = list(_compositions(k, len(variables)))
         index = {e: i for i, e in enumerate(monos)}
 
         def vec(p: Polynomial) -> list[Fraction]:
@@ -411,8 +356,8 @@ def surjectivity_check(
         for e in monos:
             mono = Polynomial(variables, {e: 1})
             acc = Polynomial.zero(variables)
-            for images in images_per_w:
-                acc = acc + mono.substitute(images)
+            for w in group:
+                acc = acc + mono.linear_change(w)
             avg = acc * scale
             if not avg.is_zero:
                 inv_rows.append(vec(avg))

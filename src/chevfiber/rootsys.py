@@ -182,15 +182,7 @@ def build_root_system(type_name: str, rank: int) -> RootSystem:
         roots=(),
         form=form,
     )
-    seen: set[Vector] = set(simples)
-    queue = list(simples)
-    while queue:
-        r = queue.pop()
-        for alpha in simples:
-            image = rs.reflect(r, alpha)
-            if image not in seen:
-                seen.add(image)
-                queue.append(image)
+    seen = _reflection_closure(rs, simples)
     if type_name == "BC":
         for r in list(seen):
             if rs.bilinear(r, r) == 1:
@@ -271,10 +263,10 @@ def weyl_group(rs: RootSystem, cap: int = WEYL_CAP) -> tuple[Matrix, ...]:
     return tuple(matrices)
 
 
-def orbit_vectors(rs: RootSystem, v: Sequence) -> tuple[Vector, ...]:
-    v = tuple(Fraction(x) for x in v)
-    seen = {v}
-    queue = [v]
+def _reflection_closure(rs: RootSystem, seeds: Sequence[Vector]) -> set[Vector]:
+    """The smallest set holding the seeds and closed under simple reflections."""
+    seen = set(seeds)
+    queue = list(seen)
     while queue:
         u = queue.pop()
         for alpha in rs.simple_roots:
@@ -282,7 +274,11 @@ def orbit_vectors(rs: RootSystem, v: Sequence) -> tuple[Vector, ...]:
             if w not in seen:
                 seen.add(w)
                 queue.append(w)
-    return tuple(sorted(seen))
+    return seen
+
+
+def orbit_vectors(rs: RootSystem, v: Sequence) -> tuple[Vector, ...]:
+    return tuple(sorted(_reflection_closure(rs, [tuple(Fraction(x) for x in v)])))
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -368,11 +364,26 @@ def _test_points(n: int) -> list[Vector]:
     return [tuple(Fraction(s**i) for i in range(n)) for s in (2, 3, 5, 7, 11)]
 
 
-def _jacobian_rank_at(polys: Sequence[Polynomial], variables, point) -> int:
-    rows = [
-        [p.derivative(x).eval_exact(point) for x in variables] for p in polys
-    ]
-    return matrix_rank(rows)
+def _jacobian_certificate(
+    polys: Sequence[Polynomial], variables: Sequence[str]
+) -> tuple[Vector, Fraction | None] | None:
+    """The first test point where the Jacobian of `polys` has full row rank.
+
+    Returns (point, value), None if the rank falls short at every test
+    point.  For a square family `value` is the exact Jacobian determinant
+    there, nonzero, which proves algebraic independence; for fewer
+    polynomials than variables it is None.
+    """
+    jac = [[p.derivative(x) for x in variables] for p in polys]
+    for point in _test_points(len(variables)):
+        rows = [[q.eval_exact(point) for q in row] for row in jac]
+        if len(rows) == len(variables):
+            value = det(rows)
+            if value != 0:
+                return point, value
+        elif matrix_rank(rows) == len(rows):
+            return point, None
+    return None
 
 
 def invariant_family(rs: RootSystem, max_candidates: int = 25) -> InvariantFamily:
@@ -385,42 +396,28 @@ def invariant_family(rs: RootSystem, max_candidates: int = 25) -> InvariantFamil
     fallback before giving up.
     """
     degrees = fundamental_degrees(rs.type_name, rs.rank)
-    points = _test_points(rs.rank)
     polys: list[Polynomial] = []
-    for target_rank, k in enumerate(degrees, start=1):
+    for k in degrees:
         candidates: list[Sequence] = []
         gen = _regular_vectors(rs)
         for _ in range(max_candidates):
             candidates.append(next(gen))
         candidates.extend(rs.simple_roots)
-        accepted = False
         for v in candidates:
             u = orbit_sum_invariant(rs, v, k)
             if u.is_zero:
                 continue
-            trial = polys + [u]
-            if any(
-                _jacobian_rank_at(trial, rs.variables, p) == target_rank for p in points
-            ):
+            # the last accepted trial is the whole square family, so its
+            # certificate is the family's
+            certificate = _jacobian_certificate(polys + [u], rs.variables)
+            if certificate is not None:
                 polys.append(u)
-                accepted = True
                 break
-        if not accepted:
+        else:
             raise ConstructionError(
                 f"no independent degree-{k} invariant found for "
                 f"{rs.type_name}{rs.rank}"
             )
-    certificate = None
-    for p in points:
-        rows = [
-            [q.derivative(x).eval_exact(p) for x in rs.variables] for q in polys
-        ]
-        value = det(rows)
-        if value != 0:
-            certificate = (p, value)
-            break
-    if certificate is None:
-        raise ConstructionError("family passed rank tests but has no determinant certificate")
     return InvariantFamily(
         polys=tuple(polys), degrees=degrees, group=rs, certificate=certificate
     )

@@ -211,16 +211,15 @@ def test_out_writes_payload_to_file(tmp_path, capsys):
     assert json.loads(out.read_text())["order"] == 8
 
 
-def test_threads_env_does_not_change_bytes(tmp_path, monkeypatch, capsys):
-    outs = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("CHEVFIBER_THREADS", threads)
-        out = tmp_path / f"t{threads}.json"
-        code = main(
-            ["--format", "json", "--seed", "5", "fiber", "--config", QUARTIC,
-             "--zeta", "1", "--target", "6", "--out", str(out)]
-        )
-        assert code == 0
-        outs.append(out.read_bytes())
-    capsys.readouterr()
-    assert outs[0] == outs[1]
+def test_zero_poly_config_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("xvars: x1\npoly: 0\nlittle_type: A\nlittle_rank: 1\n")
+    assert main(["fiber", "--config", str(cfg), "--target", "1"]) == 1
+    assert "equation 1 is the zero polynomial" in capsys.readouterr().err
+
+
+def test_zero_d_config_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "d0.cfg"
+    cfg.write_text("xvars: x1\npoly: x1^2\nlittle_type: A\nlittle_rank: 1\nd: 0\n")
+    assert main(["fiber", "--config", str(cfg), "--target", "1"]) == 1
+    assert "fiber degree d must be at least 1" in capsys.readouterr().err

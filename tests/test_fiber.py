@@ -72,6 +72,25 @@ def test_system_validation():
         )
 
 
+def test_zero_equation_rejected():
+    zero = parse_polynomial("0", ("x1",))
+    with pytest.raises(ValueError, match="equation 1 is the zero polynomial"):
+        DeformedSystem(
+            polys=(zero,), t_vars=(), x_vars=("x1",), zeta=(), target=(1,),
+            little=build_root_system("A", 1),
+        )
+
+
+@pytest.mark.parametrize("d", [0, -2])
+def test_fiber_degree_below_one_rejected(d):
+    p = parse_polynomial("x1^2", ("x1",))
+    with pytest.raises(ValueError, match="fiber degree d must be at least 1"):
+        DeformedSystem(
+            polys=(p,), t_vars=(), x_vars=("x1",), zeta=(), target=(1,),
+            little=build_root_system("A", 1), d=d,
+        )
+
+
 def test_expected_count_derivation():
     sys_ = toy_system()
     assert sys_.d == 1
@@ -169,21 +188,6 @@ def test_json_differs_for_different_seed_only_in_stats():
     # same fiber, possibly different path bookkeeping
     for p, q in zip(a.solutions, b.solutions):
         assert max(abs(x - y) for x, y in zip(p, q)) < 1e-8
-
-
-def test_thread_count_does_not_change_output(monkeypatch):
-    base = solve_fiber(quartic_system(), seed=4, threads=1).to_json()
-    multi = solve_fiber(quartic_system(), seed=4, threads=3).to_json()
-    assert base == multi
-    monkeypatch.setenv("CHEVFIBER_THREADS", "2")
-    via_env = solve_fiber(quartic_system(), seed=4).to_json()
-    assert via_env == base
-
-
-def test_thread_env_validation(monkeypatch):
-    monkeypatch.setenv("CHEVFIBER_THREADS", "banana")
-    with pytest.raises(ValueError):
-        solve_fiber(toy_system(), seed=0)
 
 
 def test_unramified_predicates():

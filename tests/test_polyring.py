@@ -117,6 +117,31 @@ def test_substitute_linear_change():
     assert q == parse_polynomial("2*t^2 + 2*x^2", ("t", "x"))
 
 
+def test_linear_change_identity_is_noop():
+    p = P("3*x1^3 - x1*x2 + 1/2*x2^2 + 7")
+    q = p.linear_change(((1, 0), (0, 1)))
+    assert q == p
+    assert list(q.terms) == list(p.terms)
+
+
+def test_linear_change_reflection_matches_substitute():
+    # the reflection swapping x1 and x2, by hand and as a matrix
+    p = P("x1^3 + 2*x1*x2 - 5*x2")
+    x1 = Polynomial.variable(("x1", "x2"), "x1")
+    x2 = Polynomial.variable(("x1", "x2"), "x2")
+    by_hand = p.substitute({"x1": x2, "x2": x1})
+    q = p.linear_change(((0, 1), (1, 0)))
+    assert q == by_hand == P("x2^3 + 2*x1*x2 - 5*x1")
+    assert list(q.terms) == list(by_hand.terms)
+
+
+def test_linear_change_to_new_variables():
+    # u1 = t + x, u2 = -t + x, as in test_substitute_linear_change
+    p = P("x1^2 + x2^2")
+    q = p.linear_change(((1, 1), (-1, 1)), ("t", "x"))
+    assert q == parse_polynomial("2*t^2 + 2*x^2", ("t", "x"))
+
+
 def test_substitute_requires_all_used_variables():
     p = P("x1 + x2")
     t = Polynomial.variable(("t",), "t")
