@@ -5,9 +5,12 @@ variables t and fiber variables x.  Fixing t = zeta and a target vector a,
 `solve_fiber` finds every solution of U_i(zeta; x) = a_i by a total-degree
 homotopy: start solutions of x_i^{d_i} = c_i are tracked to the target system
 along H(x, s) = (1 - s) gamma g(x) + s (f(x) - a) with an Euler predictor and
-a Newton corrector on an adaptive step.  Endpoints are polished, filtered by
-residual, merged by proximity, and returned in a canonical order, so a fixed
-seed reproduces results byte for byte.
+a Newton corrector on an adaptive step.  All start paths move as one numpy
+batch, each with its own s and step, and take the steps each would take
+alone.  Endpoints are polished, filtered by residual, merged by proximity,
+and sorted by their coordinates rounded to a grid 1024 times finer than the
+merge radius, so float noise in a coordinate that points share cannot
+reorder them and a fixed seed reproduces results byte for byte.
 
 The symbolic Jacobian determinant of the system in the x directions is
 homogeneous of degree sum(m_i - 1) over the ambient grading -- the sum, not
@@ -95,10 +98,12 @@ class DeformedSystem:
                 raise ValueError("every polynomial must use the t + x variable tuple")
             if p.is_zero:
                 raise ValueError(f"equation {i} is the zero polynomial")
+        degs = self.x_degrees()
+        if 0 in degs:
+            raise ValueError(f"equation {degs.index(0) + 1} has no x term")
         if self.d is not None and self.d < 1:
             raise ValueError(f"fiber degree d must be at least 1, got {self.d}")
         if self.little is not None and self.d is None:
-            degs = self.x_degrees()
             object.__setattr__(
                 self,
                 "d",
@@ -149,15 +154,20 @@ def jacobian_J(system: DeformedSystem) -> Polynomial:
 
 
 class _Numeric:
-    """Arrays for fast evaluation of the specialized system and Jacobian."""
+    """The specialized system as one batched evaluator.
+
+    Every monomial of f and of df/dx is collected once, so a batch of points
+    X (P, r) costs one power table and two matrix products: `mono @ Cf` gives
+    f (P, r) and `mono @ Cj` the Jacobian (P, r, r).
+    """
 
     def __init__(self, system: DeformedSystem):
         k = len(system.t_vars)
         r = len(system.x_vars)
         self.r = r
-        self.E: list[np.ndarray] = []
-        self.C: list[np.ndarray] = []
-        for p in system.polys:
+        column: dict[tuple[int, ...], int] = {}
+        f_terms, j_terms, scales = [], [], []
+        for i, p in enumerate(system.polys):
             acc: dict[tuple[int, ...], complex] = {}
             for e, c in p.terms.items():
                 z = complex(c.numerator) / complex(c.denominator)
@@ -166,124 +176,153 @@ class _Numeric:
                         z *= system.zeta[j] ** e[j]
                 ex = e[k:]
                 acc[ex] = acc.get(ex, 0j) + z
-            exps = sorted(acc)
-            self.E.append(np.array(exps, dtype=np.int64).reshape(len(exps), r))
-            self.C.append(np.array([acc[e] for e in exps], dtype=np.complex128))
-        self.JE: list[list[np.ndarray]] = []
-        self.JC: list[list[np.ndarray]] = []
-        for E, C in zip(self.E, self.C):
-            row_e, row_c = [], []
-            for j in range(r):
-                mask = E[:, j] > 0
-                Ed = E[mask].copy()
-                Cd = C[mask] * Ed[:, j]
-                Ed[:, j] -= 1
-                row_e.append(Ed)
-                row_c.append(Cd)
-            self.JE.append(row_e)
-            self.JC.append(row_c)
-        self.poly_scale = np.array(
-            [float(np.max(np.abs(C))) if C.size else 1.0 for C in self.C]
-        )
+            for ex, z in acc.items():
+                f_terms.append((column.setdefault(ex, len(column)), i, z))
+                for j in range(r):
+                    if ex[j]:
+                        dx = ex[:j] + (ex[j] - 1,) + ex[j + 1 :]
+                        j_terms.append((column.setdefault(dx, len(column)), i * r + j, z * ex[j]))
+            scales.append(max(abs(z) for z in acc.values()))
+        self.M = np.array(list(column), dtype=np.int64).reshape(len(column), r)
+        self.Cf = np.zeros((len(column), r), dtype=np.complex128)
+        self.Cj = np.zeros((len(column), r * r), dtype=np.complex128)
+        for C, terms in ((self.Cf, f_terms), (self.Cj, j_terms)):
+            for row, col, z in terms:
+                C[row, col] = z
+        self.poly_scale = np.array(scales)
         self.coeff_scale = float(np.max(self.poly_scale))
 
-    def f(self, x: np.ndarray) -> np.ndarray:
-        return np.array(
-            [np.prod(x**E, axis=1) @ C for E, C in zip(self.E, self.C)],
-            dtype=np.complex128,
-        )
-
-    def jac(self, x: np.ndarray) -> np.ndarray:
-        out = np.empty((len(self.E), self.r), dtype=np.complex128)
-        for i in range(len(self.E)):
-            for j in range(self.r):
-                E, C = self.JE[i][j], self.JC[i][j]
-                out[i, j] = np.prod(x**E, axis=1) @ C if len(C) else 0j
-        return out
+    def __call__(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """f (P, r) and the Jacobian (P, r, r) at the points X (P, r)."""
+        powers = np.ones((len(X), self.r, int(self.M.max()) + 1), dtype=np.complex128)
+        for e in range(1, powers.shape[2]):
+            powers[:, :, e] = powers[:, :, e - 1] * X
+        mono = np.prod(powers[:, np.arange(self.r), self.M], axis=2)
+        return mono @ self.Cf, (mono @ self.Cj).reshape(len(X), self.r, self.r)
 
 
 def _unit_circle(rng: np.random.Generator) -> complex:
     return complex(np.exp(2j * np.pi * rng.random()))
 
 
-def _track_one(
+def _solve_rows(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve A[p] y[p] = b[p] for every p, and flag the rows that solved.
+
+    A singular member makes the batched call raise, so the batch is then
+    solved member by member and only that member is flagged.
+    """
+    try:
+        return np.linalg.solve(A, b[..., None])[..., 0], np.ones(len(A), dtype=bool)
+    except np.linalg.LinAlgError:
+        y, ok = np.zeros_like(b), np.ones(len(A), dtype=bool)
+        for p in range(len(A)):
+            try:
+                y[p] = np.linalg.solve(A[p], b[p])
+            except np.linalg.LinAlgError:
+                ok[p] = False
+        return y, ok
+
+
+def _max_dist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """(len(X), len(Y)) max-norm distances between the rows of X and Y."""
+    return np.abs(X[:, None, :] - Y[None, :, :]).max(axis=2)
+
+
+def _track_paths(
     num: _Numeric,
     a: np.ndarray,
     gamma: complex,
     degrees: Sequence[int],
     cs: np.ndarray,
-    start: np.ndarray,
+    starts: np.ndarray,
     residual_tol: float,
-) -> tuple[np.ndarray, float] | None:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Track the start points (P, r) to the target system as one batch.
+
+    Every path keeps its own s, step ds and fate, and takes the steps it
+    would take alone: an Euler predictor, at most 4 Newton corrections, ds
+    doubled (to at most 0.1) after a correction in at most 2 iterations and
+    halved after a failed one, the path lost below ds = 1e-4.  Endpoints are
+    polished against f(x) = a.  Returns the endpoints, their residuals, and
+    the mask of paths that reached the target within `residual_tol`.
+    """
     d = np.array(degrees, dtype=np.int64)
     # match the start equations to the coefficient size of the target
     # equations so neither homotopy endpoint dominates the other
     kappa = num.poly_scale
+    diag = np.arange(len(degrees))
 
-    def g(x):
-        return kappa * (x**d - cs)
+    def homotopy(x, s):
+        # H = (1 - s) gamma g + s (f - a) with g = kappa (x^d - c), its
+        # x-Jacobian, and f - a - gamma g, the s-derivative of H
+        F, J = num(x)
+        g = kappa * (x**d - cs)
+        gx = np.zeros_like(J)
+        gx[:, diag, diag] = kappa * d * x ** (d - 1)
+        w = (1 - s) * gamma
+        H = w[:, None] * g + s[:, None] * (F - a)
+        return H, w[:, None, None] * gx + s[:, None, None] * J, (F - a) - gamma * g
 
-    def gx(x):
-        return np.diag(kappa * d * x ** (d - 1))
-
-    def H(x, s):
-        return (1 - s) * gamma * g(x) + s * (num.f(x) - a)
-
-    def Hx(x, s):
-        return (1 - s) * gamma * gx(x) + s * num.jac(x)
-
-    x = start.astype(np.complex128)
-    s = 0.0
-    ds = 0.05
-    while s < 1.0:
-        step = min(ds, 1.0 - s)
-        try:
-            hs = (num.f(x) - a) - gamma * g(x)
-            v = np.linalg.solve(Hx(x, s), -hs)
-            xp = x + v * step
-        except np.linalg.LinAlgError:
-            xp = x
-        s_next = s + step
-        xn = xp
-        converged = False
-        iterations = 0
+    x = starts.astype(np.complex128)
+    s = np.zeros(len(x))
+    ds = np.full(len(x), 0.05)
+    lost = np.zeros(len(x), dtype=bool)
+    while True:
+        idx = np.flatnonzero(~lost & (s < 1.0))
+        if not idx.size:
+            break
+        step = np.minimum(ds[idx], 1.0 - s[idx])
+        _, Hx, hs = homotopy(x[idx], s[idx])
+        v, ok = _solve_rows(Hx, -hs)
+        xn = np.where(ok[:, None], x[idx] + v * step[:, None], x[idx])
+        s_next = s[idx] + step
+        iterations = np.zeros(len(idx), dtype=np.int64)
+        converged = np.zeros(len(idx), dtype=bool)
+        running = np.ones(len(idx), dtype=bool)
         for it in range(4):
-            iterations = it + 1
-            try:
-                delta = np.linalg.solve(Hx(xn, s_next), -H(xn, s_next))
-            except np.linalg.LinAlgError:
+            k = np.flatnonzero(running)
+            if not k.size:
                 break
-            xn = xn + delta
-            if not np.all(np.isfinite(xn)):
-                break
-            if np.max(np.abs(delta)) <= 1e-10 * max(1.0, float(np.max(np.abs(xn)))):
-                converged = True
-                break
-        if converged:
-            x = xn
-            s = s_next
-            if iterations <= 2:
-                ds = min(0.1, ds * 2)
-        else:
-            ds /= 2
-            if ds < 1e-4:
-                return None
+            iterations[k] = it + 1
+            H, Hx, _ = homotopy(xn[k], s_next[k])
+            delta, ok = _solve_rows(Hx, -H)
+            running[k[~ok]] = False
+            k, delta = k[ok], delta[ok]
+            xn[k] = xn[k] + delta
+            finite = np.isfinite(xn[k]).all(axis=1)
+            running[k[~finite]] = False
+            k, delta = k[finite], delta[finite]
+            size = np.maximum(1.0, np.abs(xn[k]).max(axis=1))
+            done = k[np.abs(delta).max(axis=1) <= 1e-10 * size]
+            converged[done] = True
+            running[done] = False
+        moved = idx[converged]
+        x[moved] = xn[converged]
+        s[moved] = s_next[converged]
+        grow = idx[converged & (iterations <= 2)]
+        ds[grow] = np.minimum(0.1, ds[grow] * 2)
+        shrink = idx[~converged]
+        ds[shrink] /= 2
+        lost[shrink[ds[shrink] < 1e-4]] = True
     # endpoint polish against the plain target system
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(a))))
+    polishing = ~lost
     for _ in range(30):
-        res = num.f(x) - a
-        if np.max(np.abs(res)) <= 1e-12 * max(1.0, float(np.max(np.abs(a)))):
+        k = np.flatnonzero(polishing)
+        if not k.size:
             break
-        try:
-            delta = np.linalg.solve(num.jac(x), -res)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(delta)):
-            break
-        x = x + delta
-    residual = float(np.max(np.abs(num.f(x) - a)))
-    if not np.isfinite(residual) or residual > residual_tol:
-        return None
-    return x, residual
+        F, J = num(x[k])
+        res = F - a
+        near = np.abs(res).max(axis=1) <= tol
+        polishing[k[near]] = False
+        k, res, J = k[~near], res[~near], J[~near]
+        delta, ok = _solve_rows(J, -res)
+        ok &= np.isfinite(delta).all(axis=1)
+        polishing[k[~ok]] = False
+        x[k[ok]] = x[k[ok]] + delta[ok]
+    residual = np.full(len(x), np.inf)
+    residual[~lost] = np.abs(num(x[~lost])[0] - a).max(axis=1)
+    return x, residual, np.isfinite(residual) & (residual <= residual_tol)
 
 
 @dataclass(frozen=True)
@@ -351,37 +390,30 @@ def solve_fiber(
     Retries with a fresh gamma (same generator stream) when more than five
     percent of paths are lost; after three retries the solve is abandoned.
     """
+    if not cluster_radius > 0:
+        raise ValueError("cluster_radius must be positive")
     num = _Numeric(system)
     degrees = system.x_degrees()
-    if any(d < 1 for d in degrees):
-        raise FiberSolveError("system has a constant equation in x")
     a = np.array(system.target, dtype=np.complex128)
     rng = np.random.default_rng(seed)
 
     total = math.prod(degrees)
+    # start point `flat` takes root (flat // prod(degrees[:i])) % degrees[i]
+    # of equation i
+    digits = np.unravel_index(np.arange(total), degrees, order="F")
     attempt = 0
     while True:
         gamma = _unit_circle(rng)
         cs = np.array([_unit_circle(rng) for _ in degrees], dtype=np.complex128)
-        roots = []
-        for d_i, c_i in zip(degrees, cs):
-            base = c_i ** (1.0 / d_i)
-            roots.append(
-                [base * np.exp(2j * np.pi * k / d_i) for k in range(d_i)]
-            )
-        starts = []
-        idx = [0] * len(degrees)
-        for flat in range(total):
-            rem = flat
-            for i, d_i in enumerate(degrees):
-                idx[i] = rem % d_i
-                rem //= d_i
-            starts.append(
-                np.array([roots[i][idx[i]] for i in range(len(degrees))])
-            )
-        outcomes = [_track_one(num, a, gamma, degrees, cs, x0, residual_tol) for x0 in starts]
-        accepted = [o for o in outcomes if o is not None]
-        failed = total - len(accepted)
+        starts = np.stack(
+            [
+                c_i ** (1.0 / d_i) * np.exp(1j * (2 * np.pi * digit / d_i))
+                for d_i, c_i, digit in zip(degrees, cs, digits)
+            ],
+            axis=1,
+        )
+        X, residual, ok = _track_paths(num, a, gamma, degrees, cs, starts, residual_tol)
+        failed = total - int(ok.sum())
         if failed <= _FAILURE_RATE_LIMIT * total:
             break
         attempt += 1
@@ -391,21 +423,18 @@ def solve_fiber(
             )
 
     # merge endpoints that landed on the same point
-    near = (
-        (i, j)
-        for i in range(len(accepted))
-        for j in range(i + 1, len(accepted))
-        if float(np.max(np.abs(accepted[i][0] - accepted[j][0]))) < cluster_radius
-    )
-    reps = []
-    for members in _components(len(accepted), near):
-        best = min(members, key=lambda i: accepted[i][1])
-        reps.append(accepted[best])
-    merged = len(accepted) - len(reps)
+    X, residual = X[ok], residual[ok]
+    near = np.argwhere(np.triu(_max_dist(X, X) < cluster_radius, 1))
+    reps = [min(c, key=residual.__getitem__) for c in _components(len(X), near)]
+    merged = len(X) - len(reps)
 
-    reps.sort(key=lambda pr: tuple((z.real, z.imag) for z in pr[0]))
-    solutions = tuple(tuple(complex(z) for z in x) for x, _ in reps)
-    residuals = tuple(res for _, res in reps)
+    # Distinct points differ by at least cluster_radius, so keys on a grid
+    # 1024 times finer still tell them apart, while float noise in a shared
+    # coordinate can no longer decide the order.
+    keys = np.round(np.stack([X.real, X.imag], axis=2) / (cluster_radius / 1024))
+    reps.sort(key=lambda i: tuple(keys[i].ravel()))
+    solutions = tuple(tuple(complex(z) for z in X[i]) for i in reps)
+    residuals = tuple(float(residual[i]) for i in reps)
 
     orbit_classes = None
     if system.little is not None:
@@ -469,25 +498,23 @@ def orbit_partition(
     radius; several matches mean the clustering radius was inconsistent with
     the point spacing.
     """
-    pts = [np.array(p, dtype=np.complex128) for p in points]
-
-    def edges():
-        for i, p in enumerate(pts):
-            for m in matrices:
-                image = m @ p
-                matches = [
-                    j
-                    for j, q in enumerate(pts)
-                    if float(np.max(np.abs(image - q))) < radius
-                ]
-                if len(matches) > 1:
-                    raise InconsistentClusteringError(
-                        f"point {i} maps within {radius} of {len(matches)} fiber points"
-                    )
-                if matches:
-                    yield i, matches[0]
-
-    return tuple(tuple(c) for c in _components(len(pts), edges()))
+    if not len(points):
+        return ()
+    pts = np.array(points, dtype=np.complex128).reshape(len(points), -1)
+    counts, edges = [], []
+    for m in matrices:
+        matches = _max_dist(pts @ np.asarray(m).T, pts) < radius
+        counts.append(matches.sum(axis=1))
+        hit = np.flatnonzero(counts[-1] == 1)
+        edges.extend(zip(hit, matches[hit].argmax(axis=1)))
+    # report the first (point, element) pair with several matches, point-major
+    bad = np.argwhere(np.array(counts).T > 1)
+    if bad.size:
+        i, g = bad[0]
+        raise InconsistentClusteringError(
+            f"point {i} maps within {radius} of {counts[g][i]} fiber points"
+        )
+    return tuple(tuple(c) for c in _components(len(pts), edges))
 
 
 def is_unramified(
@@ -498,7 +525,7 @@ def is_unramified(
     """Whether the Jacobian in x is numerically nonzero at (zeta; point)."""
     num = _Numeric(system)
     x = np.array(point, dtype=np.complex128)
-    detval = abs(np.linalg.det(num.jac(x)))
+    detval = abs(np.linalg.det(num(x[None])[1][0]))
     deg_j = sum(d - 1 for d in system.x_degrees())
     height = max([1.0] + [abs(z) for z in system.zeta] + [abs(z) for z in x])
     scale = num.coeff_scale * height**deg_j
@@ -579,12 +606,12 @@ def local_inverse_psi(
     a = np.array(target, dtype=np.complex128)
     scale = max(1.0, float(np.max(np.abs(a))))
     for _ in range(max_iter):
-        res = num.f(x) - a
+        F, J = num(x[None])
+        res = F[0] - a
         if float(np.max(np.abs(res))) <= tol * scale:
             return tuple(complex(z) for z in x)
-        j = num.jac(x)
         try:
-            delta = np.linalg.solve(j, -res)
+            delta = np.linalg.solve(J[0], -res)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobianError(str(exc)) from None
         x = x + delta

@@ -223,3 +223,10 @@ def test_zero_d_config_exits_1(tmp_path, capsys):
     cfg.write_text("xvars: x1\npoly: x1^2\nlittle_type: A\nlittle_rank: 1\nd: 0\n")
     assert main(["fiber", "--config", str(cfg), "--target", "1"]) == 1
     assert "fiber degree d must be at least 1" in capsys.readouterr().err
+
+
+def test_no_x_term_config_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "const.cfg"
+    cfg.write_text("tvars: t1\nxvars: x1\npoly: t1^2\nlittle_type: A\nlittle_rank: 1\n")
+    assert main(["fiber", "--config", str(cfg), "--zeta", "1", "--target", "1"]) == 1
+    assert "equation 1 has no x term" in capsys.readouterr().err

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from chevfiber import fiber
 from chevfiber.fiber import (
     DeformedSystem,
     FiberSolveError,
@@ -273,8 +274,77 @@ def test_orbit_partition_identity_only():
 
 def test_constant_equation_rejected():
     p = parse_polynomial("t1^2", ("t1", "x1"))
-    system = DeformedSystem(
-        polys=(p,), t_vars=("t1",), x_vars=("x1",), zeta=(0.5,), target=(1.0,)
+    with pytest.raises(ValueError, match="equation 1 has no x term"):
+        DeformedSystem(
+            polys=(p,), t_vars=("t1",), x_vars=("x1",), zeta=(0.5,), target=(1.0,)
+        )
+
+
+def test_constant_equation_rejected_before_deriving_d():
+    # with a little group the degree quotient would give d = 0
+    p = parse_polynomial("t1^2", ("t1", "x1"))
+    with pytest.raises(ValueError, match="equation 1 has no x term"):
+        DeformedSystem(
+            polys=(p,), t_vars=("t1",), x_vars=("x1",), zeta=(0.5,),
+            target=(1.0,), little=build_root_system("A", 1),
+        )
+
+
+@pytest.mark.parametrize("radius", [0.0, -1e-6])
+def test_cluster_radius_must_be_positive(radius):
+    with pytest.raises(ValueError, match="cluster_radius must be positive"):
+        solve_fiber(toy_system(), seed=0, cluster_radius=radius)
+
+
+def a2_system():
+    fam = invariant_family(build_root_system("A", 2))
+    res = restrict_family(fam, split_config("A", 2))
+    x0 = (0.3 + 0.8j, -1.1 + 0.2j)
+    target = tuple(p.eval(list(x0)) for p in res.adapted)
+    return DeformedSystem.from_restriction(res, (), target)
+
+
+def _nudged(X, ulps):
+    """X with the real and imaginary part of row i moved ulps[i] floats."""
+    parts = [X.real.copy(), X.imag.copy()]
+    for part in parts:
+        for i, n in enumerate(ulps):
+            for _ in range(abs(n)):
+                part[i] = np.nextafter(part[i], np.inf if n > 0 else -np.inf)
+    return parts[0] + 1j * parts[1]
+
+
+def test_order_ignores_last_bit_noise(monkeypatch):
+    # the six points of this A2 fiber share first coordinates in pairs, so a
+    # sort on raw floats lets the last bits decide the order of each pair
+    system = a2_system()
+    base = solve_fiber(system, seed=3)
+    track = fiber._track_paths
+    for sign in (1, -1):
+
+        def noisy(*args):
+            X, residual, ok = track(*args)
+            ulps = [sign * (3 if i % 2 else -3) for i in range(len(X))]
+            return _nudged(X, ulps), residual, ok
+
+        monkeypatch.setattr(fiber, "_track_paths", noisy)
+        out = solve_fiber(system, seed=3)
+        assert out.orbit_classes == base.orbit_classes
+        moved = np.abs(np.array(out.solutions) - np.array(base.solutions))
+        assert moved.max() < 1e-14
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=FiberSolveError,
+    reason="tracker scale defect: the A3 coefficients reach 913776, so this "
+    "order-1 target has fiber points of size 1e-2 and every path is lost",
+)
+def test_a3_hand_typed_target():
+    fam = invariant_family(build_root_system("A", 3))
+    res = restrict_family(fam, split_config("A", 3))
+    system = DeformedSystem.from_restriction(
+        res, (), (0.7 + 0.2j, -1.1 + 0.4j, 0.5 - 0.9j)
     )
-    with pytest.raises(FiberSolveError):
-        solve_fiber(system, seed=0)
+    out = solve_fiber(system, seed=0)
+    assert out.count == system.expected_count() == 24

@@ -1,0 +1,245 @@
+"""The batched tracker and orbit partition against one-at-a-time references.
+
+`_track_one` below is the scalar path tracker the package used before it
+tracked all paths as one batch: one path at a time, evaluating each equation
+and each Jacobian entry on its own.  Batched BLAS sums in another order, so
+the two agree to a tolerance, not bit for bit.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from chevfiber import fiber
+from chevfiber.fiber import (
+    DeformedSystem,
+    InconsistentClusteringError,
+    orbit_partition,
+    solve_fiber,
+)
+from chevfiber.restrict import parse_pair_config, restrict_family, split_config
+from chevfiber.rootsys import build_root_system, invariant_family, weyl_group
+
+TOY_TEXT = """
+ambient_type: B
+ambient_rank: 2
+little_type: A
+little_rank: 1
+embedding: 0; 1
+"""
+
+
+class _ScalarNumeric:
+    """Per-point evaluation of the specialized system and its Jacobian."""
+
+    def __init__(self, system: DeformedSystem):
+        k = len(system.t_vars)
+        r = len(system.x_vars)
+        self.r = r
+        self.E, self.C = [], []
+        for p in system.polys:
+            acc: dict[tuple[int, ...], complex] = {}
+            for e, c in p.terms.items():
+                z = complex(c.numerator) / complex(c.denominator)
+                for j in range(k):
+                    if e[j]:
+                        z *= system.zeta[j] ** e[j]
+                acc[e[k:]] = acc.get(e[k:], 0j) + z
+            exps = sorted(acc)
+            self.E.append(np.array(exps, dtype=np.int64).reshape(len(exps), r))
+            self.C.append(np.array([acc[e] for e in exps], dtype=np.complex128))
+        self.JE, self.JC = [], []
+        for E, C in zip(self.E, self.C):
+            row_e, row_c = [], []
+            for j in range(r):
+                mask = E[:, j] > 0
+                Ed = E[mask].copy()
+                row_c.append(C[mask] * Ed[:, j])
+                Ed[:, j] -= 1
+                row_e.append(Ed)
+            self.JE.append(row_e)
+            self.JC.append(row_c)
+        self.poly_scale = np.array([float(np.max(np.abs(C))) for C in self.C])
+
+    def f(self, x):
+        return np.array([np.prod(x**E, axis=1) @ C for E, C in zip(self.E, self.C)])
+
+    def jac(self, x):
+        out = np.empty((len(self.E), self.r), dtype=np.complex128)
+        for i in range(len(self.E)):
+            for j in range(self.r):
+                E, C = self.JE[i][j], self.JC[i][j]
+                out[i, j] = np.prod(x**E, axis=1) @ C if len(C) else 0j
+        return out
+
+
+def _track_one(num, a, gamma, degrees, cs, start, residual_tol):
+    d = np.array(degrees, dtype=np.int64)
+    kappa = num.poly_scale
+
+    def g(x):
+        return kappa * (x**d - cs)
+
+    def H(x, s):
+        return (1 - s) * gamma * g(x) + s * (num.f(x) - a)
+
+    def Hx(x, s):
+        return (1 - s) * gamma * np.diag(kappa * d * x ** (d - 1)) + s * num.jac(x)
+
+    x = start.astype(np.complex128)
+    s = 0.0
+    ds = 0.05
+    while s < 1.0:
+        step = min(ds, 1.0 - s)
+        try:
+            v = np.linalg.solve(Hx(x, s), -((num.f(x) - a) - gamma * g(x)))
+            xp = x + v * step
+        except np.linalg.LinAlgError:
+            xp = x
+        s_next = s + step
+        xn = xp
+        converged = False
+        iterations = 0
+        for it in range(4):
+            iterations = it + 1
+            try:
+                delta = np.linalg.solve(Hx(xn, s_next), -H(xn, s_next))
+            except np.linalg.LinAlgError:
+                break
+            xn = xn + delta
+            if not np.all(np.isfinite(xn)):
+                break
+            if np.max(np.abs(delta)) <= 1e-10 * max(1.0, float(np.max(np.abs(xn)))):
+                converged = True
+                break
+        if converged:
+            x = xn
+            s = s_next
+            if iterations <= 2:
+                ds = min(0.1, ds * 2)
+        else:
+            ds /= 2
+            if ds < 1e-4:
+                return None
+    for _ in range(30):
+        res = num.f(x) - a
+        if np.max(np.abs(res)) <= 1e-12 * max(1.0, float(np.max(np.abs(a)))):
+            break
+        try:
+            delta = np.linalg.solve(num.jac(x), -res)
+        except np.linalg.LinAlgError:
+            break
+        if not np.all(np.isfinite(delta)):
+            break
+        x = x + delta
+    residual = float(np.max(np.abs(num.f(x) - a)))
+    if not np.isfinite(residual) or residual > residual_tol:
+        return None
+    return x, residual
+
+
+def _scalar_tracker(system):
+    """A stand-in for `fiber._track_paths` that tracks one path at a time."""
+    scalar = _ScalarNumeric(system)
+
+    def track(num, a, gamma, degrees, cs, starts, residual_tol):
+        X = starts.astype(np.complex128)
+        residual = np.full(len(X), np.inf)
+        for p, x0 in enumerate(starts):
+            out = _track_one(scalar, a, gamma, degrees, cs, x0, residual_tol)
+            if out is not None:
+                X[p], residual[p] = out
+        return X, residual, np.isfinite(residual)
+
+    return track
+
+
+def _restriction(name):
+    if name in ("toy", "quartic"):
+        fam = invariant_family(build_root_system("B", 2))
+        selection = (1,) if name == "quartic" else "first-by-degree"
+        return restrict_family(fam, parse_pair_config(TOY_TEXT), selection=selection)
+    kind, rank = name[:-1], int(name[-1])
+    fam = invariant_family(build_root_system(kind, rank))
+    return restrict_family(fam, split_config(kind, rank))
+
+
+def _complex_normal(rng, k):
+    return tuple(complex(a, b) for a, b in rng.standard_normal((k, 2)))
+
+
+@pytest.mark.parametrize("name", ["toy", "quartic", "A2", "B2", "C2", "BC2", "A3"])
+def test_batched_tracker_matches_scalar_oracle(name, monkeypatch):
+    # Draws 0 and 7 give A3 fibers whose residuals sit well below the 1e-8
+    # gate; at unit scale many A3 draws end near it, where rounding alone
+    # decides which paths pass, so no two summation orders agree there.
+    res = _restriction(name)
+    for draw in (0, 7):
+        rng = np.random.default_rng(draw)
+        zeta = _complex_normal(rng, len(res.t_vars))
+        x0 = _complex_normal(rng, len(res.x_vars))
+        target = tuple(p.eval(list(zeta + x0)) for p in res.adapted)
+        system = DeformedSystem.from_restriction(res, zeta, target)
+        seed = int(rng.integers(2**31))
+        batched = solve_fiber(system, seed=seed)
+        with monkeypatch.context() as m:
+            m.setattr(fiber, "_track_paths", _scalar_tracker(system))
+            scalar = solve_fiber(system, seed=seed)
+        assert batched.path_stats == scalar.path_stats
+        assert batched.count == scalar.count == system.expected_count()
+        for p, q in zip(batched.solutions, scalar.solutions):
+            size = max(1.0, max(abs(z) for z in q))
+            assert max(abs(x - y) for x, y in zip(p, q)) <= 1e-10 * size
+        assert batched.orbit_classes == scalar.orbit_classes
+
+
+def _loop_orbit_partition(points, matrices, radius):
+    """The point-by-point orbit partition the vectorised one replaced."""
+    pts = [np.array(p, dtype=np.complex128) for p in points]
+    edges = []
+    for i, p in enumerate(pts):
+        for m in matrices:
+            image = m @ p
+            matches = [
+                j for j, q in enumerate(pts) if float(np.max(np.abs(image - q))) < radius
+            ]
+            if len(matches) > 1:
+                raise InconsistentClusteringError(
+                    f"point {i} maps within {radius} of {len(matches)} fiber points"
+                )
+            if matches:
+                edges.append((i, matches[0]))
+    return tuple(tuple(c) for c in fiber._components(len(pts), edges))
+
+
+def _outcome(partition, *args):
+    try:
+        return partition(*args)
+    except InconsistentClusteringError as exc:
+        return f"InconsistentClusteringError: {exc}"
+
+
+@pytest.mark.parametrize("key", [("A", 2), ("B", 2), ("G", 2), ("A", 3)])
+def test_orbit_partition_matches_loop(key):
+    matrices = [np.array(w, dtype=float) for w in weyl_group(build_root_system(*key))]
+    rng = np.random.default_rng(7)
+    rank = key[1]
+    for trial in range(6):
+        seeds = [np.array(_complex_normal(rng, rank)) for _ in range(3)]
+        # whole orbits, a partial one, and a stray point, in shuffled order
+        points = [m @ p for p in seeds[:2] for m in matrices]
+        points += [m @ seeds[2] for m in matrices[:3]] + [seeds[2] * 1.5]
+        points = [points[i] for i in rng.permutation(len(points))]
+        unique = []
+        for p in points:
+            if all(np.max(np.abs(p - q)) >= 1e-6 for q in unique):
+                unique.append(p)
+        if trial >= 3:
+            # a near twin makes some image match two points
+            j = int(rng.integers(len(unique)))
+            unique.insert(int(rng.integers(len(unique) + 1)), unique[j] + 1e-9)
+        want = _outcome(_loop_orbit_partition, unique, matrices, 1e-6)
+        got = _outcome(orbit_partition, unique, matrices, 1e-6)
+        assert got == want
+        assert isinstance(want, str) == (trial >= 3)
