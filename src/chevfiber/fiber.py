@@ -390,6 +390,8 @@ def solve_fiber(
     Retries with a fresh gamma (same generator stream) when more than five
     percent of paths are lost; after three retries the solve is abandoned.
     """
+    if not residual_tol > 0:
+        raise ValueError("residual_tol must be positive")
     if not cluster_radius > 0:
         raise ValueError("cluster_radius must be positive")
     num = _Numeric(system)

@@ -29,12 +29,10 @@ from .polyring import Polynomial
 from .rootsys import (
     InvariantFamily,
     RootSystem,
-    _compositions,
     _jacobian_certificate,
     build_root_system,
     fundamental_degrees,
     simple_reflections,
-    weyl_group,
 )
 
 
@@ -171,6 +169,18 @@ def adapt_coordinates(
     return t_vars, x_vars, change
 
 
+def _require_invariant(polys: Sequence[Polynomial], little: RootSystem) -> None:
+    """Raise RestrictionError unless the simple reflections of `little` fix each poly."""
+    reflections = simple_reflections(little)
+    for w in polys:
+        for s in reflections:
+            if w.linear_change(s) != w:
+                raise RestrictionError(
+                    "restricted invariant is not little-group invariant; "
+                    "the embedding does not respect the little root system"
+                )
+
+
 def rank_d(selected_degrees: Sequence[int], little_degrees: Sequence[int]) -> int:
     """Generic fiber count d = prod(selected) / prod(little); must divide."""
     num = 1
@@ -264,14 +274,7 @@ def restrict_family(
             "identically on the subspace"
         )
 
-    for w in w_polys:
-        for s in simple_reflections(little):
-            if w.linear_change(s) != w:
-                raise RestrictionError(
-                    "restricted invariant is not little-group invariant; "
-                    "the embedding does not respect the little root system"
-                )
-
+    _require_invariant(w_polys, little)
     d = rank_d(degrees, fundamental_degrees(config.little_type, config.little_rank))
     restricted = InvariantFamily(
         polys=w_polys, degrees=degrees, group=little, certificate=certificate
@@ -321,18 +324,27 @@ def surjectivity_check(
 ) -> SurjectivityReport:
     """Decide whether the family generates all little-group invariants.
 
-    For every degree up to the bound, the space of invariants (Reynolds
-    averages of monomials over the little Weyl group, computed exactly) must
-    lie in the span of the degree-matched products of family members.
-    Returns the first failing degree if any.
+    Each member must be homogeneous of its listed degree (ValueError
+    otherwise) and invariant under the little group (RestrictionError
+    otherwise), so the degree-k products lie in the space Inv_k of degree-k
+    invariants.  They span it exactly when their rank equals dim Inv_k,
+    which Chevalley's theorem gives as the number of ways to write k as a
+    sum of the little fundamental degrees.  Every degree 1..degree_bound is
+    tested this way; the report names the first degree where the rank
+    falls short.
     """
+    if degree_bound < 1:
+        raise ValueError("degree_bound must be at least 1")
     little = little or family.group
     if little is None:
         raise ValueError("no little root system available")
     variables = family.variables
     if len(variables) != little.rank:
         raise ValueError("family variable count does not match the little rank")
-    group = weyl_group(little)
+    if any(p.homogeneous_degree() != m for p, m in zip(family.polys, family.degrees)):
+        raise ValueError("a family member is not homogeneous of its listed degree")
+    _require_invariant(family.polys, little)
+    little_degrees = fundamental_degrees(little.type_name, little.rank)
     power_cache: dict[tuple[int, int], Polynomial] = {}
 
     def family_power(i: int, a: int) -> Polynomial:
@@ -342,40 +354,16 @@ def surjectivity_check(
         return power_cache[key]
 
     for k in range(1, degree_bound + 1):
-        monos = list(_compositions(k, len(variables)))
-        index = {e: i for i, e in enumerate(monos)}
-
-        def vec(p: Polynomial) -> list[Fraction]:
-            row = [Fraction(0)] * len(monos)
-            for e, c in p.terms.items():
-                row[index[e]] = c
-            return row
-
-        inv_rows = []
-        scale = Fraction(1, len(group))
-        for e in monos:
-            mono = Polynomial(variables, {e: 1})
-            acc = Polynomial.zero(variables)
-            for w in group:
-                acc = acc + mono.linear_change(w)
-            avg = acc * scale
-            if not avg.is_zero:
-                inv_rows.append(vec(avg))
-        if not inv_rows:
-            continue
-        product_rows = []
+        products = []
         for a in _product_exponents(family.degrees, k):
-            if all(x == 0 for x in a):
-                continue
             prod = Polynomial.constant(variables, 1)
             for i, ai in enumerate(a):
                 if ai:
                     prod = prod * family_power(i, ai)
-            if not prod.is_zero:
-                product_rows.append(vec(prod))
-        base_rank = matrix_rank(product_rows) if product_rows else 0
-        joint_rank = matrix_rank(product_rows + inv_rows)
-        if joint_rank != base_rank:
+            products.append(prod)
+        monos = sorted({e for p in products for e in p.terms})
+        rows = [[p.terms.get(e, 0) for e in monos] for p in products]
+        if matrix_rank(rows) != len(_product_exponents(little_degrees, k)):
             return SurjectivityReport(ok=False, failing_degree=k, degree_bound=degree_bound)
     return SurjectivityReport(ok=True, failing_degree=None, degree_bound=degree_bound)
 

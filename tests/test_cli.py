@@ -3,6 +3,8 @@ import io
 import json
 from importlib import resources
 
+import pytest
+
 from chevfiber.cli import main
 
 
@@ -63,6 +65,16 @@ def test_restrict_quartic_selection_fails_surjectivity(capsys):
     out = capsys.readouterr().out
     assert "fiber degree d: 2" in out
     assert "surjectivity fails at degree 2" in out
+
+
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_restrict_degree_bound_below_one_exits_1(capsys, bound):
+    # a bound below 1 checks no degree, so it cannot certify surjectivity
+    argv = ["restrict", "--config", TOY, "--selection", "2", "--degree-bound", bound]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "degree_bound must be at least 1" in captured.err
+    assert "PASS" not in captured.out
 
 
 def test_fiber_toy_example(capsys):
@@ -151,6 +163,16 @@ def test_lambda_quartic_has_two_orbit_classes(capsys):
     out = capsys.readouterr().out
     assert "distinct orbit classes: 2" in out
     assert "lambda exists : PASS" in out
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+@pytest.mark.parametrize("command", ["fiber", "lambda"])
+def test_nonpositive_tol_exits_1(capsys, command, tol):
+    # a usage error, not a numerical failure (exit 3)
+    point = ["--target", "5"] if command == "fiber" else ["--xi", "2"]
+    argv = [command, "--config", TOY, "--zeta", "1", *point, "--tol", tol]
+    assert main(argv) == 1
+    assert "residual_tol must be positive" in capsys.readouterr().err
 
 
 def test_lambda_wrong_xi_arity_exits_1(capsys):

@@ -296,6 +296,14 @@ def test_cluster_radius_must_be_positive(radius):
         solve_fiber(toy_system(), seed=0, cluster_radius=radius)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_residual_tol_must_be_positive(tol):
+    with pytest.raises(ValueError, match="residual_tol must be positive"):
+        solve_fiber(toy_system(), seed=0, residual_tol=tol)
+    with pytest.raises(ValueError, match="residual_tol must be positive"):
+        solve_lambda_xi(toy_system(), xi=(0.7,), seed=0, residual_tol=tol)
+
+
 def a2_system():
     fam = invariant_family(build_root_system("A", 2))
     res = restrict_family(fam, split_config("A", 2))

@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from chevfiber._linalg import rank as matrix_rank
 from chevfiber.polyring import Polynomial, parse_polynomial
 from chevfiber.restrict import (
     PairConfig,
     RestrictionError,
+    SurjectivityReport,
+    _product_exponents,
     adapt_coordinates,
     parse_pair_config,
     rank_d,
@@ -15,7 +18,13 @@ from chevfiber.restrict import (
     split_config,
     surjectivity_check,
 )
-from chevfiber.rootsys import InvariantFamily, build_root_system, invariant_family
+from chevfiber.rootsys import (
+    InvariantFamily,
+    _compositions,
+    build_root_system,
+    invariant_family,
+    weyl_group,
+)
 
 TOY_TEXT = """
 # ambient B2 invariants restricted to the axis spanned by e2
@@ -192,3 +201,103 @@ def test_surjectivity_toy_selection_passes():
     res = restrict_family(fam, toy_config())
     report = surjectivity_check(res.restricted, degree_bound=12)
     assert report.ok
+
+
+def reynolds_surjectivity_check(family, degree_bound):
+    """Reference check: Reynolds-average every monomial over the whole group.
+
+    At each degree the averages span the invariants; surjectivity fails at
+    the first degree where they leave the span of the family products.
+    """
+    little = family.group
+    variables = family.variables
+    group = weyl_group(little)
+    for k in range(1, degree_bound + 1):
+        monos = list(_compositions(k, len(variables)))
+        index = {e: i for i, e in enumerate(monos)}
+
+        def vec(p):
+            row = [Fraction(0)] * len(monos)
+            for e, c in p.terms.items():
+                row[index[e]] = c
+            return row
+
+        inv_rows = []
+        for e in monos:
+            mono = Polynomial(variables, {e: 1})
+            acc = Polynomial.zero(variables)
+            for w in group:
+                acc = acc + mono.linear_change(w)
+            avg = acc * Fraction(1, len(group))
+            if not avg.is_zero:
+                inv_rows.append(vec(avg))
+        if not inv_rows:
+            continue
+        product_rows = []
+        for a in _product_exponents(family.degrees, k):
+            prod = Polynomial.constant(variables, 1)
+            for p, ai in zip(family.polys, a):
+                prod = prod * p**ai
+            product_rows.append(vec(prod))
+        if matrix_rank(product_rows + inv_rows) != matrix_rank(product_rows):
+            return SurjectivityReport(ok=False, failing_degree=k, degree_bound=degree_bound)
+    return SurjectivityReport(ok=True, failing_degree=None, degree_bound=degree_bound)
+
+
+def _reference_family(name):
+    if name in ("toy", "quartic"):
+        selection = (1,) if name == "quartic" else "first-by-degree"
+        fam = invariant_family(build_root_system("B", 2))
+        return restrict_family(fam, toy_config(), selection=selection).restricted
+    if name == "x1^4":
+        return InvariantFamily(
+            polys=(parse_polynomial("x1^4", ("x1",)),),
+            degrees=(4,),
+            group=build_root_system("A", 1),
+        )
+    key = (name[:-1], int(name[-1]))
+    fam = invariant_family(build_root_system(*key))
+    return restrict_family(fam, split_config(*key)).restricted
+
+
+@pytest.mark.parametrize(
+    "name, bound",
+    [(name, 12) for name in ("toy", "quartic", "x1^4", "A2", "B2", "C2", "BC2", "G2")]
+    + [(name, 4) for name in ("A3", "B3", "C3")],
+)
+def test_surjectivity_matches_reynolds_reference(name, bound):
+    family = _reference_family(name)
+    want = reynolds_surjectivity_check(family, bound)
+    assert surjectivity_check(family, degree_bound=bound) == want
+    # the cases cover both verdicts
+    assert want.ok == (name not in ("quartic", "x1^4"))
+
+
+@pytest.mark.parametrize("bound", [0, -3])
+def test_surjectivity_rejects_degree_bound_below_one(bound):
+    fam = invariant_family(build_root_system("B", 2))
+    res = restrict_family(fam, toy_config(), selection=(1,))
+    with pytest.raises(ValueError, match="degree_bound must be at least 1"):
+        surjectivity_check(res.restricted, degree_bound=bound)
+
+
+def test_surjectivity_rejects_non_invariant_family():
+    # x1^3 changes sign under the reflection of A1; no verdict on it is sound
+    fam = InvariantFamily(
+        polys=(parse_polynomial("x1^3", ("x1",)),),
+        degrees=(3,),
+        group=build_root_system("A", 1),
+    )
+    with pytest.raises(RestrictionError, match="not little-group invariant"):
+        surjectivity_check(fam, degree_bound=12)
+
+
+def test_surjectivity_rejects_misstated_degree():
+    # listed as degree 2, x1^4 would fill the degree-2 count with a quartic
+    fam = InvariantFamily(
+        polys=(parse_polynomial("x1^4", ("x1",)),),
+        degrees=(2,),
+        group=build_root_system("A", 1),
+    )
+    with pytest.raises(ValueError, match="not homogeneous of its listed degree"):
+        surjectivity_check(fam, degree_bound=12)
