@@ -73,23 +73,6 @@ def det(a: Sequence[Sequence]) -> Fraction:
     return sign * result
 
 
-def solve(a: Sequence[Sequence], b: Sequence) -> list[Fraction] | None:
-    """One exact solution of A x = b, or None if the system is inconsistent.
-
-    A need not be square; with a nontrivial null space an arbitrary solution
-    (free variables set to zero) is returned.
-    """
-    nrows, ncols = len(a), len(a[0])
-    aug = [[Fraction(a[i][j]) for j in range(ncols)] + [Fraction(b[i])] for i in range(nrows)]
-    m, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = m[i][ncols]
-    return x
-
-
 def inverse(a: Sequence[Sequence]) -> Matrix:
     n = len(a)
     aug = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
@@ -113,10 +96,6 @@ def matmul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
 
 def transpose(a: Sequence[Sequence]) -> Matrix:
     return tuple(tuple(Fraction(a[i][j]) for i in range(len(a))) for j in range(len(a[0])))
-
-
-def identity(n: int) -> Matrix:
-    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
 
 
 def clear_denominators(v: Sequence[Fraction]) -> Vector:

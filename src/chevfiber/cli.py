@@ -24,6 +24,7 @@ from .fiber import (
     FiberResult,
     FiberSolveError,
     _fmt_float,
+    _to_json,
     solve_fiber,
     solve_lambda_xi,
 )
@@ -41,6 +42,8 @@ from .pairdb import (
 from .polyring import parse_polynomial
 from .restrict import (
     RestrictionError,
+    _config_lines,
+    _read_config,
     load_pair_config,
     parse_pair_config,
     restrict_family,
@@ -68,10 +71,6 @@ class _Parser(argparse.ArgumentParser):
 def _fmt_complex(z: complex) -> str:
     sign = "+" if z.imag >= 0 else "-"
     return "%s%s%sj" % (_fmt_float(z.real), sign, _fmt_float(abs(z.imag)))
-
-
-def _json_str(s: str) -> str:
-    return '"%s"' % s.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def _csv_payload(rows) -> str:
@@ -104,61 +103,35 @@ def _parse_complex_list(text: str | None) -> tuple[complex, ...]:
 _SYSTEM_KEYS = {"name", "tvars", "xvars", "poly", "little_type", "little_rank", "d"}
 
 
-def _load_config_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _is_system_config(text: str) -> bool:
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line.startswith("poly"):
-            return True
-    return False
+    return any(line.startswith("poly") for _, line in _config_lines(text))
 
 
 def _parse_system_config(text: str):
     """Parse the explicit-system format: tvars/xvars, repeated poly lines,
     and an optional little group."""
-    single: dict[str, str] = {}
-    polys: list[str] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition(":")
-        key = key.strip()
-        value = value.strip()
-        if not sep or not value:
-            raise ValueError(f"line {lineno}: malformed entry {raw!r}")
-        if key not in _SYSTEM_KEYS:
-            raise ValueError(f"line {lineno}: unknown config key {key!r}")
-        if key == "poly":
-            polys.append(value)
-            continue
-        if key in single:
-            raise ValueError(f"line {lineno}: duplicate config key {key!r}")
-        single[key] = value
-    if "xvars" not in single:
+    data = _read_config(text, _SYSTEM_KEYS, repeated=("poly",))
+    if "xvars" not in data:
         raise ValueError("missing config key 'xvars'")
-    if not polys:
+    if not data["poly"]:
         raise ValueError("missing config key 'poly'")
-    t_vars = tuple(v for v in single.get("tvars", "").replace(",", " ").split() if v)
-    x_vars = tuple(v for v in single["xvars"].replace(",", " ").split() if v)
+    t_vars = tuple(v for v in data.get("tvars", "").replace(",", " ").split() if v)
+    x_vars = tuple(v for v in data["xvars"].replace(",", " ").split() if v)
     allvars = t_vars + x_vars
-    parsed = tuple(parse_polynomial(p, allvars) for p in polys)
+    parsed = tuple(parse_polynomial(p, allvars) for p in data["poly"])
     little = None
-    if ("little_type" in single) != ("little_rank" in single):
+    if ("little_type" in data) != ("little_rank" in data):
         raise ValueError("little_type and little_rank must be given together")
-    if "little_type" in single:
-        little = build_root_system(single["little_type"], int(single["little_rank"]))
-    d = int(single["d"]) if "d" in single else None
+    if "little_type" in data:
+        little = build_root_system(data["little_type"], int(data["little_rank"]))
+    d = int(data["d"]) if "d" in data else None
     return parsed, t_vars, x_vars, little, d
 
 
 def _build_system(args, zeta, target=None) -> DeformedSystem:
     """The system of a config file; target None means all zeros."""
-    text = _load_config_text(args.config)
+    with open(args.config, "r", encoding="utf-8") as fh:
+        text = fh.read()
     if _is_system_config(text):
         polys, t_vars, x_vars, little, d = _parse_system_config(text)
     else:
@@ -213,16 +186,15 @@ def cmd_roots(args) -> int:
     order = len(group)
     check = "PASS" if order == weyl_order(t, n) else "FAIL"
     if args.format == "json":
-        payload = (
-            '{"seed":%d,"system":%s,"roots":%d,"order":%d,"degrees":[%s],"order_check":%s}'
-            % (
-                args.seed,
-                _json_str(args.system),
-                len(rs.roots),
-                order,
-                ",".join(str(d) for d in degrees),
-                _json_str(check),
-            )
+        payload = _to_json(
+            {
+                "seed": args.seed,
+                "system": args.system,
+                "roots": len(rs.roots),
+                "order": order,
+                "degrees": degrees,
+                "order_check": check,
+            }
         )
     elif args.format == "csv":
         payload = _csv_payload(
@@ -259,17 +231,15 @@ def cmd_invariants(args) -> int:
     fam = invariant_family(build_root_system(t, n))
     point, value = fam.certificate
     if args.format == "json":
-        payload = (
-            '{"seed":%d,"system":%s,"degrees":[%s],"polys":[%s],'
-            '"certificate_point":[%s],"certificate_value":%s}'
-            % (
-                args.seed,
-                _json_str(args.system),
-                ",".join(str(d) for d in fam.degrees),
-                ",".join(_json_str(p.to_text()) for p in fam.polys),
-                ",".join(_json_str(str(c)) for c in point),
-                _json_str(str(value)),
-            )
+        payload = _to_json(
+            {
+                "seed": args.seed,
+                "system": args.system,
+                "degrees": fam.degrees,
+                "polys": [p.to_text() for p in fam.polys],
+                "certificate_point": [str(c) for c in point],
+                "certificate_value": str(value),
+            }
         )
     elif args.format == "csv":
         rows = [("seed", "system", "degree", "poly")]
@@ -294,26 +264,22 @@ def cmd_restrict(args) -> int:
     fam = invariant_family(build_root_system(cfg.ambient_type, cfg.ambient_rank))
     res = restrict_family(fam, cfg, selection=_selection(args))
     report = surjectivity_check(res.restricted, degree_bound=args.degree_bound)
-    fail_deg = "null" if report.failing_degree is None else str(report.failing_degree)
     if args.format == "json":
-        payload = (
-            '{"seed":%d,"config":%s,"selected":[%s],"degrees":[%s],"d":%d,'
-            '"t_vars":[%s],"x_vars":[%s],"restricted":[%s],"adapted":[%s],'
-            '"surjective":%s,"failing_degree":%s,"degree_bound":%d}'
-            % (
-                args.seed,
-                _json_str(cfg.name or args.config),
-                ",".join(str(i + 1) for i in res.selected),
-                ",".join(str(d) for d in res.restricted.degrees),
-                res.d,
-                ",".join(_json_str(v) for v in res.t_vars),
-                ",".join(_json_str(v) for v in res.x_vars),
-                ",".join(_json_str(p.to_text()) for p in res.restricted.polys),
-                ",".join(_json_str(p.to_text()) for p in res.adapted),
-                "true" if report.ok else "false",
-                fail_deg,
-                report.degree_bound,
-            )
+        payload = _to_json(
+            {
+                "seed": args.seed,
+                "config": cfg.name or args.config,
+                "selected": [i + 1 for i in res.selected],
+                "degrees": res.restricted.degrees,
+                "d": res.d,
+                "t_vars": res.t_vars,
+                "x_vars": res.x_vars,
+                "restricted": [p.to_text() for p in res.restricted.polys],
+                "adapted": [p.to_text() for p in res.adapted],
+                "surjective": report.ok,
+                "failing_degree": report.failing_degree,
+                "degree_bound": report.degree_bound,
+            }
         )
     elif args.format == "csv":
         rows = [("seed", "config", "index", "degree", "restricted")]
@@ -396,7 +362,7 @@ def cmd_fiber(args) -> int:
     result = solve_fiber(
         system,
         seed=args.seed,
-        residual_tol=args.tol if args.tol is not None else DEFAULT_RESIDUAL_TOL,
+        residual_tol=args.tol,
     )
     _emit(_fiber_payload(result, args.format), args.out)
     verdict, code = _fiber_verdict(system, result)
@@ -414,7 +380,7 @@ def cmd_lambda(args) -> int:
         system,
         xi,
         seed=args.seed,
-        residual_tol=args.tol if args.tol is not None else DEFAULT_RESIDUAL_TOL,
+        residual_tol=args.tol,
     )
     _emit(_fiber_payload(result, args.format), args.out)
     classes = len(result.orbit_classes) if result.orbit_classes is not None else 0
@@ -481,23 +447,7 @@ def cmd_classify(args) -> int:
         rows = [r for r in db if r.sigma_b is not None and is_split(r)]
     cells = [_classify_cells(r) for r in rows]
     if args.format == "json":
-        parts = []
-        for c in cells:
-            fields = []
-            for col in _CLASSIFY_COLUMNS:
-                v = c[col]
-                if v is None:
-                    fields.append('"%s":null' % col)
-                elif isinstance(v, bool):
-                    fields.append('"%s":%s' % (col, "true" if v else "false"))
-                else:
-                    fields.append('"%s":%s' % (col, _json_str(str(v))))
-            parts.append("{%s}" % ",".join(fields))
-        payload = '{"seed":%d,"count":%d,"rows":[%s]}' % (
-            args.seed,
-            len(cells),
-            ",".join(parts),
-        )
+        payload = _to_json({"seed": args.seed, "count": len(cells), "rows": cells})
     elif args.format == "csv":
         rows_out = [("seed",) + _CLASSIFY_COLUMNS]
         for c in cells:
@@ -538,7 +488,7 @@ def _add_shared(parser: _Parser, top: bool) -> None:
     """Shared flags accepted both before and after the subcommand."""
     d = (lambda v: v) if top else (lambda v: argparse.SUPPRESS)
     parser.add_argument("--seed", type=int, default=d(0))
-    parser.add_argument("--tol", type=float, default=d(None))
+    parser.add_argument("--tol", type=float, default=d(DEFAULT_RESIDUAL_TOL))
     parser.add_argument("--degree-bound", type=int, default=d(12))
     parser.add_argument(
         "--format", choices=("json", "csv", "text"), default=d("text")

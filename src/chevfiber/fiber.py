@@ -21,8 +21,7 @@ test points against it numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -92,7 +91,13 @@ class DeformedSystem:
             raise ValueError("zeta length must match the t variables")
         if len(self.target) != len(self.polys):
             raise ValueError("target length must match the system")
+        for name in ("zeta", "target"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} entries must be finite")
         allvars = self.t_vars + self.x_vars
+        repeated = [v for i, v in enumerate(allvars) if v in allvars[:i]]
+        if repeated:
+            raise ValueError(f"variable {repeated[0]!r} is named more than once")
         for i, p in enumerate(self.polys, start=1):
             if p.variables != allvars:
                 raise ValueError("every polynomial must use the t + x variable tuple")
@@ -340,43 +345,53 @@ class FiberResult:
         return len(self.solutions)
 
     def to_json(self) -> str:
-        return _result_json(self)
+        return _to_json(
+            {
+                "seed": self.seed,
+                "zeta": self.zeta,
+                "target": self.target,
+                "solutions": self.solutions,
+                "residuals": self.residuals,
+                "path_stats": self.path_stats,
+                "orbit_classes": self.orbit_classes,
+            }
+        )
 
 
 def _fmt_float(v: float) -> str:
     return "%.17g" % v
 
 
-def _fmt_pair(z: complex) -> str:
-    return "[%s,%s]" % (_fmt_float(z.real), _fmt_float(z.imag))
+# RFC 8259 section 7: escape the quote, the backslash and U+0000..U+001F
+_JSON_ESCAPES = str.maketrans(
+    {chr(i): "\\u%04x" % i for i in range(0x20)}
+    | {"\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+    | {'"': '\\"', "\\": "\\\\"}
+)
 
 
-def _result_json(r: FiberResult) -> str:
-    parts = []
-    parts.append('"seed":%d' % r.seed)
-    parts.append('"zeta":[%s]' % ",".join(_fmt_pair(z) for z in r.zeta))
-    parts.append('"target":[%s]' % ",".join(_fmt_pair(z) for z in r.target))
-    sols = ",".join(
-        "[%s]" % ",".join(_fmt_pair(z) for z in point) for point in r.solutions
-    )
-    parts.append('"solutions":[%s]' % sols)
-    parts.append('"residuals":[%s]' % ",".join(_fmt_float(v) for v in r.residuals))
-    parts.append(
-        '"path_stats":{"tracked":%d,"failed":%d,"merged":%d}'
-        % (
-            r.path_stats["tracked"],
-            r.path_stats["failed"],
-            r.path_stats["merged"],
-        )
-    )
-    if r.orbit_classes is None:
-        parts.append('"orbit_classes":null')
-    else:
-        parts.append(
-            '"orbit_classes":[%s]'
-            % ",".join("[%s]" % ",".join(str(i) for i in cls) for cls in r.orbit_classes)
-        )
-    return "{%s}" % ",".join(parts)
+def _to_json(value) -> str:
+    """Canonical single-line JSON for the payloads chevfiber prints.
+
+    Floats take 17 significant digits and a complex number is its [re,im]
+    pair, so a payload's bytes depend only on the values.  Dicts keep their
+    insertion order; any iterable other than a str or dict is a list.
+    """
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return "%d" % value
+    if isinstance(value, float):
+        return _fmt_float(value)
+    if isinstance(value, complex):
+        return _to_json((value.real, value.imag))
+    if isinstance(value, str):
+        return '"' + value.translate(_JSON_ESCAPES) + '"'
+    if isinstance(value, dict):
+        return "{" + ",".join(_to_json(k) + ":" + _to_json(v) for k, v in value.items()) + "}"
+    return "[" + ",".join(_to_json(v) for v in value) + "]"
 
 
 def solve_fiber(
@@ -573,17 +588,11 @@ def solve_lambda_xi(
     then taken in the undeformed system.  A nonempty solution list exhibits
     the lambda points attached to xi.
     """
+    if not np.isfinite(xi).all():
+        raise ValueError("xi entries must be finite")
     at = list(system.zeta) + [complex(z) for z in xi]
     target = tuple(p.eval(at) for p in system.polys)
-    base = DeformedSystem(
-        polys=system.polys,
-        t_vars=system.t_vars,
-        x_vars=system.x_vars,
-        zeta=tuple(0j for _ in system.t_vars),
-        target=target,
-        little=system.little,
-        d=system.d,
-    )
+    base = replace(system, zeta=tuple(0j for _ in system.t_vars), target=target)
     return solve_fiber(base, seed=seed, **solver_kw)
 
 

@@ -14,9 +14,10 @@ degrees by the little fundamental degrees; it must come out an integer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Collection, Iterator, Sequence
 
 from ._linalg import (
     Matrix,
@@ -30,6 +31,7 @@ from .rootsys import (
     InvariantFamily,
     RootSystem,
     _jacobian_certificate,
+    _product_exponents,
     build_root_system,
     fundamental_degrees,
     simple_reflections,
@@ -76,6 +78,41 @@ _PAIR_KEYS = {
 }
 
 
+def _config_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, content) of each line that is not blank once its `#`
+    comment is stripped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def _read_config(
+    text: str, keys: Collection[str], repeated: Collection[str] = ()
+) -> dict[str, str | list[str]]:
+    """Read `key: value` lines, `#` starting a comment, into a dict.
+
+    A key in `repeated` maps to the list of its values in file order; any
+    other key must appear at most once.  Malformed lines, keys outside
+    `keys` and duplicates raise ValueError naming the line.
+    """
+    data: dict[str, str | list[str]] = {key: [] for key in repeated}
+    for lineno, line in _config_lines(text):
+        key, sep, value = line.partition(":")
+        key, value = key.strip(), value.strip()
+        if not sep or not value:
+            raise ValueError(f"line {lineno}: malformed entry {line!r}")
+        if key not in keys:
+            raise ValueError(f"line {lineno}: unknown config key {key!r}")
+        if key in repeated:
+            data[key].append(value)
+        elif key in data:
+            raise ValueError(f"line {lineno}: duplicate config key {key!r}")
+        else:
+            data[key] = value
+    return data
+
+
 def parse_pair_config(text: str) -> PairConfig:
     """Parse the key: value pair-config format.
 
@@ -83,20 +120,7 @@ def parse_pair_config(text: str) -> PairConfig:
     rows separated by `;`, each row whitespace-separated rational entries.
     An omitted embedding means the identity (equal ranks only).
     """
-    data: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition(":")
-        key = key.strip()
-        if not sep or not value.strip():
-            raise ValueError(f"malformed config line {raw!r}")
-        if key not in _PAIR_KEYS:
-            raise ValueError(f"unknown config key {key!r}")
-        if key in data:
-            raise ValueError(f"duplicate config key {key!r}")
-        data[key] = value.strip()
+    data = _read_config(text, _PAIR_KEYS)
     for required in ("ambient_type", "ambient_rank", "little_type", "little_rank"):
         if required not in data:
             raise ValueError(f"missing config key {required!r}")
@@ -183,12 +207,7 @@ def _require_invariant(polys: Sequence[Polynomial], little: RootSystem) -> None:
 
 def rank_d(selected_degrees: Sequence[int], little_degrees: Sequence[int]) -> int:
     """Generic fiber count d = prod(selected) / prod(little); must divide."""
-    num = 1
-    for m in selected_degrees:
-        num *= m
-    den = 1
-    for e in little_degrees:
-        den *= e
+    num, den = math.prod(selected_degrees), math.prod(little_degrees)
     d, rem = divmod(num, den)
     if rem:
         raise RestrictionError(
@@ -298,23 +317,6 @@ class SurjectivityReport:
     ok: bool
     failing_degree: int | None
     degree_bound: int
-
-
-def _product_exponents(degrees: Sequence[int], k: int) -> list[tuple[int, ...]]:
-    """Exponent tuples a with sum a_i * degrees_i == k."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(i: int, remaining: int, acc: list[int]):
-        if i == len(degrees):
-            if remaining == 0:
-                out.append(tuple(acc))
-            return
-        step = degrees[i]
-        for a in range(remaining // step + 1):
-            rec(i + 1, remaining - a * step, acc + [a])
-
-    rec(0, k, [])
-    return out
 
 
 def surjectivity_check(

@@ -34,6 +34,8 @@ from ._linalg import (
 from .polyring import Polynomial, jacobian_det
 
 WEYL_CAP = 100_000
+# regular vectors tried per fundamental degree before the simple roots
+_MAX_CANDIDATES = 25
 
 
 class ConstructionError(RuntimeError):
@@ -281,13 +283,26 @@ def orbit_vectors(rs: RootSystem, v: Sequence) -> tuple[Vector, ...]:
     return tuple(sorted(_reflection_closure(rs, [tuple(Fraction(x) for x in v)])))
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+def _product_exponents(degrees: Sequence[int], k: int) -> list[tuple[int, ...]]:
+    """Exponent tuples a with sum a_i * degrees_i == k, first entry slowest."""
+    out: list[tuple[int, ...]] = []
+
+    def rec(i: int, remaining: int, acc: list[int]):
+        if i == len(degrees):
+            if remaining == 0:
+                out.append(tuple(acc))
+            return
+        step = degrees[i]
+        for a in range(remaining // step + 1):
+            rec(i + 1, remaining - a * step, acc + [a])
+
+    rec(0, k, [])
+    return out
+
+
+def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
+    """Exponent tuples of the degree-`total` monomials in `parts` variables."""
+    return _product_exponents((1,) * parts, total)
 
 
 def orbit_sum_invariant(rs: RootSystem, v: Sequence, k: int) -> Polynomial:
@@ -303,23 +318,22 @@ def orbit_sum_invariant(rs: RootSystem, v: Sequence, k: int) -> Polynomial:
     mult, rem = divmod(order, len(orbit))
     if rem:
         raise ConstructionError("orbit size does not divide the group order")
-    n = rs.rank
+    # each monomial with its multinomial coefficient k! / prod(k_j!)
+    terms = [
+        (comp, Fraction(math.factorial(k), math.prod(map(math.factorial, comp))))
+        for comp in _compositions(k, rs.rank)
+    ]
     acc: dict[tuple[int, ...], Fraction] = {}
     for u in orbit:
         c = matvec(rs.form, u)
-        for comp in _compositions(k, n):
-            coeff = Fraction(math.factorial(k))
-            zero = False
+        for comp, coeff in terms:
             for kj, cj in zip(comp, c):
                 if kj:
                     if cj == 0:
-                        zero = True
                         break
                     coeff *= cj**kj
-                coeff /= math.factorial(kj)
-            if zero:
-                continue
-            acc[comp] = acc.get(comp, Fraction(0)) + coeff
+            else:
+                acc[comp] = acc.get(comp, Fraction(0)) + coeff
     poly = Polynomial(rs.variables, acc)
     return poly * mult
 
@@ -386,7 +400,7 @@ def _jacobian_certificate(
     return None
 
 
-def invariant_family(rs: RootSystem, max_candidates: int = 25) -> InvariantFamily:
+def invariant_family(rs: RootSystem) -> InvariantFamily:
     """Build one invariant per fundamental degree, proved independent.
 
     For each degree the candidates are Weyl-orbit power sums of a fixed
@@ -400,7 +414,7 @@ def invariant_family(rs: RootSystem, max_candidates: int = 25) -> InvariantFamil
     for k in degrees:
         candidates: list[Sequence] = []
         gen = _regular_vectors(rs)
-        for _ in range(max_candidates):
+        for _ in range(_MAX_CANDIDATES):
             candidates.append(next(gen))
         candidates.extend(rs.simple_roots)
         for v in candidates:

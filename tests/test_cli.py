@@ -252,3 +252,64 @@ def test_no_x_term_config_exits_1(tmp_path, capsys):
     cfg.write_text("tvars: t1\nxvars: x1\npoly: t1^2\nlittle_type: A\nlittle_rank: 1\n")
     assert main(["fiber", "--config", str(cfg), "--zeta", "1", "--target", "1"]) == 1
     assert "equation 1 has no x term" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "point",
+    [
+        ["fiber", "--zeta", "1", "--target", "nan"],
+        ["fiber", "--zeta", "1", "--target", "inf"],
+        ["fiber", "--zeta", "nan", "--target", "5"],
+        ["lambda", "--zeta", "1", "--xi", "nan"],
+    ],
+)
+def test_non_finite_point_exits_1(capsys, point):
+    # a usage error, not a numerical failure after retries (exit 3)
+    assert main([point[0], "--config", TOY, *point[1:]]) == 1
+    assert "entries must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, point",
+    [
+        ("xvars: x1 x1\npoly: x1^2\npoly: x1^2\n", ["--target", "1,1"]),
+        (
+            "tvars: x1\nxvars: x1\npoly: x1^2\nlittle_type: A\nlittle_rank: 1\n",
+            ["--zeta", "1", "--target", "1"],
+        ),
+    ],
+)
+def test_repeated_variable_config_exits_1(tmp_path, capsys, text, point):
+    cfg = tmp_path / "repeated.cfg"
+    cfg.write_text(text)
+    assert main(["fiber", "--config", str(cfg), *point]) == 1
+    assert "variable 'x1' is named more than once" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roots", "A2"],
+        ["invariants", "A2"],
+        ["restrict", "--config", TOY],
+        ["fiber", "--config", QUARTIC, "--zeta", "1", "--target", "6"],
+        ["lambda", "--config", QUARTIC, "--zeta", "1", "--xi", "2"],
+        ["classify"],
+    ],
+)
+def test_json_output_parses(capsys, argv):
+    assert main(["--format", "json", *argv]) == 0
+    # fiber and lambda print their verdict lines after the payload
+    payload = capsys.readouterr().out.splitlines()[0]
+    assert json.loads(payload)["seed"] == 0
+
+
+def test_config_name_round_trips_through_json(tmp_path, capsys):
+    name = 'toy\tpair "quoted" back\\slash'
+    cfg = tmp_path / "named.cfg"
+    cfg.write_text(
+        f"name: {name}\nambient_type: B\nambient_rank: 2\n"
+        "little_type: A\nlittle_rank: 1\nembedding: 0; 1\n"
+    )
+    assert main(["--format", "json", "restrict", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["config"] == name

@@ -356,3 +356,33 @@ def test_a3_hand_typed_target():
     )
     out = solve_fiber(system, seed=0)
     assert out.count == system.expected_count() == 24
+
+
+@pytest.mark.parametrize(
+    "zeta, target, name",
+    [
+        ((float("nan"),), (4.0,), "zeta"),
+        ((complex(1, float("inf")),), (4.0,), "zeta"),
+        ((1.0,), (float("nan"),), "target"),
+        ((1.0,), (float("-inf"),), "target"),
+    ],
+)
+def test_non_finite_zeta_or_target_rejected(zeta, target, name):
+    with pytest.raises(ValueError, match=f"{name} entries must be finite"):
+        toy_system(zeta=zeta, target=target)
+
+
+def test_non_finite_xi_rejected():
+    with pytest.raises(ValueError, match="xi entries must be finite"):
+        solve_lambda_xi(toy_system(), xi=(float("nan"),), seed=0)
+
+
+@pytest.mark.parametrize("t_vars, x_vars", [((), ("x1", "x1")), (("x1",), ("x1",))])
+def test_repeated_variable_name_rejected(t_vars, x_vars):
+    allvars = t_vars + x_vars
+    polys = tuple(parse_polynomial("x1^2", allvars) for _ in x_vars)
+    with pytest.raises(ValueError, match="variable 'x1' is named more than once"):
+        DeformedSystem(
+            polys=polys, t_vars=t_vars, x_vars=x_vars,
+            zeta=tuple(1.0 for _ in t_vars), target=tuple(1.0 for _ in x_vars),
+        )

@@ -59,6 +59,20 @@ def test_parse_rejects_unknown_and_malformed():
         parse_pair_config(TOY_TEXT + "\nambient_rank: 3")
 
 
+@pytest.mark.parametrize(
+    "extra, line, message",
+    [
+        ("ambient_rank 3", 9, "malformed entry"),
+        ("color: blue", 9, "unknown config key 'color'"),
+        ("ambient_rank: 3", 9, "duplicate config key 'ambient_rank'"),
+        ("\n# a comment\nname: again", 11, "duplicate config key 'name'"),
+    ],
+)
+def test_parse_errors_name_the_line(extra, line, message):
+    with pytest.raises(ValueError, match=f"^line {line}: {message}"):
+        parse_pair_config(TOY_TEXT + extra)
+
+
 def test_parse_identity_embedding_default():
     cfg = parse_pair_config(
         "ambient_type: A\nambient_rank: 2\nlittle_type: A\nlittle_rank: 2"

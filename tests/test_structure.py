@@ -29,3 +29,40 @@ def test_exact_modules_do_not_import_numpy():
             elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
                 imported.add(node.module.split(".")[0])
         assert "numpy" not in imported, name
+
+
+def _uses(path):
+    """(module, name) pairs for the functions one file can reach by name.
+
+    `from m import f` and `m.f` count for module m; a bare `f` counts for
+    the file's own module unless it sits inside the def of f itself, so a
+    function that only calls itself is not used.
+    """
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        owner = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.ImportFrom):
+                module = (node.module or "chevfiber").rsplit(".", 1)[-1]
+                yield from ((module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                base = node.value
+                yield getattr(base, "id", getattr(base, "attr", None)), node.attr
+            elif isinstance(node, ast.Name) and node.id != owner:
+                yield path.stem, node.id
+
+
+def test_every_module_function_has_a_caller():
+    package = Path(chevfiber.__file__).parent
+    used = {("chevfiber", name) for name in chevfiber.__all__}
+    root = Path(__file__).resolve().parents[1]
+    for folder in ("src", "tests", "bench", "demos"):
+        for path in sorted((root / folder).rglob("*.py")):
+            used.update(_uses(path))
+    unused = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and (path.stem, node.name) not in used
+    ]
+    assert unused == []
