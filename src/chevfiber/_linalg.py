@@ -1,21 +1,35 @@
 """Small exact linear algebra helpers over the rationals.
 
 Matrices are sequences of row sequences whose entries are ints or Fractions.
-Everything here is exact; nothing ever touches floating point.
+Everything here is exact; nothing ever touches floating point.  A float (or
+any other non-rational) entry raises TypeError, as in `polyring`; it is never
+converted, so an exact result cannot turn into floats.  Products and sums run
+on the entries as given, and each result entry becomes a Fraction once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
 
 
+def _exact(value) -> Fraction:
+    # a float anywhere in a sum makes the sum a float, so checking results
+    # catches float inputs too
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise TypeError(f"matrix entry must be rational, got {type(value).__name__}")
+
+
 def to_fraction_rows(rows: Sequence[Sequence]) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in rows]
+    return [[_exact(x) for x in row] for row in rows]
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
@@ -75,7 +89,7 @@ def det(a: Sequence[Sequence]) -> Fraction:
 
 def inverse(a: Sequence[Sequence]) -> Matrix:
     n = len(a)
-    aug = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    aug = [[_exact(a[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     m, pivots = rref(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
@@ -83,31 +97,26 @@ def inverse(a: Sequence[Sequence]) -> Matrix:
 
 
 def matvec(a: Sequence[Sequence], v: Sequence) -> Vector:
-    return tuple(sum((Fraction(a[i][j]) * Fraction(v[j]) for j in range(len(v))), Fraction(0)) for i in range(len(a)))
+    return tuple(_exact(sum(map(mul, row, v))) for row in a)
 
 
 def matmul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
-    return tuple(
-        tuple(sum((Fraction(a[i][t]) * Fraction(b[t][j]) for t in range(k)), Fraction(0)) for j in range(m))
-        for i in range(n)
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(_exact(sum(map(mul, row, col))) for col in cols) for row in a)
 
 
 def transpose(a: Sequence[Sequence]) -> Matrix:
-    return tuple(tuple(Fraction(a[i][j]) for i in range(len(a))) for j in range(len(a[0])))
+    return tuple(tuple(map(_exact, col)) for col in zip(*a))
+
+
+def integer_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """Rational rows as integer rows over their least common denominator."""
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 
 def clear_denominators(v: Sequence[Fraction]) -> Vector:
     """Scale a rational vector to a primitive integer vector (empty-safe)."""
-    fr = [Fraction(x) for x in v]
-    den = 1
-    for x in fr:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in fr]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(Fraction(x) for x in ints)
+    ints = integer_rows([[_exact(x) for x in v]])[0][0]
+    g = gcd(*ints) or 1
+    return tuple(Fraction(x // g) for x in ints)

@@ -44,7 +44,6 @@ from .restrict import (
     RestrictionError,
     _config_lines,
     _read_config,
-    load_pair_config,
     parse_pair_config,
     restrict_family,
     surjectivity_check,
@@ -260,7 +259,11 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_restrict(args) -> int:
-    cfg = load_pair_config(args.config)
+    with open(args.config, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    if _is_system_config(text):
+        raise UsageError(f"{args.config} is a system config; restrict needs a pair config")
+    cfg = parse_pair_config(text)
     fam = invariant_family(build_root_system(cfg.ambient_type, cfg.ambient_rank))
     res = restrict_family(fam, cfg, selection=_selection(args))
     report = surjectivity_check(res.restricted, degree_bound=args.degree_bound)

@@ -19,12 +19,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial, reduce
+from itertools import chain, islice
+from operator import getitem, itemgetter, mul
 from typing import Iterator, Sequence
 
 from ._linalg import (
     Matrix,
     Vector,
     det,
+    integer_rows,
     inverse,
     matmul,
     matvec,
@@ -62,17 +66,13 @@ class RootSystem:
         return tuple(x - scale * a for x, a in zip(v, alpha))
 
     def is_regular(self, v: Sequence) -> bool:
-        return all(self.bilinear(alpha, v) != 0 for alpha in self.roots)
+        bv = matvec(self.form, v)
+        return all(sum(map(mul, alpha, bv)) != 0 for alpha in self.roots)
 
     def positive_roots(self) -> tuple[Vector, ...]:
         """Roots whose expansion over the simple roots is nonnegative."""
-        sinv = inverse(transpose(self.simple_roots))
-        out = []
-        for r in self.roots:
-            coeffs = matvec(sinv, r)
-            if all(c >= 0 for c in coeffs):
-                out.append(r)
-        return tuple(out)
+        coords = _root_coordinates(self, self.roots)[0]
+        return tuple(r for r, x in zip(self.roots, coords) if min(x) >= 0)
 
 
 def _validate(type_name: str, rank: int) -> None:
@@ -214,22 +214,30 @@ def weyl_group(rs: RootSystem, cap: int = WEYL_CAP) -> tuple[Matrix, ...]:
     """Enumerate the Weyl group as coordinate matrices.
 
     Elements are found by closing the simple reflections under composition,
-    tracked as permutations of the root list.  The count is cross-checked
-    against the product of the fundamental degrees.
+    each tracked by where in the root list it sends the simple roots.  The
+    count is cross-checked against the product of the fundamental degrees.
+    Each matrix is img S^-1 (images and simple roots as columns), summed in
+    integers over one common denominator; each distinct row and entry
+    becomes Fractions once and is shared.
     """
-    index = {r: k for k, r in enumerate(rs.roots)}
-    gens = []
-    for alpha in rs.simple_roots:
-        gens.append(tuple(index[rs.reflect(r, alpha)] for r in rs.roots))
-    identity = tuple(range(len(rs.roots)))
+    coords = _root_coordinates(rs, rs.roots)[0]
+    index = {x: k for k, x in enumerate(coords)}
+    gens = [
+        tuple(index[_reflect(x, i, row)] for x in coords)
+        for i, row in enumerate(_cartan(rs))
+    ]
+    # the first simple root is tracked twice, so that itemgetter returns a
+    # tuple at rank 1 too
+    identity = tuple(map(rs.roots.index, rs.simple_roots + rs.simple_roots[:1]))
     seen = {identity}
     frontier = [identity]
     elements = [identity]
     while frontier:
         nxt = []
         for p in frontier:
+            images = itemgetter(*p)
             for g in gens:
-                q = tuple(g[k] for k in p)
+                q = images(g)
                 if q not in seen:
                     seen.add(q)
                     nxt.append(q)
@@ -245,38 +253,55 @@ def weyl_group(rs: RootSystem, cap: int = WEYL_CAP) -> tuple[Matrix, ...]:
             f"enumerated {len(elements)} elements, degree product gives {expected}"
         )
 
-    simple_idx = [index[a] for a in rs.simple_roots]
-    in_root_coords = all(
-        rs.simple_roots[i] == _unit(rs.rank, i) for i in range(rs.rank)
-    )
-    matrices = []
-    if in_root_coords:
-        # columns of the matrix are the images of the basis vectors,
-        # which are the simple roots themselves
-        for p in elements:
-            cols = tuple(rs.roots[p[i]] for i in simple_idx)
-            matrices.append(transpose(cols))
-    else:
-        s = transpose(rs.simple_roots)
-        sinv = inverse(s)
-        for p in elements:
-            img = transpose(tuple(rs.roots[p[i]] for i in simple_idx))
-            matrices.append(matmul(img, sinv))
-    return tuple(matrices)
+    n = rs.rank
+    roots, den = integer_rows(rs.roots)
+    sinv, sinv_den = integer_rows(inverse(transpose(rs.simple_roots)))
+    den *= sinv_den
+    columns = tuple(zip(*sinv))
+    entries = cache(lambda num: Fraction(num, den))
+    rows = cache(lambda img_row: tuple([entries(sum(map(mul, img_row, c))) for c in columns]))
+    return tuple(tuple(map(rows, zip(*map(roots.__getitem__, p[:n])))) for p in elements)
+
+
+def _root_coordinates(rs: RootSystem, vectors: Sequence) -> tuple[list[tuple[int, ...]], int]:
+    """Vectors in simple-root coordinates, as integer tuples over their
+    least common denominator."""
+    sinv = inverse(transpose(rs.simple_roots))
+    rows, den = integer_rows([matvec(sinv, v) for v in vectors])
+    return list(map(tuple, rows)), den
+
+
+def _cartan(rs: RootSystem) -> list[tuple[int, ...]]:
+    """Cartan integers 2 (alpha_i, alpha_j) / (alpha_i, alpha_i); every
+    supported type is crystallographic, so each is an int."""
+    gram = matmul(matmul(rs.simple_roots, rs.form), transpose(rs.simple_roots))
+    return [tuple(int(2 * g / row[i]) for g in row) for i, row in enumerate(gram)]
+
+
+def _reflect(x: tuple[int, ...], i: int, cartan_row: tuple[int, ...]) -> tuple[int, ...]:
+    """The reflection in simple root i, on simple-root coordinates: it
+    changes coordinate i alone, by the pairing of x with the coroot."""
+    return x[:i] + (x[i] - sum(map(mul, cartan_row, x)),) + x[i + 1 :]
 
 
 def _reflection_closure(rs: RootSystem, seeds: Sequence[Vector]) -> set[Vector]:
-    """The smallest set holding the seeds and closed under simple reflections."""
-    seen = set(seeds)
+    """The smallest set holding the seeds and closed under simple reflections,
+    found in integer simple-root coordinates and mapped back once."""
+    coords, den = _root_coordinates(rs, seeds)
+    cartan = list(enumerate(_cartan(rs)))
+    seen = set(coords)
     queue = list(seen)
     while queue:
-        u = queue.pop()
-        for alpha in rs.simple_roots:
-            w = rs.reflect(u, alpha)
+        x = queue.pop()
+        for i, row in cartan:
+            w = _reflect(x, i, row)
             if w not in seen:
                 seen.add(w)
                 queue.append(w)
-    return seen
+    simples, simples_den = integer_rows(transpose(rs.simple_roots))
+    den *= simples_den
+    entries = cache(lambda num: Fraction(num, den))
+    return {tuple(entries(sum(map(mul, row, x))) for row in simples) for x in seen}
 
 
 def orbit_vectors(rs: RootSystem, v: Sequence) -> tuple[Vector, ...]:
@@ -309,33 +334,38 @@ def orbit_sum_invariant(rs: RootSystem, v: Sequence, k: int) -> Polynomial:
     """Sum of B(w v, x)^k over the whole Weyl group, expanded exactly.
 
     Computed from the orbit of v, weighted by the stabilizer order, so the
-    group itself is never enumerated.
+    group itself is never enumerated.  The sums run in integers: the forms
+    B u over one common denominator den, one division by den^k per monomial.
     """
     if k < 1:
         raise ValueError("power must be positive")
-    orbit = orbit_vectors(rs, v)
-    order = weyl_order(rs.type_name, rs.rank)
-    mult, rem = divmod(order, len(orbit))
+    return _orbit_sum(rs, orbit_vectors(rs, v), k)
+
+
+def _orbit_sum(rs: RootSystem, orbit: Sequence[Vector], k: int) -> Polynomial:
+    """`orbit_sum_invariant` of a vector whose sorted orbit is given."""
+    mult, rem = divmod(weyl_order(rs.type_name, rs.rank), len(orbit))
     if rem:
         raise ConstructionError("orbit size does not divide the group order")
-    # each monomial with its multinomial coefficient k! / prod(k_j!)
-    terms = [
-        (comp, Fraction(math.factorial(k), math.prod(map(math.factorial, comp))))
-        for comp in _compositions(k, rs.rank)
-    ]
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for u in orbit:
-        c = matvec(rs.form, u)
-        for comp, coeff in terms:
-            for kj, cj in zip(comp, c):
-                if kj:
-                    if cj == 0:
-                        break
-                    coeff *= cj**kj
-            else:
-                acc[comp] = acc.get(comp, Fraction(0)) + coeff
-    poly = Polynomial(rs.variables, acc)
-    return poly * mult
+    form, form_den = integer_rows(rs.form)
+    vectors, den = integer_rows(orbit)
+    images = [[sum(map(mul, row, u)) for row in form] for u in vectors]
+    # powers[j][e]: coordinate j of every image, to the e-th power
+    powers = [[tuple(x**e for x in column) for e in range(k + 1)] for column in zip(*images)]
+    totals, first = {}, {}
+    for comp in _compositions(k, rs.rank):
+        terms = list(reduce(partial(map, mul), map(getitem, powers, comp)))
+        totals[comp] = sum(terms)
+        first[comp] = next((i for i, t in enumerate(terms) if t), 0)
+    # each monomial with its multinomial coefficient k! / prod(k_j!), in the
+    # order of its first nonzero term, image by image: Polynomial.eval sums
+    # terms in insertion order, so fiber bytes follow it
+    top = math.factorial(k) * mult
+    return Polynomial(rs.variables, {
+        comp: Fraction(top // math.prod(map(math.factorial, comp)) * totals[comp],
+                       (den * form_den) ** k)
+        for comp in sorted(totals, key=first.get)
+    })
 
 
 @dataclass(frozen=True)
@@ -407,18 +437,17 @@ def invariant_family(rs: RootSystem) -> InvariantFamily:
     sequence of regular rational vectors; a candidate is accepted once the
     Jacobian of the partial family reaches full rank at one of a fixed list
     of rational test points.  Orbit sums of the simple roots serve as a
-    fallback before giving up.
+    fallback before giving up.  Candidates are drawn lazily, and each one's
+    orbit is built once per family and reused across degrees.
     """
     degrees = fundamental_degrees(rs.type_name, rs.rank)
     polys: list[Polynomial] = []
+    orbits: dict[Vector, tuple[Vector, ...]] = {}
     for k in degrees:
-        candidates: list[Sequence] = []
-        gen = _regular_vectors(rs)
-        for _ in range(_MAX_CANDIDATES):
-            candidates.append(next(gen))
-        candidates.extend(rs.simple_roots)
-        for v in candidates:
-            u = orbit_sum_invariant(rs, v, k)
+        for v in chain(islice(_regular_vectors(rs), _MAX_CANDIDATES), rs.simple_roots):
+            if v not in orbits:
+                orbits[v] = orbit_vectors(rs, v)
+            u = _orbit_sum(rs, orbits[v], k)
             if u.is_zero:
                 continue
             # the last accepted trial is the whole square family, so its

@@ -6,6 +6,7 @@ from importlib import resources
 import pytest
 
 from chevfiber.cli import main
+from chevfiber.rootsys import build_root_system, invariant_family
 
 
 def data_path(name):
@@ -313,3 +314,21 @@ def test_config_name_round_trips_through_json(tmp_path, capsys):
     )
     assert main(["--format", "json", "restrict", "--config", str(cfg)]) == 0
     assert json.loads(capsys.readouterr().out)["config"] == name
+
+
+def test_restrict_on_a_system_config_exits_1(capsys):
+    assert main(["restrict", "--config", QUARTIC]) == 1
+    err = capsys.readouterr().err
+    assert "system config" in err
+    assert "restrict needs a pair config" in err
+    assert "unknown config key" not in err
+
+
+def test_invariants_f4_prints_the_family(capsys):
+    assert main(["invariants", "F4"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    fam = invariant_family(build_root_system("F", 4))
+    assert out[2:6] == [
+        f"U[{d}] = {p.to_text()}" for d, p in zip(fam.degrees, fam.polys)
+    ]
+    assert fam.degrees == (2, 6, 8, 12)

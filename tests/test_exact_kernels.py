@@ -1,0 +1,307 @@
+"""The integer kernels of the exact layer against Fraction references.
+
+The functions prefixed `_ref` below are the Fraction implementations the
+package used before its exact layer summed in integers: a reflection is a
+`bilinear` call with a full matrix-vector product, every product and sum
+re-wraps its entries in `Fraction`, the Weyl group is tracked as full
+permutations of the root list, and the invariant family scans its
+candidates eagerly for every degree.  The integer kernels must reproduce
+them byte for byte: the same roots, the same Weyl matrices in the same
+order with the same (numerator, denominator) per entry, and the same
+polynomial terms in the same insertion order, which `Polynomial.eval`
+follows.
+
+The F4 family and the E6 Weyl matrices take the references tens of seconds,
+so they are pinned by digests recorded from the references instead.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import math
+from fractions import Fraction
+from itertools import chain
+
+import pytest
+
+from chevfiber import rootsys
+from chevfiber._linalg import clear_denominators, inverse, matmul, matvec, transpose
+from chevfiber.rootsys import (
+    RootSystem,
+    build_root_system,
+    invariant_family,
+    orbit_sum_invariant,
+    weyl_group,
+)
+
+GROUP_CASES = (
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4),
+    ("B", 2), ("B", 3), ("B", 4),
+    ("C", 2), ("C", 3), ("C", 4),
+    ("D", 4), ("G", 2), ("F", 4),
+    ("BC", 2), ("BC", 3),
+)
+# the acceptance families; F4 is pinned by digest below
+FAMILY_CASES = (
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4),
+    ("B", 2), ("B", 3),
+    ("C", 2), ("C", 3),
+    ("D", 4), ("G", 2),
+    ("BC", 2), ("BC", 3),
+)
+
+# sha256 of `_family_key` and `_matrices_key`, recorded from the references
+F4_FAMILY_DIGEST = "7e71301b0c16de561245a0c5a83ee3dd9db7161313bba6df5a8f28b467284d7d"
+E6_WEYL_DIGEST = "e4fe303260f585f108d6041585993b4031edd0a15564f41cd5b27b55cac22161"
+
+
+def _ref_matvec(a, v):
+    return tuple(
+        sum((Fraction(a[i][j]) * Fraction(v[j]) for j in range(len(v))), Fraction(0))
+        for i in range(len(a))
+    )
+
+
+def _ref_matmul(a, b):
+    n, k, m = len(a), len(b), len(b[0])
+    return tuple(
+        tuple(
+            sum((Fraction(a[i][t]) * Fraction(b[t][j]) for t in range(k)), Fraction(0))
+            for j in range(m)
+        )
+        for i in range(n)
+    )
+
+
+def _ref_transpose(a):
+    return tuple(tuple(Fraction(a[i][j]) for i in range(len(a))) for j in range(len(a[0])))
+
+
+def _ref_bilinear(rs, u, v):
+    return sum(
+        Fraction(a) * b for a, b in zip(u, _ref_matvec(rs.form, [Fraction(x) for x in v]))
+    )
+
+
+def _ref_reflect(rs, v, alpha):
+    v = tuple(Fraction(x) for x in v)
+    scale = 2 * _ref_bilinear(rs, v, alpha) / _ref_bilinear(rs, alpha, alpha)
+    return tuple(x - scale * a for x, a in zip(v, alpha))
+
+
+def _ref_closure(rs, seeds):
+    seen = set(seeds)
+    queue = list(seen)
+    while queue:
+        u = queue.pop()
+        for alpha in rs.simple_roots:
+            w = _ref_reflect(rs, u, alpha)
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen
+
+
+def _ref_root_system(type_name, rank):
+    simples, form = rootsys._simple_roots_and_form(type_name, rank)
+    variables = tuple(f"x{i + 1}" for i in range(rank))
+    rs = RootSystem(type_name, rank, variables, simples, (), form)
+    seen = _ref_closure(rs, simples)
+    if type_name == "BC":
+        for r in list(seen):
+            if _ref_bilinear(rs, r, r) == 1:
+                seen.add(tuple(2 * x for x in r))
+    return RootSystem(type_name, rank, variables, simples, tuple(sorted(seen)), form)
+
+
+def _ref_weyl_group(rs):
+    index = {r: k for k, r in enumerate(rs.roots)}
+    gens = [
+        tuple(index[_ref_reflect(rs, r, alpha)] for r in rs.roots)
+        for alpha in rs.simple_roots
+    ]
+    identity = tuple(range(len(rs.roots)))
+    seen = {identity}
+    frontier = [identity]
+    elements = [identity]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = tuple(g[k] for k in p)
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+                    elements.append(q)
+        frontier = nxt
+    simple_idx = [index[a] for a in rs.simple_roots]
+    in_root_coords = all(
+        rs.simple_roots[i] == rootsys._unit(rs.rank, i) for i in range(rs.rank)
+    )
+    matrices = []
+    if in_root_coords:
+        for p in elements:
+            matrices.append(_ref_transpose(tuple(rs.roots[p[i]] for i in simple_idx)))
+    else:
+        sinv = inverse(_ref_transpose(rs.simple_roots))
+        for p in elements:
+            img = _ref_transpose(tuple(rs.roots[p[i]] for i in simple_idx))
+            matrices.append(_ref_matmul(img, sinv))
+    return tuple(matrices)
+
+
+def _ref_orbit_sum(rs, v, k):
+    orbit = tuple(sorted(_ref_closure(rs, [tuple(Fraction(x) for x in v)])))
+    mult, rem = divmod(rootsys.weyl_order(rs.type_name, rs.rank), len(orbit))
+    assert rem == 0
+    terms = [
+        (comp, Fraction(math.factorial(k), math.prod(map(math.factorial, comp))))
+        for comp in rootsys._compositions(k, rs.rank)
+    ]
+    acc = {}
+    for u in orbit:
+        c = _ref_matvec(rs.form, u)
+        for comp, coeff in terms:
+            for kj, cj in zip(comp, c):
+                if kj:
+                    if cj == 0:
+                        break
+                    coeff *= cj**kj
+            else:
+                acc[comp] = acc.get(comp, Fraction(0)) + coeff
+    return rootsys.Polynomial(rs.variables, acc) * mult
+
+
+def _ref_regular_vectors(rs):
+    j = 1
+    while True:
+        v = tuple(Fraction(j**i) for i in range(rs.rank))
+        if all(_ref_bilinear(rs, alpha, v) != 0 for alpha in rs.roots):
+            yield v
+        j += 1
+
+
+def _ref_family(rs):
+    polys = []
+    for k in rootsys.fundamental_degrees(rs.type_name, rs.rank):
+        candidates = []
+        gen = _ref_regular_vectors(rs)
+        for _ in range(rootsys._MAX_CANDIDATES):
+            candidates.append(next(gen))
+        candidates.extend(rs.simple_roots)
+        for v in candidates:
+            u = _ref_orbit_sum(rs, v, k)
+            if u.is_zero:
+                continue
+            certificate = rootsys._jacobian_certificate(polys + [u], rs.variables)
+            if certificate is not None:
+                polys.append(u)
+                break
+        else:
+            raise AssertionError(f"no degree-{k} invariant")
+    return polys, certificate
+
+
+def _entries(rows):
+    """Each entry as (type, numerator, denominator), rows kept apart."""
+    return [[(type(x), x.numerator, x.denominator) for x in row] for row in rows]
+
+
+def _terms(poly):
+    """The terms in insertion order, coefficients as (numerator, denominator)."""
+    return [(e, type(c), c.numerator, c.denominator) for e, c in poly.terms.items()]
+
+
+def _family_key(polys, certificate):
+    return repr(([_terms(p) for p in polys], certificate)).encode()
+
+
+def _matrices_key(matrices):
+    """Every entry in order, as text; the entry type and the shapes are
+    checked here, since str(Fraction) omits them."""
+    n = len(matrices[0])
+    assert {len(m) for m in matrices} == {len(row) for m in matrices for row in m} == {n}
+    flat = list(chain.from_iterable(chain.from_iterable(matrices)))
+    assert set(map(type, flat)) == {Fraction}
+    return " ".join(map(str, flat)).encode()
+
+
+@pytest.mark.parametrize("type_name,rank", GROUP_CASES + (("E", 6),))
+def test_roots_match_the_fraction_closure(type_name, rank):
+    rs = build_root_system(type_name, rank)
+    assert _entries(rs.roots) == _entries(_ref_root_system(type_name, rank).roots)
+
+
+@pytest.mark.parametrize("type_name,rank", GROUP_CASES)
+def test_weyl_matrices_match_the_fraction_enumeration(type_name, rank):
+    rs = build_root_system(type_name, rank)
+    new, ref = weyl_group(rs), _ref_weyl_group(rs)
+    assert len(new) == len(ref) == rootsys.weyl_order(type_name, rank)
+    assert [_entries(m) for m in new] == [_entries(m) for m in ref]
+
+
+def test_e6_weyl_group_order_and_digest():
+    matrices = weyl_group(build_root_system("E", 6))
+    assert len(matrices) == 51840
+    assert hashlib.sha256(_matrices_key(matrices)).hexdigest() == E6_WEYL_DIGEST
+
+
+@pytest.mark.parametrize("type_name,rank", FAMILY_CASES)
+def test_family_matches_the_eager_fraction_loop(type_name, rank):
+    rs = build_root_system(type_name, rank)
+    fam = invariant_family(rs)
+    polys, certificate = _ref_family(rs)
+    assert [_terms(p) for p in fam.polys] == [_terms(p) for p in polys]
+    assert fam.certificate == certificate
+    assert _entries([fam.certificate[0]]) == _entries([certificate[0]])
+
+
+def test_f4_family_digest():
+    fam = invariant_family(build_root_system("F", 4))
+    key = _family_key(fam.polys, fam.certificate)
+    assert hashlib.sha256(key).hexdigest() == F4_FAMILY_DIGEST
+
+
+def test_f4_orbit_sum_matches_the_fraction_sum():
+    rs = build_root_system("F", 4)
+    new = orbit_sum_invariant(rs, (1, 2, 4, 8), 6)
+    assert _terms(new) == _terms(_ref_orbit_sum(rs, (1, 2, 4, 8), 6))
+
+
+@pytest.mark.parametrize("v,k", [((1, -1), 2), ((1, 0), 4), ((Fraction(1, 3), 2), 3)])
+def test_orbit_sums_with_zero_and_rational_images(v, k):
+    # vectors with zero coordinates and a vector with a denominator
+    rs = build_root_system("B", 2)
+    assert _terms(orbit_sum_invariant(rs, v, k)) == _terms(_ref_orbit_sum(rs, v, k))
+
+
+# -- exactness of _linalg -----------------------------------------------
+
+
+@pytest.mark.parametrize("entry", [1, Fraction(1, 2)])
+def test_products_return_fractions(entry):
+    a = ((entry, 2), (3, entry))
+    for result in (matvec(a, (entry, 1)), *matmul(a, a), *transpose(a)):
+        assert all(type(x) is Fraction for x in result)
+    assert matvec(a, (1, 1)) == (entry + 2, 3 + entry)
+    assert matmul(a, ((1, 0), (0, 1))) == tuple(tuple(map(Fraction, row)) for row in a)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, 0.0, complex(1, 0)])
+def test_floats_never_enter_an_exact_result(bad):
+    exact = ((1, Fraction(1, 2)), (3, 4))
+    with_bad = ((1, bad), (3, 4))
+    with pytest.raises(TypeError):
+        matvec(with_bad, (1, 1))
+    with pytest.raises(TypeError):
+        matvec(exact, (bad, 1))
+    with pytest.raises(TypeError):
+        matmul(exact, with_bad)
+    with pytest.raises(TypeError):
+        matmul(with_bad, exact)
+    with pytest.raises(TypeError):
+        transpose(with_bad)
+    with pytest.raises(TypeError):
+        inverse(with_bad)
+    with pytest.raises(TypeError):
+        clear_denominators((1, bad))
