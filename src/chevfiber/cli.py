@@ -1,14 +1,18 @@
 """Command line front end.
 
-Subcommands: roots, invariants, restrict, fiber, lambda, classify.  Output
-is text by default; --format json emits canonical single-line JSON whose
-bytes depend only on the inputs and the seed, and --format csv emits flat
-tables.  All floating point numbers are printed with 17 significant digits.
+Subcommands: roots, invariants, restrict, fiber, lambda, classify.  Each
+command builds its output once, as a record, a table and a list of lines,
+and --format picks one: json prints the record as canonical single-line
+JSON whose bytes depend only on the inputs and the seed, csv prints the
+table, and text (the default) prints the lines.  A CSV cell is empty for
+None, yes/no for a bool, and space-separated for a tuple.  All floating
+point numbers are printed with 17 significant digits.
 
 Exit codes: 0 success, 1 usage or parse failure, 2 integrity or verdict
 failure, 3 numerical failure or exact construction failure
-(ConstructionError: the Weyl enumeration cap, or no independent invariant
-with a nonzero Jacobian certificate).
+(ConstructionError: the Weyl enumeration cap, a Weyl group whose order is
+not the product of its degrees, or no independent invariant with a nonzero
+Jacobian certificate).
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ from .rootsys import (
     fundamental_degrees,
     invariant_family,
     weyl_group,
-    weyl_order,
 )
 
 
@@ -72,16 +75,31 @@ def _fmt_complex(z: complex) -> str:
     return "%s%s%sj" % (_fmt_float(z.real), sign, _fmt_float(abs(z.imag)))
 
 
-def _csv_payload(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    return buf.getvalue().rstrip("\n")
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, float):
+        return _fmt_float(value)
+    if isinstance(value, tuple):
+        return " ".join(map(str, value))
+    return str(value)
 
 
-def _emit(payload: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+def _emit(args, record: dict, rows, lines) -> None:
+    """Write one rendering of a command's output to --out or stdout: the
+    record as JSON, the rows as CSV, or the lines as text."""
+    if args.format == "json":
+        payload = _to_json(record)
+    elif args.format == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(map(_csv_cell, row) for row in rows)
+        payload = buf.getvalue().rstrip("\n")
+    else:
+        payload = "\n".join(lines)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")
     else:
         print(payload)
@@ -102,41 +120,39 @@ def _parse_complex_list(text: str | None) -> tuple[complex, ...]:
 _SYSTEM_KEYS = {"name", "tvars", "xvars", "poly", "little_type", "little_rank", "d"}
 
 
-def _is_system_config(text: str) -> bool:
-    return any(line.startswith("poly") for _, line in _config_lines(text))
+def _load_config(args, zeta=(), target=None):
+    """Read --config, a pair config or a system config (one with `poly` lines).
 
-
-def _parse_system_config(text: str):
-    """Parse the explicit-system format: tvars/xvars, repeated poly lines,
-    and an optional little group."""
-    data = _read_config(text, _SYSTEM_KEYS, repeated=("poly",))
-    if "xvars" not in data:
-        raise ValueError("missing config key 'xvars'")
-    if not data["poly"]:
-        raise ValueError("missing config key 'poly'")
-    t_vars = tuple(v for v in data.get("tvars", "").replace(",", " ").split() if v)
-    x_vars = tuple(v for v in data["xvars"].replace(",", " ").split() if v)
-    allvars = t_vars + x_vars
-    parsed = tuple(parse_polynomial(p, allvars) for p in data["poly"])
-    little = None
-    if ("little_type" in data) != ("little_rank" in data):
-        raise ValueError("little_type and little_rank must be given together")
-    if "little_type" in data:
-        little = build_root_system(data["little_type"], int(data["little_rank"]))
-    d = int(data["d"]) if "d" in data else None
-    return parsed, t_vars, x_vars, little, d
-
-
-def _build_system(args, zeta, target=None) -> DeformedSystem:
-    """The system of a config file; target None means all zeros."""
+    restrict takes a pair config only and gets its Restriction.  fiber and
+    lambda get the DeformedSystem of either kind at zeta; target None means
+    all zeros.  A system config lists tvars/xvars, repeated poly lines, and
+    an optional little group.
+    """
     with open(args.config, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if _is_system_config(text):
-        polys, t_vars, x_vars, little, d = _parse_system_config(text)
+    if any(line.startswith("poly") for _, line in _config_lines(text)):
+        if args.command == "restrict":
+            raise UsageError(f"{args.config} is a system config; restrict needs a pair config")
+        data = _read_config(text, _SYSTEM_KEYS, repeated=("poly",))
+        if "xvars" not in data:
+            raise ValueError("missing config key 'xvars'")
+        if not data["poly"]:
+            raise ValueError("missing config key 'poly'")
+        t_vars = tuple(v for v in data.get("tvars", "").replace(",", " ").split() if v)
+        x_vars = tuple(v for v in data["xvars"].replace(",", " ").split() if v)
+        polys = tuple(parse_polynomial(p, t_vars + x_vars) for p in data["poly"])
+        little = None
+        if ("little_type" in data) != ("little_rank" in data):
+            raise ValueError("little_type and little_rank must be given together")
+        if "little_type" in data:
+            little = build_root_system(data["little_type"], int(data["little_rank"]))
+        d = int(data["d"]) if "d" in data else None
     else:
         cfg = parse_pair_config(text)
         fam = invariant_family(build_root_system(cfg.ambient_type, cfg.ambient_rank))
         res = restrict_family(fam, cfg, selection=_selection(args))
+        if args.command == "restrict":
+            return res
         polys, t_vars, x_vars, little, d = res.adapted, res.t_vars, res.x_vars, res.little, res.d
     if target is None:
         target = tuple(0j for _ in polys)
@@ -180,174 +196,113 @@ def _parse_type_token(token: str):
 def cmd_roots(args) -> int:
     t, n = _parse_type_token(args.system)
     rs = build_root_system(t, n)
-    degrees = fundamental_degrees(t, n)
-    group = weyl_group(rs)
-    order = len(group)
-    check = "PASS" if order == weyl_order(t, n) else "FAIL"
-    if args.format == "json":
-        payload = _to_json(
-            {
-                "seed": args.seed,
-                "system": args.system,
-                "roots": len(rs.roots),
-                "order": order,
-                "degrees": degrees,
-                "order_check": check,
-            }
-        )
-    elif args.format == "csv":
-        payload = _csv_payload(
-            [
-                ("seed", "system", "roots", "order", "degrees", "order_check"),
-                (
-                    args.seed,
-                    args.system,
-                    len(rs.roots),
-                    order,
-                    " ".join(str(d) for d in degrees),
-                    check,
-                ),
-            ]
-        )
-    else:
-        payload = "\n".join(
-            [
-                f"seed: {args.seed}",
-                f"system: {args.system}",
-                f"roots: {len(rs.roots)}",
-                f"positive roots: {len(rs.positive_roots())}",
-                f"weyl order: {order}",
-                f"degrees: {' '.join(str(d) for d in degrees)}",
-                f"order == product of degrees : {check}",
-            ]
-        )
-    _emit(payload, args.out)
-    return 0 if check == "PASS" else 2
+    # weyl_group raises ConstructionError (exit 3) unless |W| is the product
+    # of the degrees, so the check below can only print PASS
+    record = {
+        "seed": args.seed,
+        "system": args.system,
+        "roots": len(rs.roots),
+        "order": len(weyl_group(rs)),
+        "degrees": fundamental_degrees(t, n),
+        "order_check": "PASS",
+    }
+    lines = [
+        f"seed: {args.seed}",
+        f"system: {args.system}",
+        f"roots: {record['roots']}",
+        f"positive roots: {len(rs.positive_roots())}",
+        f"weyl order: {record['order']}",
+        f"degrees: {' '.join(str(d) for d in record['degrees'])}",
+        "order == product of degrees : PASS",
+    ]
+    _emit(args, record, [tuple(record), tuple(record.values())], lines)
+    return 0
 
 
 def cmd_invariants(args) -> int:
     t, n = _parse_type_token(args.system)
     fam = invariant_family(build_root_system(t, n))
     point, value = fam.certificate
-    if args.format == "json":
-        payload = _to_json(
-            {
-                "seed": args.seed,
-                "system": args.system,
-                "degrees": fam.degrees,
-                "polys": [p.to_text() for p in fam.polys],
-                "certificate_point": [str(c) for c in point],
-                "certificate_value": str(value),
-            }
-        )
-    elif args.format == "csv":
-        rows = [("seed", "system", "degree", "poly")]
-        for d, p in zip(fam.degrees, fam.polys):
-            rows.append((args.seed, args.system, d, p.to_text()))
-        payload = _csv_payload(rows)
-    else:
-        lines = [f"seed: {args.seed}", f"system: {args.system}"]
-        for d, p in zip(fam.degrees, fam.polys):
-            lines.append(f"U[{d}] = {p.to_text()}")
-        lines.append(
-            "independence certificate: det J = %s at (%s)"
-            % (value, ", ".join(str(c) for c in point))
-        )
-        payload = "\n".join(lines)
-    _emit(payload, args.out)
+    record = {
+        "seed": args.seed,
+        "system": args.system,
+        "degrees": fam.degrees,
+        "polys": [p.to_text() for p in fam.polys],
+        "certificate_point": [str(c) for c in point],
+        "certificate_value": str(value),
+    }
+    rows = [("seed", "system", "degree", "poly")]
+    lines = [f"seed: {args.seed}", f"system: {args.system}"]
+    for d, text in zip(fam.degrees, record["polys"]):
+        rows.append((args.seed, args.system, d, text))
+        lines.append(f"U[{d}] = {text}")
+    lines.append(
+        "independence certificate: det J = %s at (%s)"
+        % (value, ", ".join(record["certificate_point"]))
+    )
+    _emit(args, record, rows, lines)
     return 0
 
 
 def cmd_restrict(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if _is_system_config(text):
-        raise UsageError(f"{args.config} is a system config; restrict needs a pair config")
-    cfg = parse_pair_config(text)
-    fam = invariant_family(build_root_system(cfg.ambient_type, cfg.ambient_rank))
-    res = restrict_family(fam, cfg, selection=_selection(args))
+    res = _load_config(args)
     report = surjectivity_check(res.restricted, degree_bound=args.degree_bound)
-    if args.format == "json":
-        payload = _to_json(
-            {
-                "seed": args.seed,
-                "config": cfg.name or args.config,
-                "selected": [i + 1 for i in res.selected],
-                "degrees": res.restricted.degrees,
-                "d": res.d,
-                "t_vars": res.t_vars,
-                "x_vars": res.x_vars,
-                "restricted": [p.to_text() for p in res.restricted.polys],
-                "adapted": [p.to_text() for p in res.adapted],
-                "surjective": report.ok,
-                "failing_degree": report.failing_degree,
-                "degree_bound": report.degree_bound,
-            }
-        )
-    elif args.format == "csv":
-        rows = [("seed", "config", "index", "degree", "restricted")]
-        for i, (d, p) in enumerate(zip(res.restricted.degrees, res.restricted.polys)):
-            rows.append(
-                (args.seed, cfg.name or args.config, res.selected[i] + 1, d, p.to_text())
-            )
-        payload = _csv_payload(rows)
+    name = res.config.name or args.config
+    selected = tuple(i + 1 for i in res.selected)
+    restricted = [p.to_text() for p in res.restricted.polys]
+    record = {
+        "seed": args.seed,
+        "config": name,
+        "selected": selected,
+        "degrees": res.restricted.degrees,
+        "d": res.d,
+        "t_vars": res.t_vars,
+        "x_vars": res.x_vars,
+        "restricted": restricted,
+        "adapted": [p.to_text() for p in res.adapted],
+        "surjective": report.ok,
+        "failing_degree": report.failing_degree,
+        "degree_bound": report.degree_bound,
+    }
+    rows = [("seed", "config", "index", "degree", "restricted")]
+    rows += [
+        (args.seed, name, i, d, text)
+        for i, d, text in zip(selected, res.restricted.degrees, restricted)
+    ]
+    lines = [
+        f"seed: {args.seed}",
+        f"config: {name}",
+        f"selected invariants (1-based): {' '.join(str(i) for i in selected)}",
+        f"degrees: {' '.join(str(d) for d in res.restricted.degrees)}",
+        f"fiber degree d: {res.d}",
+    ]
+    lines += [f"W = {text}" for text in restricted]
+    if report.ok:
+        lines.append(f"surjective up to degree {report.degree_bound} : PASS")
     else:
-        lines = [
-            f"seed: {args.seed}",
-            f"config: {cfg.name or args.config}",
-            f"selected invariants (1-based): {' '.join(str(i + 1) for i in res.selected)}",
-            f"degrees: {' '.join(str(d) for d in res.restricted.degrees)}",
-            f"fiber degree d: {res.d}",
-        ]
-        for p in res.restricted.polys:
-            lines.append(f"W = {p.to_text()}")
-        if report.ok:
-            lines.append(f"surjective up to degree {report.degree_bound} : PASS")
-        else:
-            lines.append(f"surjectivity fails at degree {report.failing_degree}")
-        payload = "\n".join(lines)
-    _emit(payload, args.out)
+        lines.append(f"surjectivity fails at degree {report.failing_degree}")
+    _emit(args, record, rows, lines)
     return 0
 
 
-def _fiber_verdict(system: DeformedSystem, result: FiberResult) -> tuple[str, int]:
-    expected = system.expected_count()
-    if expected is None:
-        return "count == |W(a_q)|*d : UNKNOWN (no little group)", 0
-    if result.count == expected:
-        return f"count == |W(a_q)|*d : PASS ({result.count} == {expected})", 0
-    return f"count == |W(a_q)|*d : FAIL ({result.count} != {expected})", 2
-
-
-def _fiber_payload(result: FiberResult, fmt: str) -> str:
-    if fmt == "json":
-        return result.to_json()
-    if fmt == "csv":
-        width = len(result.solutions[0]) if result.solutions else 0
-        header = ["seed", "index"]
-        for i in range(width):
-            header += [f"re{i + 1}", f"im{i + 1}"]
-        header.append("residual")
-        rows = [tuple(header)]
-        for k, (point, res) in enumerate(zip(result.solutions, result.residuals)):
-            cells = [str(result.seed), str(k)]
-            for z in point:
-                cells += [_fmt_float(z.real), _fmt_float(z.imag)]
-            cells.append(_fmt_float(res))
-            rows.append(tuple(cells))
-        return _csv_payload(rows)
+def _emit_fiber(args, result: FiberResult) -> None:
+    width = len(result.solutions[0]) if result.solutions else 0
+    header = ["seed", "index"]
+    for i in range(width):
+        header += [f"re{i + 1}", f"im{i + 1}"]
+    header.append("residual")
+    rows = [header]
     lines = [f"seed: {result.seed}"]
     lines.append("zeta: " + (" ".join(_fmt_complex(z) for z in result.zeta) or "-"))
     lines.append("target: " + " ".join(_fmt_complex(z) for z in result.target))
     lines.append(
-        "paths: tracked=%d failed=%d merged=%d"
-        % (
-            result.path_stats["tracked"],
-            result.path_stats["failed"],
-            result.path_stats["merged"],
-        )
+        "paths: tracked=%(tracked)d failed=%(failed)d merged=%(merged)d" % result.path_stats
     )
-    for point, res in zip(result.solutions, result.residuals):
+    for k, (point, res) in enumerate(zip(result.solutions, result.residuals)):
+        cells = [result.seed, k]
+        for z in point:
+            cells += [z.real, z.imag]
+        rows.append(cells + [res])
         coords = "  ".join(_fmt_complex(z) for z in point)
         lines.append(f"x = {coords}   residual {_fmt_float(res)}")
     if result.orbit_classes is not None:
@@ -355,28 +310,34 @@ def _fiber_payload(result: FiberResult, fmt: str) -> str:
             "orbit classes: "
             + " | ".join(" ".join(str(i) for i in cls) for cls in result.orbit_classes)
         )
-    return "\n".join(lines)
+    _emit(args, vars(result), rows, lines)
 
 
 def cmd_fiber(args) -> int:
     zeta = _parse_complex_list(args.zeta)
     target = _parse_complex_list(args.target)
-    system = _build_system(args, zeta, target)
+    system = _load_config(args, zeta, target)
     result = solve_fiber(
         system,
         seed=args.seed,
         residual_tol=args.tol,
     )
-    _emit(_fiber_payload(result, args.format), args.out)
-    verdict, code = _fiber_verdict(system, result)
-    print(verdict)
-    return code
+    _emit_fiber(args, result)
+    expected = system.expected_count()
+    if expected is None:
+        print("count == |W(a_q)|*d : UNKNOWN (no little group)")
+        return 0
+    if result.count == expected:
+        print(f"count == |W(a_q)|*d : PASS ({result.count} == {expected})")
+        return 0
+    print(f"count == |W(a_q)|*d : FAIL ({result.count} != {expected})")
+    return 2
 
 
 def cmd_lambda(args) -> int:
     zeta = _parse_complex_list(args.zeta)
     xi = _parse_complex_list(args.xi)
-    system = _build_system(args, zeta)
+    system = _load_config(args, zeta)
     if len(xi) != len(system.x_vars):
         raise UsageError(f"xi needs {len(system.x_vars)} entries, got {len(xi)}")
     result = solve_lambda_xi(
@@ -385,7 +346,7 @@ def cmd_lambda(args) -> int:
         seed=args.seed,
         residual_tol=args.tol,
     )
-    _emit(_fiber_payload(result, args.format), args.out)
+    _emit_fiber(args, result)
     classes = len(result.orbit_classes) if result.orbit_classes is not None else 0
     print(f"distinct orbit classes: {classes}")
     if result.count > 0:
@@ -395,41 +356,32 @@ def cmd_lambda(args) -> int:
     return 2
 
 
-_CLASSIFY_COLUMNS = (
-    "name_g",
-    "name_h",
-    "sigma_c",
-    "sigma_b",
-    "sigma_aq",
-    "exceptional",
-    "b_exceptional",
-    "split",
-    "group_case",
-    "provenance",
-    "dual_name",
+# b_exceptional and split are undefined (None) for a record without sigma_b
+_CLASSIFY_COLUMNS = {
+    "name_g": lambda rec: rec.name_g,
+    "name_h": lambda rec: rec.name_h,
+    "sigma_c": lambda rec: format_sigma(rec.sigma_c),
+    "sigma_b": lambda rec: format_sigma(rec.sigma_b),
+    "sigma_aq": lambda rec: format_sigma(rec.sigma_aq),
+    "exceptional": is_exceptional,
+    "b_exceptional": lambda rec: None if rec.sigma_b is None else is_b_exceptional(rec),
+    "split": lambda rec: None if rec.sigma_b is None else is_split(rec),
+    "group_case": lambda rec: rec.is_group_case,
+    "provenance": lambda rec: rec.provenance,
+    "dual_name": lambda rec: rec.dual_name,
+}
+
+
+# one text line per record, with the flags as yes, no or ? (undefined)
+_CLASSIFY_LINE = (
+    "%(name_g)-18s %(name_h)-22s c=%(sigma_c)-4s b=%(sigma_b)-4s aq=%(sigma_aq)-4s"
+    " exc=%(exceptional)s bexc=%(b_exceptional)s split=%(split)s %(provenance)s"
 )
 
 
-def _classify_cells(rec) -> dict[str, object]:
-    has_b = rec.sigma_b is not None
-    return {
-        "name_g": rec.name_g,
-        "name_h": rec.name_h,
-        "sigma_c": format_sigma(rec.sigma_c),
-        "sigma_b": format_sigma(rec.sigma_b),
-        "sigma_aq": format_sigma(rec.sigma_aq),
-        "exceptional": is_exceptional(rec),
-        "b_exceptional": is_b_exceptional(rec) if has_b else None,
-        "split": is_split(rec) if has_b else None,
-        "group_case": rec.is_group_case,
-        "provenance": rec.provenance,
-        "dual_name": rec.dual_name,
-    }
-
-
-def _tri(v, unknown="?") -> str:
+def _tri(v) -> str:
     if v is None:
-        return unknown
+        return "?"
     return "yes" if v else "no"
 
 
@@ -448,42 +400,17 @@ def cmd_classify(args) -> int:
         rows = b_exceptional_list(db)
     else:
         rows = [r for r in db if r.sigma_b is not None and is_split(r)]
-    cells = [_classify_cells(r) for r in rows]
-    if args.format == "json":
-        payload = _to_json({"seed": args.seed, "count": len(cells), "rows": cells})
-    elif args.format == "csv":
-        rows_out = [("seed",) + _CLASSIFY_COLUMNS]
-        for c in cells:
-            vals = [str(args.seed)]
-            for col in _CLASSIFY_COLUMNS:
-                v = c[col]
-                if v is None:
-                    vals.append("")
-                elif isinstance(v, bool):
-                    vals.append("yes" if v else "no")
-                else:
-                    vals.append(str(v))
-            rows_out.append(tuple(vals))
-        payload = _csv_payload(rows_out)
-    else:
-        lines = [f"seed: {args.seed}", f"records: {len(cells)}"]
-        for c in cells:
-            lines.append(
-                "%-18s %-22s c=%-4s b=%-4s aq=%-4s exc=%s bexc=%s split=%s %s"
-                % (
-                    c["name_g"],
-                    c["name_h"],
-                    c["sigma_c"],
-                    c["sigma_b"],
-                    c["sigma_aq"],
-                    _tri(c["exceptional"]),
-                    _tri(c["b_exceptional"]),
-                    _tri(c["split"]),
-                    c["provenance"],
-                )
-            )
-        payload = "\n".join(lines)
-    _emit(payload, args.out)
+    cells = [{col: get(r) for col, get in _CLASSIFY_COLUMNS.items()} for r in rows]
+    lines = [f"seed: {args.seed}", f"records: {len(cells)}"]
+    for c in cells:
+        flags = {k: _tri(c[k]) for k in ("exceptional", "b_exceptional", "split")}
+        lines.append(_CLASSIFY_LINE % (c | flags))
+    _emit(
+        args,
+        {"seed": args.seed, "count": len(cells), "rows": cells},
+        [("seed", *_CLASSIFY_COLUMNS)] + [(args.seed, *c.values()) for c in cells],
+        lines,
+    )
     return 0
 
 

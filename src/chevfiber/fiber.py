@@ -164,6 +164,11 @@ class _Numeric:
     Every monomial of f and of df/dx is collected once, so a batch of points
     X (P, r) costs one power table and two matrix products: `mono @ Cf` gives
     f (P, r) and `mono @ Cj` the Jacobian (P, r, r).
+
+    Columns are laid out in the order of `p.terms`, which sets the order of
+    each float sum, so the last bits of f and J, and with them the fiber
+    bytes, depend on the term order of the polynomials.  `Polynomial.eval`
+    does not: its Horner scheme sorts the terms by exponent.
     """
 
     def __init__(self, system: DeformedSystem):
@@ -345,17 +350,8 @@ class FiberResult:
         return len(self.solutions)
 
     def to_json(self) -> str:
-        return _to_json(
-            {
-                "seed": self.seed,
-                "zeta": self.zeta,
-                "target": self.target,
-                "solutions": self.solutions,
-                "residuals": self.residuals,
-                "path_stats": self.path_stats,
-                "orbit_classes": self.orbit_classes,
-            }
-        )
+        # the field order above is the payload's key order
+        return _to_json(vars(self))
 
 
 def _fmt_float(v: float) -> str:

@@ -98,9 +98,6 @@ class Polynomial:
         degrees = {sum(e) for e in self.terms}
         return degrees.pop() if len(degrees) == 1 else None
 
-    def coefficient(self, exp: Exponent) -> Fraction:
-        return self.terms.get(tuple(exp), Fraction(0))
-
     # -- ring operations -----------------------------------------------
 
     def _check_compatible(self, other: "Polynomial") -> None:

@@ -25,6 +25,7 @@ from ._linalg import (
     clear_denominators,
     matvec,
     rank as matrix_rank,
+    to_fraction_rows,
 )
 from .polyring import Polynomial
 from .rootsys import (
@@ -56,7 +57,7 @@ class PairConfig:
         fundamental_degrees(self.little_type, self.little_rank)
         if self.little_rank > self.ambient_rank:
             raise ValueError("little rank exceeds ambient rank")
-        emb = tuple(tuple(Fraction(x) for x in row) for row in self.embedding)
+        emb = tuple(map(tuple, to_fraction_rows(self.embedding)))
         if len(emb) != self.ambient_rank or any(
             len(row) != self.little_rank for row in emb
         ):

@@ -27,6 +27,7 @@ from typing import Iterator, Sequence
 from ._linalg import (
     Matrix,
     Vector,
+    _exact,
     det,
     integer_rows,
     inverse,
@@ -35,7 +36,7 @@ from ._linalg import (
     rank as matrix_rank,
     transpose,
 )
-from .polyring import Polynomial, jacobian_det
+from .polyring import Polynomial, jacobian_det, jacobian_matrix
 
 WEYL_CAP = 100_000
 # regular vectors tried per fundamental degree before the simple roots
@@ -56,12 +57,10 @@ class RootSystem:
     form: Matrix
 
     def bilinear(self, u: Sequence, v: Sequence) -> Fraction:
-        return sum(
-            Fraction(a) * b for a, b in zip(u, matvec(self.form, [Fraction(x) for x in v]))
-        )
+        return _exact(sum(map(mul, u, matvec(self.form, v))))
 
     def reflect(self, v: Sequence, alpha: Vector) -> Vector:
-        v = tuple(Fraction(x) for x in v)
+        v = tuple(map(_exact, v))
         scale = 2 * self.bilinear(v, alpha) / self.bilinear(alpha, alpha)
         return tuple(x - scale * a for x, a in zip(v, alpha))
 
@@ -305,7 +304,7 @@ def _reflection_closure(rs: RootSystem, seeds: Sequence[Vector]) -> set[Vector]:
 
 
 def orbit_vectors(rs: RootSystem, v: Sequence) -> tuple[Vector, ...]:
-    return tuple(sorted(_reflection_closure(rs, [tuple(Fraction(x) for x in v)])))
+    return tuple(sorted(_reflection_closure(rs, [tuple(map(_exact, v))])))
 
 
 def _product_exponents(degrees: Sequence[int], k: int) -> list[tuple[int, ...]]:
@@ -358,8 +357,8 @@ def _orbit_sum(rs: RootSystem, orbit: Sequence[Vector], k: int) -> Polynomial:
         totals[comp] = sum(terms)
         first[comp] = next((i for i, t in enumerate(terms) if t), 0)
     # each monomial with its multinomial coefficient k! / prod(k_j!), in the
-    # order of its first nonzero term, image by image: Polynomial.eval sums
-    # terms in insertion order, so fiber bytes follow it
+    # order of its first nonzero term, image by image: fiber._Numeric lays
+    # out its columns in term order, so fiber bytes follow it
     top = math.factorial(k) * mult
     return Polynomial(rs.variables, {
         comp: Fraction(top // math.prod(map(math.factorial, comp)) * totals[comp],
@@ -391,9 +390,6 @@ class InvariantFamily:
         """Exact symbolic Jacobian determinant of the family."""
         return jacobian_det(self.polys, self.variables)
 
-    def eval(self, point: Sequence[complex]) -> list[complex]:
-        return [p.eval(point) for p in self.polys]
-
 
 def _regular_vectors(rs: RootSystem) -> Iterator[Vector]:
     j = 1
@@ -418,7 +414,7 @@ def _jacobian_certificate(
     there, nonzero, which proves algebraic independence; for fewer
     polynomials than variables it is None.
     """
-    jac = [[p.derivative(x) for x in variables] for p in polys]
+    jac = jacobian_matrix(polys, variables)
     for point in _test_points(len(variables)):
         rows = [[q.eval_exact(point) for q in row] for row in jac]
         if len(rows) == len(variables):

@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import io
 import json
+import re
 from importlib import resources
 
 import pytest
@@ -332,3 +334,116 @@ def test_invariants_f4_prints_the_family(capsys):
         f"U[{d}] = {p.to_text()}" for d, p in zip(fam.degrees, fam.polys)
     ]
     assert fam.degrees == (2, 6, 8, 12)
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# The exact stdout of every format: short payloads as literals, long ones
+# as sha256 digests of the text.
+PINNED_OUTPUT = [
+    (["roots", "B2"], "text",
+     "seed: 0\nsystem: B2\nroots: 8\npositive roots: 4\nweyl order: 8\n"
+     "degrees: 2 4\norder == product of degrees : PASS\n"),
+    (["roots", "B2"], "json",
+     '{"seed":0,"system":"B2","roots":8,"order":8,"degrees":[2,4],'
+     '"order_check":"PASS"}\n'),
+    (["roots", "B2"], "csv",
+     "seed,system,roots,order,degrees,order_check\n0,B2,8,8,2 4,PASS\n"),
+    (["invariants", "G2"], "text",
+     "e33c6f775540b5fd5fafc9bfb9023c488d6ba5a49163100090e3a66304cac216"),
+    (["invariants", "G2"], "json",
+     "b0ca37919c4c8bb1e42fc46ac203b4c2cc54be85bd53aba40ddc242a46f9d038"),
+    (["invariants", "G2"], "csv",
+     "fbe1349fe120a306e9d534cc12f6d7e4b374b2a64b6597c96759a454e479e818"),
+    (["restrict", "--config", TOY], "text",
+     "seed: 0\nconfig: toy-axis\nselected invariants (1-based): 1\n"
+     "degrees: 2\nfiber degree d: 1\nW = 20*x1^2\n"
+     "surjective up to degree 12 : PASS\n"),
+    (["restrict", "--config", TOY], "json",
+     '{"seed":0,"config":"toy-axis","selected":[1],"degrees":[2],"d":1,'
+     '"t_vars":["t1"],"x_vars":["x1"],"restricted":["20*x1^2"],'
+     '"adapted":["20*t1^2 + 20*x1^2"],"surjective":true,'
+     '"failing_degree":null,"degree_bound":12}\n'),
+    (["restrict", "--config", TOY], "csv",
+     "seed,config,index,degree,restricted\n0,toy-axis,1,2,20*x1^2\n"),
+    (["restrict", "--config", TOY, "--selection", "2"], "text",
+     "seed: 0\nconfig: toy-axis\nselected invariants (1-based): 2\n"
+     "degrees: 4\nfiber degree d: 2\nW = 68*x1^4\n"
+     "surjectivity fails at degree 2\n"),
+    (["restrict", "--config", TOY, "--selection", "2"], "json",
+     '{"seed":0,"config":"toy-axis","selected":[2],"degrees":[4],"d":2,'
+     '"t_vars":["t1"],"x_vars":["x1"],"restricted":["68*x1^4"],'
+     '"adapted":["68*t1^4 + 192*t1^2*x1^2 + 68*x1^4"],"surjective":false,'
+     '"failing_degree":2,"degree_bound":12}\n'),
+    (["restrict", "--config", TOY, "--selection", "2"], "csv",
+     "seed,config,index,degree,restricted\n0,toy-axis,2,4,68*x1^4\n"),
+    (["classify"], "text",
+     "6e64c78621ed5046d4bafe5f9fe1587d44f187e8c81eec856edfe9c78473c9da"),
+    (["classify"], "json",
+     "cd1531b6327c69a8b6a9871636a1a11aae6510fb08e35f68ea4d4506bb5764ca"),
+    (["classify"], "csv",
+     "285ef59dbb83f754e27ca69cc9a6aa7e93d24e64c716705a422c00ffe28834fc"),
+    # every pair in the table is exceptional, so this filter keeps all 35
+    (["classify", "--filter", "exceptional"], "text",
+     "6e64c78621ed5046d4bafe5f9fe1587d44f187e8c81eec856edfe9c78473c9da"),
+    (["classify", "--filter", "exceptional"], "json",
+     "cd1531b6327c69a8b6a9871636a1a11aae6510fb08e35f68ea4d4506bb5764ca"),
+    (["classify", "--filter", "exceptional"], "csv",
+     "285ef59dbb83f754e27ca69cc9a6aa7e93d24e64c716705a422c00ffe28834fc"),
+    (["classify", "--filter", "b-exceptional"], "text",
+     "6066ab6e7eae6fd2ea4a95e0953fd050b6f7a97ca617154b5675eb38a7acf673"),
+    (["classify", "--filter", "b-exceptional"], "json",
+     "91317ec506c4d49296a05277d20bd9f4a8a1b1ec52459934c55f3435965954ca"),
+    (["classify", "--filter", "b-exceptional"], "csv",
+     "0f3f8974c2f744e9a2cbb5585f28a4d6ec94c87cae1a7659f10040e15c933594"),
+    (["classify", "--filter", "split"], "text",
+     "59f78082c3f8bc48240804f75e7ebf28e59c148b950593c912403a11a695ba9c"),
+    (["classify", "--filter", "split"], "json",
+     "c56f5026946b2ebd3bbaea23bc2c420bb573888949169b63589627c59972992a"),
+    (["classify", "--filter", "split"], "csv",
+     "fef64bac215e9c00d2c0d8db5a158106c8a1997ecfed6785c3c8375336059fab"),
+]
+
+
+@pytest.mark.parametrize("argv, fmt, expected", PINNED_OUTPUT)
+def test_output_bytes_are_pinned(capsys, argv, fmt, expected):
+    assert main(["--format", fmt, *argv]) == 0
+    out = capsys.readouterr().out
+    if re.fullmatch(r"[0-9a-f]{64}", expected):
+        out = _sha256(out)
+    assert out == expected
+
+
+@pytest.mark.parametrize(
+    "argv, verdicts",
+    [
+        (
+            ["fiber", "--config", QUARTIC, "--zeta", "1", "--target", "6"],
+            ["count == |W(a_q)|*d : PASS (4 == 4)"],
+        ),
+        (
+            ["lambda", "--config", QUARTIC, "--zeta", "1", "--xi", "2"],
+            ["distinct orbit classes: 2", "lambda exists : PASS (4 solutions)"],
+        ),
+    ],
+)
+def test_fiber_and_lambda_csv_and_text_layout(capsys, argv, verdicts):
+    assert main(["--format", "csv", *argv]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = list(csv.reader(lines[:5]))
+    assert rows[0] == ["seed", "index", "re1", "im1", "residual"]
+    for k, row in enumerate(rows[1:]):
+        assert row[:2] == ["0", str(k)]
+        assert len(row) == 5
+        # every float cell is printed with 17 significant digits
+        assert all(cell == "%.17g" % float(cell) for cell in row[2:])
+    assert lines[5:] == verdicts
+
+    assert main(["--format", "text", *argv]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3] == "paths: tracked=4 failed=0 merged=0"
+    assert [line.startswith("x = ") for line in lines[4:8]] == [True] * 4
+    assert lines[8] == "orbit classes: 0 3 | 1 2"
+    assert lines[9:] == verdicts

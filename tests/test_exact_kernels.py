@@ -8,7 +8,7 @@ permutations of the root list, and the invariant family scans its
 candidates eagerly for every degree.  The integer kernels must reproduce
 them byte for byte: the same roots, the same Weyl matrices in the same
 order with the same (numerator, denominator) per entry, and the same
-polynomial terms in the same insertion order, which `Polynomial.eval`
+polynomial terms in the same insertion order, which `fiber._Numeric`
 follows.
 
 The F4 family and the E6 Weyl matrices take the references tens of seconds,
@@ -26,11 +26,13 @@ import pytest
 
 from chevfiber import rootsys
 from chevfiber._linalg import clear_denominators, inverse, matmul, matvec, transpose
+from chevfiber.restrict import PairConfig
 from chevfiber.rootsys import (
     RootSystem,
     build_root_system,
     invariant_family,
     orbit_sum_invariant,
+    orbit_vectors,
     weyl_group,
 )
 
@@ -305,3 +307,29 @@ def test_floats_never_enter_an_exact_result(bad):
         inverse(with_bad)
     with pytest.raises(TypeError):
         clear_denominators((1, bad))
+
+
+B2 = build_root_system("B", 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: B2.bilinear(v, (1, 0)),
+        lambda v: B2.bilinear((1, 0), v),
+        lambda v: B2.reflect(v, B2.simple_roots[0]),
+        lambda v: orbit_vectors(B2, v),
+        lambda v: PairConfig("B", 2, "A", 1, ((v[0],), (v[1],))),
+    ],
+    ids=["bilinear-left", "bilinear-right", "reflect", "orbit_vectors", "PairConfig"],
+)
+def test_exact_entry_points_take_the_linalg_float_rule(call):
+    # the same rule as _linalg and so RootSystem.is_regular: rationals pass,
+    # a float or complex entry raises instead of being converted
+    call((Fraction(1, 2), 1))
+    call((0, 1))
+    for bad in (0.5, 1.0, complex(1, 0)):
+        with pytest.raises(TypeError):
+            call((bad, 1))
+    with pytest.raises(TypeError):
+        B2.is_regular((0.5, 1))

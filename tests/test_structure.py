@@ -31,6 +31,20 @@ def test_exact_modules_do_not_import_numpy():
         assert "numpy" not in imported, name
 
 
+def test_exact_modules_make_no_floats():
+    # floats enter through Polynomial.eval and the fiber layer only; these
+    # modules neither convert to float or complex nor evaluate numerically
+    package = Path(chevfiber.__file__).parent
+    for name in ("_linalg", "rootsys", "restrict", "pairdb"):
+        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        calls = {
+            getattr(node.func, "id", None) or "." + getattr(node.func, "attr", "")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+        }
+        assert calls.isdisjoint({"float", "complex", ".eval"}), name
+
+
 def _uses(path):
     """(module, name) pairs for the functions one file can reach by name.
 
