@@ -347,8 +347,10 @@ def cmd_lambda(args) -> int:
         residual_tol=args.tol,
     )
     _emit_fiber(args, result)
-    classes = len(result.orbit_classes) if result.orbit_classes is not None else 0
-    print(f"distinct orbit classes: {classes}")
+    if result.orbit_classes is None:
+        print("distinct orbit classes: UNKNOWN (no little group)")
+    else:
+        print(f"distinct orbit classes: {len(result.orbit_classes)}")
     if result.count > 0:
         print(f"lambda exists : PASS ({result.count} solutions)")
         return 0

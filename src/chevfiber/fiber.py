@@ -16,12 +16,18 @@ The symbolic Jacobian determinant of the system in the x directions is
 homogeneous of degree sum(m_i - 1) over the ambient grading -- the sum, not
 the product.  Its zero locus is the ramification divisor; predicates below
 test points against it numerically.
+
+Only the residual gate is an option; the other tolerances are fixed: merge
+and orbit radius 1e-6 (max norm), singular |det J| <= 1e-10 relative to the
+coefficients and height, integrality 1e-8.  One batched Newton routine of at
+most 30 steps polishes tracked endpoints and serves `local_inverse_psi`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -53,9 +59,12 @@ class InconsistentClusteringError(FiberSolveError):
 
 
 DEFAULT_RESIDUAL_TOL = 1e-8
-DEFAULT_CLUSTER_RADIUS = 1e-6
-DEFAULT_SINGULAR_TOL = 1e-10
-DEFAULT_INT_TOL = 1e-8
+_CLUSTER_RADIUS = 1e-6
+_SINGULAR_TOL = 1e-10
+_INT_TOL = 1e-8
+_NEWTON_STEPS = 30
+# how `_newton` stopped a row; _STEP_CAP doubles as "still running"
+_CONVERGED, _SINGULAR, _NOT_FINITE, _STEP_CAP = range(4)
 _MAX_RETRIES = 3
 _FAILURE_RATE_LIMIT = 0.05
 
@@ -238,6 +247,34 @@ def _max_dist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.abs(X[:, None, :] - Y[None, :, :]).max(axis=2)
 
 
+def _newton(num: _Numeric, X: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton on f(x) = a from every row of X (P, r), each row on its own.
+
+    A row stops once its residual is within 1e-12 max(1, |a|), its Jacobian
+    is singular, its step is not finite, or it has taken 30 steps.  Returns
+    the final rows and, per row, the outcome code it stopped with.
+    """
+    X = X.copy()
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(a))))
+    outcome = np.full(len(X), _STEP_CAP)
+    for _ in range(_NEWTON_STEPS):
+        k = np.flatnonzero(outcome == _STEP_CAP)
+        if not k.size:
+            break
+        F, J = num(X[k])
+        res = F - a
+        near = np.abs(res).max(axis=1) <= tol
+        outcome[k[near]] = _CONVERGED
+        k, res, J = k[~near], res[~near], J[~near]
+        delta, solved = _solve_rows(J, -res)
+        finite = np.isfinite(delta).all(axis=1)
+        outcome[k[~solved]] = _SINGULAR
+        outcome[k[solved & ~finite]] = _NOT_FINITE
+        step = k[solved & finite]
+        X[step] = X[step] + delta[solved & finite]
+    return X, outcome
+
+
 def _track_paths(
     num: _Numeric,
     a: np.ndarray,
@@ -252,9 +289,10 @@ def _track_paths(
     Every path keeps its own s, step ds and fate, and takes the steps it
     would take alone: an Euler predictor, at most 4 Newton corrections, ds
     doubled (to at most 0.1) after a correction in at most 2 iterations and
-    halved after a failed one, the path lost below ds = 1e-4.  Endpoints are
-    polished against f(x) = a.  Returns the endpoints, their residuals, and
-    the mask of paths that reached the target within `residual_tol`.
+    halved after a failed one, the path lost below ds = 1e-4.  `_newton`
+    polishes the endpoints against f(x) = a.  Returns the endpoints, their
+    residuals, and the mask of paths that reached the target within
+    `residual_tol`.
     """
     d = np.array(degrees, dtype=np.int64)
     # match the start equations to the coefficient size of the target
@@ -314,22 +352,7 @@ def _track_paths(
         shrink = idx[~converged]
         ds[shrink] /= 2
         lost[shrink[ds[shrink] < 1e-4]] = True
-    # endpoint polish against the plain target system
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(a))))
-    polishing = ~lost
-    for _ in range(30):
-        k = np.flatnonzero(polishing)
-        if not k.size:
-            break
-        F, J = num(x[k])
-        res = F - a
-        near = np.abs(res).max(axis=1) <= tol
-        polishing[k[near]] = False
-        k, res, J = k[~near], res[~near], J[~near]
-        delta, ok = _solve_rows(J, -res)
-        ok &= np.isfinite(delta).all(axis=1)
-        polishing[k[~ok]] = False
-        x[k[ok]] = x[k[ok]] + delta[ok]
+    x[~lost] = _newton(num, x[~lost], a)[0]
     residual = np.full(len(x), np.inf)
     residual[~lost] = np.abs(num(x[~lost])[0] - a).max(axis=1)
     return x, residual, np.isfinite(residual) & (residual <= residual_tol)
@@ -394,7 +417,6 @@ def solve_fiber(
     system: DeformedSystem,
     seed: int = 0,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
-    cluster_radius: float = DEFAULT_CLUSTER_RADIUS,
 ) -> FiberResult:
     """Track every start path and return the merged, sorted fiber.
 
@@ -403,8 +425,6 @@ def solve_fiber(
     """
     if not residual_tol > 0:
         raise ValueError("residual_tol must be positive")
-    if not cluster_radius > 0:
-        raise ValueError("cluster_radius must be positive")
     num = _Numeric(system)
     degrees = system.x_degrees()
     a = np.array(system.target, dtype=np.complex128)
@@ -437,22 +457,21 @@ def solve_fiber(
 
     # merge endpoints that landed on the same point
     X, residual = X[ok], residual[ok]
-    near = np.argwhere(np.triu(_max_dist(X, X) < cluster_radius, 1))
+    near = np.argwhere(np.triu(_max_dist(X, X) < _CLUSTER_RADIUS, 1))
     reps = [min(c, key=residual.__getitem__) for c in _components(len(X), near)]
     merged = len(X) - len(reps)
 
-    # Distinct points differ by at least cluster_radius, so keys on a grid
+    # Distinct points differ by at least the merge radius, so keys on a grid
     # 1024 times finer still tell them apart, while float noise in a shared
     # coordinate can no longer decide the order.
-    keys = np.round(np.stack([X.real, X.imag], axis=2) / (cluster_radius / 1024))
+    keys = np.round(np.stack([X.real, X.imag], axis=2) / (_CLUSTER_RADIUS / 1024))
     reps.sort(key=lambda i: tuple(keys[i].ravel()))
     solutions = tuple(tuple(complex(z) for z in X[i]) for i in reps)
     residuals = tuple(float(residual[i]) for i in reps)
 
     orbit_classes = None
     if system.little is not None:
-        matrices = _float_group(system.little)
-        orbit_classes = orbit_partition(solutions, matrices, radius=cluster_radius)
+        orbit_classes = orbit_partition(solutions, _float_group(system.little))
 
     return FiberResult(
         seed=seed,
@@ -488,35 +507,27 @@ def _components(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
     return list(classes.values())
 
 
-_FLOAT_GROUP_CACHE: dict[tuple[str, int], tuple[np.ndarray, ...]] = {}
-
-
+@cache
 def _float_group(rs: RootSystem) -> tuple[np.ndarray, ...]:
-    key = (rs.type_name, rs.rank)
-    if key not in _FLOAT_GROUP_CACHE:
-        _FLOAT_GROUP_CACHE[key] = tuple(
-            np.array([[float(v) for v in row] for row in w]) for w in weyl_group(rs)
-        )
-    return _FLOAT_GROUP_CACHE[key]
+    return tuple(np.array([[float(v) for v in row] for row in w]) for w in weyl_group(rs))
 
 
 def orbit_partition(
     points: Sequence[Sequence[complex]],
     matrices: Sequence[np.ndarray],
-    radius: float = DEFAULT_CLUSTER_RADIUS,
 ) -> tuple[tuple[int, ...], ...]:
     """Group fiber points into orbits of the given matrix group.
 
     Each image of a point must match at most one fiber point within the
-    radius; several matches mean the clustering radius was inconsistent with
-    the point spacing.
+    merge radius; several matches mean the merge radius was inconsistent
+    with the point spacing.
     """
     if not len(points):
         return ()
     pts = np.array(points, dtype=np.complex128).reshape(len(points), -1)
     counts, edges = [], []
     for m in matrices:
-        matches = _max_dist(pts @ np.asarray(m).T, pts) < radius
+        matches = _max_dist(pts @ np.asarray(m).T, pts) < _CLUSTER_RADIUS
         counts.append(matches.sum(axis=1))
         hit = np.flatnonzero(counts[-1] == 1)
         edges.extend(zip(hit, matches[hit].argmax(axis=1)))
@@ -525,58 +536,54 @@ def orbit_partition(
     if bad.size:
         i, g = bad[0]
         raise InconsistentClusteringError(
-            f"point {i} maps within {radius} of {counts[g][i]} fiber points"
+            f"point {i} maps within {_CLUSTER_RADIUS} of {counts[g][i]} fiber points"
         )
     return tuple(tuple(c) for c in _components(len(pts), edges))
 
 
-def is_unramified(
-    system: DeformedSystem,
-    point: Sequence[complex],
-    singular_tol: float = DEFAULT_SINGULAR_TOL,
-) -> bool:
-    """Whether the Jacobian in x is numerically nonzero at (zeta; point)."""
-    num = _Numeric(system)
-    x = np.array(point, dtype=np.complex128)
-    detval = abs(np.linalg.det(num(x[None])[1][0]))
+def _unramified(system: DeformedSystem, num: _Numeric, X: np.ndarray) -> np.ndarray:
+    """Mask of the points X (P, r) where det J at (zeta; x) is numerically nonzero."""
+    detval = np.abs(np.linalg.det(num(X)[1]))
     deg_j = sum(d - 1 for d in system.x_degrees())
-    height = max([1.0] + [abs(z) for z in system.zeta] + [abs(z) for z in x])
-    scale = num.coeff_scale * height**deg_j
-    return detval > singular_tol * scale
+    height = np.maximum(max([1.0] + [abs(z) for z in system.zeta]), np.abs(X).max(axis=1))
+    return detval > _SINGULAR_TOL * (num.coeff_scale * height**deg_j)
 
 
-def is_generic(
-    system: DeformedSystem,
-    point: Sequence[complex],
-    singular_tol: float = DEFAULT_SINGULAR_TOL,
-    int_tol: float = DEFAULT_INT_TOL,
-) -> bool:
-    """Unramified, and no little-system root pairs integrally with the point."""
+def _generic(system: DeformedSystem, X: np.ndarray) -> np.ndarray:
+    """Mask of the points X (P, r) that are unramified and pair integrally with no root."""
     if system.little is None:
         raise ValueError("genericity needs a little root system")
-    if not is_unramified(system, point, singular_tol=singular_tol):
-        return False
-    x = np.array(point, dtype=np.complex128)
-    for alpha in system.little.roots:
-        coeffs = matvec(system.little.form, alpha)
-        pairing = complex(sum(float(c) * z for c, z in zip(coeffs, x)))
-        if (
-            abs(pairing.imag) <= int_tol
-            and abs(pairing.real - round(pairing.real)) <= int_tol
-        ):
-            return False
-    return True
+    form = system.little.form
+    pairing = X @ np.array([[float(c) for c in matvec(form, r)] for r in system.little.roots]).T
+    integral = (np.abs(pairing.imag) <= _INT_TOL) & (
+        np.abs(pairing.real - np.round(pairing.real)) <= _INT_TOL
+    )
+    return _unramified(system, _Numeric(system), X) & ~integral.any(axis=1)
 
 
-def is_generic_fiber(system: DeformedSystem, result: FiberResult, **kw) -> bool:
-    return all(is_generic(system, p, **kw) for p in result.solutions)
+def is_unramified(system: DeformedSystem, point: Sequence[complex]) -> bool:
+    """Whether the Jacobian in x is numerically nonzero at (zeta; point)."""
+    X = np.array([point], dtype=np.complex128)
+    return bool(_unramified(system, _Numeric(system), X)[0])
+
+
+def is_generic(system: DeformedSystem, point: Sequence[complex]) -> bool:
+    """Unramified, and no little-system root pairs integrally with the point."""
+    return bool(_generic(system, np.array([point], dtype=np.complex128))[0])
+
+
+def is_generic_fiber(system: DeformedSystem, result: FiberResult) -> bool:
+    """Whether every fiber point is generic; an empty fiber is."""
+    if not result.solutions:
+        return True
+    return bool(_generic(system, np.array(result.solutions, dtype=np.complex128)).all())
 
 
 def solve_lambda_xi(
     system: DeformedSystem,
     xi: Sequence[complex],
     seed: int = 0,
-    **solver_kw,
+    residual_tol: float = DEFAULT_RESIDUAL_TOL,
 ) -> FiberResult:
     """Solve U(0; lambda) = U(zeta; xi) for lambda.
 
@@ -589,16 +596,13 @@ def solve_lambda_xi(
     at = list(system.zeta) + [complex(z) for z in xi]
     target = tuple(p.eval(at) for p in system.polys)
     base = replace(system, zeta=tuple(0j for _ in system.t_vars), target=target)
-    return solve_fiber(base, seed=seed, **solver_kw)
+    return solve_fiber(base, seed=seed, residual_tol=residual_tol)
 
 
 def local_inverse_psi(
     system: DeformedSystem,
     target: Sequence[complex],
     start: Sequence[complex],
-    tol: float = 1e-12,
-    max_iter: int = 50,
-    singular_tol: float = DEFAULT_SINGULAR_TOL,
 ) -> tuple[complex, ...]:
     """Newton-invert the specialized map near an unramified start point.
 
@@ -606,22 +610,15 @@ def local_inverse_psi(
     SingularJacobianError if the iteration hits a numerically singular
     Jacobian, and NewtonDivergenceError if it fails to converge.
     """
-    if not is_unramified(system, start, singular_tol=singular_tol):
-        raise RamifiedPointError("start point lies on the ramification divisor")
     num = _Numeric(system)
-    x = np.array(start, dtype=np.complex128)
-    a = np.array(target, dtype=np.complex128)
-    scale = max(1.0, float(np.max(np.abs(a))))
-    for _ in range(max_iter):
-        F, J = num(x[None])
-        res = F[0] - a
-        if float(np.max(np.abs(res))) <= tol * scale:
-            return tuple(complex(z) for z in x)
-        try:
-            delta = np.linalg.solve(J[0], -res)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobianError(str(exc)) from None
-        x = x + delta
-        if not np.all(np.isfinite(x)):
-            raise NewtonDivergenceError("iterates left the finite plane")
-    raise NewtonDivergenceError(f"no convergence in {max_iter} iterations")
+    x = np.array([start], dtype=np.complex128)
+    if not _unramified(system, num, x)[0]:
+        raise RamifiedPointError("start point lies on the ramification divisor")
+    x, outcome = _newton(num, x, np.array(target, dtype=np.complex128))
+    if outcome[0] == _SINGULAR:
+        raise SingularJacobianError("the Jacobian became singular")
+    if outcome[0] == _NOT_FINITE:
+        raise NewtonDivergenceError("iterates left the finite plane")
+    if outcome[0] == _STEP_CAP:
+        raise NewtonDivergenceError(f"no convergence in {_NEWTON_STEPS} iterations")
+    return tuple(complex(z) for z in x[0])

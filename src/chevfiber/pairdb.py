@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable
 
+from .restrict import _config_lines
+
 Sigma = tuple[str, int]
 
 EXCEPTIONAL_SIGNATURES: frozenset[tuple[Sigma, Sigma]] = frozenset(
@@ -124,10 +126,7 @@ def load_database(path=None) -> tuple[PairRecord, ...]:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     records = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _config_lines(text):
         try:
             records.append(parse_record(line))
         except ValueError as exc:

@@ -17,6 +17,7 @@ term, and the zero polynomial prints as "0".
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
@@ -230,13 +231,10 @@ class Polynomial:
             raise ValueError("images must share one variable tuple")
         new_vars = targets.pop()
         missing = [v for v in self.variables if v not in images]
-        power_cache: dict[tuple[str, int], Polynomial] = {}
 
+        @cache
         def power(var: str, n: int) -> Polynomial:
-            key = (var, n)
-            if key not in power_cache:
-                power_cache[key] = images[var] ** n
-            return power_cache[key]
+            return images[var] ** n
 
         out = Polynomial.zero(new_vars)
         for e, c in self.terms.items():

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Collection, Iterator, Sequence
 
 from ._linalg import (
@@ -322,7 +323,6 @@ class SurjectivityReport:
 
 def surjectivity_check(
     family: InvariantFamily,
-    little: RootSystem | None = None,
     degree_bound: int = 12,
 ) -> SurjectivityReport:
     """Decide whether the family generates all little-group invariants.
@@ -338,7 +338,7 @@ def surjectivity_check(
     """
     if degree_bound < 1:
         raise ValueError("degree_bound must be at least 1")
-    little = little or family.group
+    little = family.group
     if little is None:
         raise ValueError("no little root system available")
     variables = family.variables
@@ -348,13 +348,10 @@ def surjectivity_check(
         raise ValueError("a family member is not homogeneous of its listed degree")
     _require_invariant(family.polys, little)
     little_degrees = fundamental_degrees(little.type_name, little.rank)
-    power_cache: dict[tuple[int, int], Polynomial] = {}
 
+    @cache
     def family_power(i: int, a: int) -> Polynomial:
-        key = (i, a)
-        if key not in power_cache:
-            power_cache[key] = family.polys[i] ** a
-        return power_cache[key]
+        return family.polys[i] ** a
 
     for k in range(1, degree_bound + 1):
         products = []

@@ -209,7 +209,7 @@ def simple_reflections(rs: RootSystem) -> tuple[Matrix, ...]:
     return tuple(out)
 
 
-def weyl_group(rs: RootSystem, cap: int = WEYL_CAP) -> tuple[Matrix, ...]:
+def weyl_group(rs: RootSystem) -> tuple[Matrix, ...]:
     """Enumerate the Weyl group as coordinate matrices.
 
     Elements are found by closing the simple reflections under composition,
@@ -241,9 +241,9 @@ def weyl_group(rs: RootSystem, cap: int = WEYL_CAP) -> tuple[Matrix, ...]:
                     seen.add(q)
                     nxt.append(q)
                     elements.append(q)
-                    if len(elements) > cap:
+                    if len(elements) > WEYL_CAP:
                         raise ConstructionError(
-                            f"Weyl group exceeds enumeration cap {cap}"
+                            f"Weyl group exceeds enumeration cap {WEYL_CAP}"
                         )
         frontier = nxt
     expected = weyl_order(rs.type_name, rs.rank)

@@ -182,6 +182,24 @@ def test_lambda_wrong_xi_arity_exits_1(capsys):
     assert main(["lambda", "--config", QUARTIC, "--zeta", "1", "--xi", "1,2"]) == 1
 
 
+def test_lambda_without_little_group_reports_unknown_classes(tmp_path, capsys):
+    cfg = tmp_path / "cubic.cfg"
+    cfg.write_text("xvars: x1\npoly: x1^3 - 2\n")
+    assert main(["lambda", "--config", str(cfg), "--xi", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "distinct orbit classes: UNKNOWN (no little group)" in out
+    assert "lambda exists : PASS (3 solutions)" in out
+
+
+def test_malformed_db_line_reports_its_file_line(tmp_path, capsys):
+    # the comment and the blank line still count toward the line number
+    db = tmp_path / "pairs.txt"
+    good = "e6(-26) | f4 | E6 | A2 | A2 | - | unverified-by-erratum\n"
+    db.write_text("# header\n\n" + good + "e6(-14) | f4(-20) | E6\n")
+    assert main(["classify", "--db", str(db)]) == 1
+    assert "error: line 4: expected 7 fields, got 3" in capsys.readouterr().err
+
+
 def test_classify_all_has_35_records(capsys):
     assert main(["classify"]) == 0
     assert "records: 35" in capsys.readouterr().out

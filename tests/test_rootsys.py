@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from chevfiber import rootsys
 from chevfiber._linalg import matmul, matvec, transpose
 from chevfiber.polyring import Polynomial, parse_polynomial
 from chevfiber.rootsys import (
@@ -94,10 +95,11 @@ def test_weyl_group_sizes(key):
     assert weyl_order(*key) == WEYL_ORDERS[key]
 
 
-def test_weyl_cap():
+def test_weyl_cap(monkeypatch):
+    monkeypatch.setattr(rootsys, "WEYL_CAP", 7)
     rs = build_root_system("B", 3)
-    with pytest.raises(ConstructionError):
-        weyl_group(rs, cap=7)
+    with pytest.raises(ConstructionError, match="enumeration cap 7"):
+        weyl_group(rs)
 
 
 def test_weyl_matrices_preserve_form_and_roots():

@@ -1,4 +1,5 @@
 import ast
+import inspect
 from collections import defaultdict
 from pathlib import Path
 
@@ -80,3 +81,25 @@ def test_every_module_function_has_a_caller():
         and (path.stem, node.name) not in used
     ]
     assert unused == []
+
+
+def test_public_options_are_pinned():
+    # every optional or **-collecting parameter of a public function; a new
+    # option has to be added here on purpose
+    options = [
+        f"{name}.{p.name}"
+        for name in chevfiber.__all__
+        if inspect.isfunction(getattr(chevfiber, name))
+        for p in inspect.signature(getattr(chevfiber, name)).parameters.values()
+        if p.default is not p.empty or p.kind in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
+    ]
+    assert options == [
+        "load_database.path",
+        "restrict_family.selection",
+        "solve_fiber.seed",
+        "solve_fiber.residual_tol",
+        "solve_lambda_xi.seed",
+        "solve_lambda_xi.residual_tol",
+        "split_config.name",
+        "surjectivity_check.degree_bound",
+    ]

@@ -240,6 +240,6 @@ def test_orbit_partition_matches_loop(key):
             j = int(rng.integers(len(unique)))
             unique.insert(int(rng.integers(len(unique) + 1)), unique[j] + 1e-9)
         want = _outcome(_loop_orbit_partition, unique, matrices, 1e-6)
-        got = _outcome(orbit_partition, unique, matrices, 1e-6)
+        got = _outcome(orbit_partition, unique, matrices)
         assert got == want
         assert isinstance(want, str) == (trial >= 3)
