@@ -2,15 +2,17 @@
 
 Matrices are sequences of row sequences whose entries are ints or Fractions.
 Everything here is exact; nothing ever touches floating point.  A float (or
-any other non-rational) entry raises TypeError, as in `polyring`; it is never
-converted, so an exact result cannot turn into floats.  Products and sums run
-on the entries as given, and each result entry becomes a Fraction once.
+any other non-rational) entry raises TypeError in `_exact`, the rule that
+`polyring` shares; it is never converted, so an exact result cannot turn into
+floats.  Products and sums run on the entries as given, and each result entry
+becomes a Fraction once.  One forward elimination, `_echelon`, gives the
+rank, the determinant and (with back-substitution) the inverse.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Sequence
 
@@ -25,75 +27,68 @@ def _exact(value) -> Fraction:
         return value
     if isinstance(value, int):
         return Fraction(value)
-    raise TypeError(f"matrix entry must be rational, got {type(value).__name__}")
+    raise TypeError(f"exact value must be an int or Fraction, got {type(value).__name__}")
 
 
 def to_fraction_rows(rows: Sequence[Sequence]) -> list[list[Fraction]]:
     return [[_exact(x) for x in row] for row in rows]
 
 
-def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
+def _echelon(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int], int]:
+    """Forward elimination, pivoting on the first nonzero entry of a column.
+    Returns the echelon rows, each pivot row's column, and (-1)^(row swaps)."""
     m = to_fraction_rows(rows)
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
+    pivots: list[int] = []
+    sign = 1
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
         pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if pivot is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            sign = -sign
+        inv = 1 / m[r][c]
+        for i in range(r + 1, len(m)):
+            if m[i][c] != 0:
+                f = m[i][c] * inv
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
         pivots.append(c)
-        r += 1
-        if r == len(m):
+        if len(pivots) == len(m):
             break
-    return m, pivots
+    return m, pivots, sign
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    return len(rref(rows)[1])
+    return len(_echelon(rows)[1])
 
 
 def det(a: Sequence[Sequence]) -> Fraction:
-    """Exact determinant by Gaussian elimination over the rationals, with
-    row pivoting on the first nonzero entry."""
+    """Exact determinant: the signed product of the echelon pivots."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix is not square")
-    m = to_fraction_rows(a)
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            sign = -sign
-        result *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return sign * result
+    m, pivots, sign = _echelon(a)
+    if len(pivots) < n:
+        return Fraction(0)
+    return prod((m[i][i] for i in range(n)), start=Fraction(sign))
 
 
 def inverse(a: Sequence[Sequence]) -> Matrix:
+    """Exact inverse: eliminate [A | I], then back-substitute."""
     n = len(a)
     aug = [[_exact(a[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    m, pivots = rref(aug)
+    m, pivots, _ = _echelon(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return tuple(tuple(m[i][n:]) for i in range(n))
+    inv: list[list[Fraction]] = [[]] * n
+    for i in reversed(range(n)):
+        row = m[i][n:]
+        for j in range(i + 1, n):
+            if m[i][j] != 0:
+                row = [x - m[i][j] * y for x, y in zip(row, inv[j])]
+        inv[i] = [x / m[i][i] for x in row]
+    return tuple(map(tuple, inv))
 
 
 def matvec(a: Sequence[Sequence], v: Sequence) -> Vector:

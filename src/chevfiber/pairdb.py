@@ -258,12 +258,6 @@ def verify_database(db: Iterable[PairRecord]) -> list[str]:
             continue
         if dual.dual_name != r.label:
             problems.append(f"dual link of {r.label} is not an involution")
-        if is_exceptional(dual) != is_exceptional(r):
-            problems.append(f"dual of {r.label} changes the exceptional verdict")
-
-    for r in records:
-        if r.sigma_b is not None and is_split(r) and is_b_exceptional(r):
-            problems.append(f"split record {r.label} claims b-exceptional")
 
     for r in b_exceptional:
         if not is_exceptional(r):

@@ -2,10 +2,12 @@
 
 A Polynomial carries an ordered tuple of variable names and a sparse mapping
 from exponent vectors to Fraction coefficients.  Ring operations, formal
-derivatives, restriction, and linear substitution are all exact.  Floating
-point enters in exactly one place: `eval`, which converts each rational
-coefficient to a float once, after all exact preprocessing, and accumulates
-Horner-style variable by variable.
+derivatives, restriction, and linear substitution are all exact, and every
+coefficient, scalar or `eval_exact` point must be an int or a Fraction
+(`_linalg._exact`; a float raises TypeError).  Floating point enters in
+exactly one place: `eval`, which converts each rational coefficient to a
+float once, after all exact preprocessing, and accumulates Horner-style
+variable by variable.
 
 Canonical text form: terms in descending graded-lex order (total degree
 first, then lexicographic comparison of exponent vectors), each term printed
@@ -18,17 +20,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
+
+from ._linalg import _exact
 
 Exponent = tuple[int, ...]
-
-
-def _coeff(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (int, str)):
-        return Fraction(value)
-    raise TypeError(f"coefficient must be rational, got {type(value).__name__}")
 
 
 class Polynomial:
@@ -45,7 +41,7 @@ class Polynomial:
                 raise ValueError("exponent length does not match variable count")
             if any(x < 0 for x in e):
                 raise ValueError("negative exponent")
-            c = _coeff(c)
+            c = _exact(c)
             if c != 0:
                 clean[e] = clean.get(e, Fraction(0)) + c
                 if clean[e] == 0:
@@ -106,7 +102,7 @@ class Polynomial:
             raise ValueError("polynomials live over different variable tuples")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Polynomial):
             other = Polynomial.constant(self.variables, other)
         self._check_compatible(other)
         acc = dict(self.terms)
@@ -122,14 +118,14 @@ class Polynomial:
         return Polynomial._trusted(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Polynomial) else -Fraction(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = _coeff(other)
+        if not isinstance(other, Polynomial):
+            f = _exact(other)
             if f == 0:
                 return Polynomial.zero(self.variables)
             return Polynomial._trusted(self.variables, {e: c * f for e, c in self.terms.items()})
@@ -200,7 +196,7 @@ class Polynomial:
         """Evaluate at a rational point, exactly."""
         if len(point) != len(self.variables):
             raise ValueError("point dimension mismatch")
-        pt = [Fraction(z) for z in point]
+        pt = [_exact(z) for z in point]
         items = list(self.terms.items())
         return _horner(items, 0, pt)
 
@@ -221,32 +217,6 @@ class Polynomial:
             acc[tuple(e[i] for i in keep)] = c
         return Polynomial._trusted(tuple(self.variables[i] for i in keep), acc)
 
-    def substitute(self, images: Mapping[str, "Polynomial"]) -> "Polynomial":
-        """Replace every variable by its image polynomial (all over one tuple).
-
-        Variables without an image are required to be absent from the terms.
-        """
-        targets = {p.variables for p in images.values()}
-        if len(targets) != 1:
-            raise ValueError("images must share one variable tuple")
-        new_vars = targets.pop()
-        missing = [v for v in self.variables if v not in images]
-
-        @cache
-        def power(var: str, n: int) -> Polynomial:
-            return images[var] ** n
-
-        out = Polynomial.zero(new_vars)
-        for e, c in self.terms.items():
-            if any(e[self.variables.index(v)] for v in missing):
-                raise ValueError("no image given for a variable in use")
-            term = Polynomial.constant(new_vars, c)
-            for i, v in enumerate(self.variables):
-                if e[i] and v in images:
-                    term = term * power(v, e[i])
-            out = out + term
-        return out
-
     def linear_change(
         self, matrix: Sequence[Sequence], new_vars: Sequence[str] | None = None
     ) -> "Polynomial":
@@ -254,16 +224,32 @@ class Polynomial:
 
         `new_vars` defaults to this polynomial's own variables, so a square
         matrix acting on coordinates (a reflection, say) maps p to p o M.
+        Each monomial is expanded over cached powers of the row forms, and
+        the expansions are added in term order, which sets the order of the
+        result's terms.
         """
         new_vars = self.variables if new_vars is None else tuple(new_vars)
-        images = {}
-        for v, row in zip(self.variables, matrix):
-            terms = {}
-            for j, m in enumerate(row):
-                if m != 0:
-                    terms[tuple(int(k == j) for k in range(len(new_vars)))] = m
-            images[v] = Polynomial(new_vars, terms)
-        return self.substitute(images)
+        n = len(new_vars)
+        if len(matrix) != len(self.variables) or any(len(row) != n for row in matrix):
+            raise ValueError("matrix needs one row per variable and one column per new variable")
+        units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+        forms = [Polynomial(new_vars, {u: m for u, m in zip(units, row) if m != 0}) for row in matrix]
+
+        @cache
+        def power(i: int, k: int) -> Polynomial:
+            return forms[i] ** k
+
+        acc: dict[Exponent, Fraction] = {}
+        for e, c in self.terms.items():
+            term = Polynomial.constant(new_vars, c)
+            for i, k in enumerate(e):
+                if k:
+                    term = term * power(i, k)
+            for f, d in term.terms.items():
+                acc[f] = acc.get(f, Fraction(0)) + d
+                if acc[f] == 0:
+                    del acc[f]
+        return Polynomial._trusted(new_vars, acc)
 
     # -- text form -------------------------------------------------------
 

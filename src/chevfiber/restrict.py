@@ -32,6 +32,7 @@ from .polyring import Polynomial
 from .rootsys import (
     InvariantFamily,
     RootSystem,
+    _identity_form,
     _jacobian_certificate,
     _product_exponents,
     build_root_system,
@@ -136,10 +137,7 @@ def parse_pair_config(text: str) -> PairConfig:
     else:
         if ambient_rank != little_rank:
             raise ValueError("embedding may be omitted only when ranks agree")
-        embedding = tuple(
-            tuple(Fraction(int(i == j)) for j in range(little_rank))
-            for i in range(ambient_rank)
-        )
+        embedding = _identity_form(little_rank)
     return PairConfig(
         ambient_type=data["ambient_type"],
         ambient_rank=ambient_rank,
@@ -239,10 +237,12 @@ def restrict_family(
 ) -> Restriction:
     """Restrict an ambient family along a pair configuration.
 
-    `selection` picks which ambient invariants survive: the default keeps,
-    in ascending degree, the first little-rank many whose restrictions stay
-    independent; an explicit index sequence (0-based into the family) is
-    honored as given and must certify independence as a whole.
+    The candidates are all members in order ("first-by-degree") or exactly
+    little-rank many 0-based indices, in the order given.  One pass adapts,
+    restricts and certifies each candidate once and keeps it when its
+    restriction is nonzero and independent of those kept; it stops at
+    little-rank many, so later members are never expanded.  Keeping fewer
+    raises RestrictionError ("restricted invariants are zero or dependent").
     """
     if family.group is None:
         raise RestrictionError("restriction needs a family with a root system attached")
@@ -253,52 +253,48 @@ def restrict_family(
         raise RestrictionError("family group does not match the config ambient type")
     little = build_root_system(config.little_type, config.little_rank)
     t_vars, x_vars, change = adapt_coordinates(config, family.group.form)
-    adapted_all = [p.linear_change(change, t_vars + x_vars) for p in family.polys]
-    restricted_all = [p.restrict_zero(t_vars) for p in adapted_all]
 
     r = config.little_rank
     if isinstance(selection, str):
         if selection != "first-by-degree":
             raise ValueError(f"unknown selection rule {selection!r}")
-        chosen: list[int] = []
-        for idx, w in enumerate(restricted_all):
-            if len(chosen) == r:
-                break
-            if w.is_zero:
-                continue
-            trial = [restricted_all[i] for i in chosen] + [w]
-            if _jacobian_certificate(trial, x_vars) is not None:
-                chosen.append(idx)
-        if len(chosen) < r:
-            raise RestrictionError(
-                "restricted invariants stay dependent; the Jacobian vanishes "
-                "identically on the subspace"
-            )
+        candidates = range(len(family.polys))
     else:
-        chosen = [int(i) for i in selection]
-        if len(chosen) != r:
+        candidates = [int(i) for i in selection]
+        if len(candidates) != r:
             raise RestrictionError(
-                f"selection must pick exactly {r} invariants, got {len(chosen)}"
+                f"selection must pick exactly {r} invariants, got {len(candidates)}"
             )
-        if any(i < 0 or i >= len(family.polys) for i in chosen):
+        if any(i < 0 or i >= len(family.polys) for i in candidates):
             raise RestrictionError("selection index out of range")
-        if any(restricted_all[i].is_zero for i in chosen):
-            raise RestrictionError("a selected invariant restricts to zero")
 
-    selected = tuple(chosen)
-    w_polys = tuple(restricted_all[i] for i in selected)
-    degrees = tuple(family.degrees[i] for i in selected)
-    certificate = _jacobian_certificate(w_polys, x_vars)
-    if certificate is None:
+    selected, adapted, w_polys = [], [], []
+    for i in candidates:
+        u = family.polys[i].linear_change(change, t_vars + x_vars)
+        w = u.restrict_zero(t_vars)
+        # a zero restriction has a zero Jacobian row, so it never certifies;
+        # the last kept trial is the whole family, so its certificate is the
+        # family's
+        trial = _jacobian_certificate(w_polys + [w], x_vars)
+        if trial is None:
+            continue
+        selected.append(i)
+        adapted.append(u)
+        w_polys.append(w)
+        certificate = trial
+        if len(selected) == r:
+            break
+    else:
         raise RestrictionError(
-            "selected restrictions are dependent; the Jacobian vanishes "
-            "identically on the subspace"
+            "restricted invariants are zero or dependent; the Jacobian "
+            "vanishes identically on the subspace"
         )
 
+    degrees = tuple(family.degrees[i] for i in selected)
     _require_invariant(w_polys, little)
     d = rank_d(degrees, fundamental_degrees(config.little_type, config.little_rank))
     restricted = InvariantFamily(
-        polys=w_polys, degrees=degrees, group=little, certificate=certificate
+        polys=tuple(w_polys), degrees=degrees, group=little, certificate=certificate
     )
     return Restriction(
         config=config,
@@ -307,8 +303,8 @@ def restrict_family(
         t_vars=t_vars,
         x_vars=x_vars,
         change=change,
-        selected=selected,
-        adapted=tuple(adapted_all[i] for i in selected),
+        selected=tuple(selected),
+        adapted=tuple(adapted),
         restricted=restricted,
         d=d,
     )
@@ -370,14 +366,11 @@ def surjectivity_check(
 
 def split_config(type_name: str, rank: int, name: str = "") -> PairConfig:
     """The identity pair: little system equal to the ambient one."""
-    eye = tuple(
-        tuple(Fraction(int(i == j)) for j in range(rank)) for i in range(rank)
-    )
     return PairConfig(
         ambient_type=type_name,
         ambient_rank=rank,
         little_type=type_name,
         little_rank=rank,
-        embedding=eye,
+        embedding=_identity_form(rank),
         name=name or f"{type_name}{rank}-split",
     )

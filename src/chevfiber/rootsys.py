@@ -116,15 +116,12 @@ def _identity_form(n: int) -> Matrix:
     return tuple(_unit(n, i) for i in range(n))
 
 
-def _chain_gram(n: int, extra: dict[tuple[int, int], Fraction] | None = None) -> Matrix:
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = Fraction(2)
-        if i + 1 < n:
-            rows[i][i + 1] = rows[i + 1][i] = Fraction(-1)
-    for (i, j), v in (extra or {}).items():
-        rows[i][j] = rows[j][i] = v
-    return tuple(tuple(r) for r in rows)
+def _gram(n: int, bonds: Sequence[tuple[int, int]]) -> Matrix:
+    """Gram matrix of simply laced simple roots: 2 on the diagonal, -1 per bond."""
+    rows = [[Fraction(2 * (i == j)) for j in range(n)] for i in range(n)]
+    for i, j in bonds:
+        rows[i][j] = rows[j][i] = Fraction(-1)
+    return tuple(map(tuple, rows))
 
 
 def _simple_roots_and_form(type_name: str, rank: int) -> tuple[Matrix, Matrix]:
@@ -133,7 +130,7 @@ def _simple_roots_and_form(type_name: str, rank: int) -> tuple[Matrix, Matrix]:
     if type_name == "A":
         if n == 1:
             return (e(0),), _identity_form(1)
-        return tuple(e(i) for i in range(n)), _chain_gram(n)
+        return tuple(e(i) for i in range(n)), _gram(n, [(i, i + 1) for i in range(n - 1)])
     if type_name in ("B", "BC"):
         simples = [
             tuple(a - b for a, b in zip(e(i), e(i + 1))) for i in range(n - 1)
@@ -163,12 +160,7 @@ def _simple_roots_and_form(type_name: str, rank: int) -> tuple[Matrix, Matrix]:
         )
         return simples, _identity_form(4)
     # E6: nodes 1..6, bonds 1-3, 3-4, 4-5, 5-6 plus the branch 2-4
-    gram = [[Fraction(0)] * 6 for _ in range(6)]
-    for i in range(6):
-        gram[i][i] = Fraction(2)
-    for i, j in ((0, 2), (2, 3), (3, 4), (4, 5), (1, 3)):
-        gram[i][j] = gram[j][i] = Fraction(-1)
-    return tuple(e(i) for i in range(6)), tuple(tuple(r) for r in gram)
+    return tuple(e(i) for i in range(6)), _gram(6, ((0, 2), (2, 3), (3, 4), (4, 5), (1, 3)))
 
 
 def build_root_system(type_name: str, rank: int) -> RootSystem:

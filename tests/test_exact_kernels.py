@@ -13,6 +13,12 @@ follows.
 
 The F4 family and the E6 Weyl matrices take the references tens of seconds,
 so they are pinned by digests recorded from the references instead.
+
+The same holds for the two jobs each written once in the exact layer: the
+one forward elimination behind `rank`, `det` and `inverse` against the
+reduced row echelon form and the separate determinant loop it replaced,
+and `Polynomial.linear_change` against the general substitution it used to
+call, term order included.
 """
 
 from __future__ import annotations
@@ -25,14 +31,25 @@ from itertools import chain
 import pytest
 
 from chevfiber import rootsys
-from chevfiber._linalg import clear_denominators, inverse, matmul, matvec, transpose
-from chevfiber.restrict import PairConfig
+from chevfiber._linalg import (
+    clear_denominators,
+    det,
+    inverse,
+    matmul,
+    matvec,
+    rank,
+    to_fraction_rows,
+    transpose,
+)
+from chevfiber.polyring import Polynomial
+from chevfiber.restrict import PairConfig, adapt_coordinates, parse_pair_config, split_config
 from chevfiber.rootsys import (
     RootSystem,
     build_root_system,
     invariant_family,
     orbit_sum_invariant,
     orbit_vectors,
+    simple_reflections,
     weyl_group,
 )
 
@@ -275,6 +292,152 @@ def test_orbit_sums_with_zero_and_rational_images(v, k):
     # vectors with zero coordinates and a vector with a denominator
     rs = build_root_system("B", 2)
     assert _terms(orbit_sum_invariant(rs, v, k)) == _terms(_ref_orbit_sum(rs, v, k))
+
+
+# -- one elimination -----------------------------------------------------
+
+
+def _ref_rref(rows):
+    m = to_fraction_rows(rows)
+    if not m:
+        return [], []
+    pivots = []
+    r = 0
+    for c in range(len(m[0])):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = m[r][c]
+        m[r] = [x / inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def _ref_det(a):
+    n = len(a)
+    m = to_fraction_rows(a)
+    sign = 1
+    result = Fraction(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            sign = -sign
+        result *= m[c][c]
+        inv = 1 / m[c][c]
+        for i in range(c + 1, n):
+            if m[i][c] != 0:
+                f = m[i][c] * inv
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return sign * result
+
+
+def _ref_inverse(a):
+    n = len(a)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    m, pivots = _ref_rref(aug)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return tuple(tuple(m[i][n:]) for i in range(n))
+
+
+half = Fraction(1, 2)
+MATRICES = {
+    "swap": ((0, 2, 1), (1, 1, 0), (3, half, 4)),
+    "swap-late": ((1, 2, 3), (2, 4, 7), (0, 1, Fraction(-2, 3))),
+    "singular": ((1, 2, 3), (2, 4, 6), (1, 0, 1)),
+    "singular-column": ((0, 1), (0, 5)),
+    "tall": ((1, 2), (2, 4), (5, half)),
+    "wide": ((0, 1, 2, 3), (0, 2, 4, 7)),
+    "zero": ((0, 0, 0), (0, 0, 0)),
+    "zero-square": ((0, 0), (0, 0)),
+    "one": ((Fraction(-3, 4),),),
+    "one-zero": ((0,),),
+    "empty": (),
+}
+
+
+@pytest.mark.parametrize("name", MATRICES)
+def test_rank_det_inverse_match_the_reduced_echelon_references(name):
+    a = MATRICES[name]
+    assert rank(a) == len(_ref_rref(a)[1])
+    if any(len(row) != len(a) for row in a):
+        with pytest.raises(ValueError):
+            det(a)
+        return
+    value = det(a)
+    assert type(value) is Fraction and value == _ref_det(a)
+    if value == 0:
+        with pytest.raises(ValueError):
+            _ref_inverse(a)
+        with pytest.raises(ValueError):
+            inverse(a)
+        return
+    inv = inverse(a)
+    assert _entries(inv) == _entries(_ref_inverse(a))
+    assert matmul(a, inv) == tuple(tuple(int(i == j) for j in range(len(a))) for i in range(len(a)))
+
+
+# -- one substitution ----------------------------------------------------
+
+
+def _ref_linear_change(p, matrix, new_vars=None):
+    """`linear_change` as it was: the row forms substituted as images."""
+    new_vars = p.variables if new_vars is None else tuple(new_vars)
+    images = {}
+    for v, row in zip(p.variables, matrix):
+        terms = {}
+        for j, m in enumerate(row):
+            if m != 0:
+                terms[tuple(int(k == j) for k in range(len(new_vars)))] = m
+        images[v] = Polynomial(new_vars, terms)
+    out = Polynomial.zero(new_vars)
+    for e, c in p.terms.items():
+        term = Polynomial.constant(new_vars, c)
+        for i, v in enumerate(p.variables):
+            if e[i]:
+                term = term * images[v] ** e[i]
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize("type_name,rank_", FAMILY_CASES[1:])
+def test_linear_change_matches_substitution_on_simple_reflections(type_name, rank_):
+    rs = build_root_system(type_name, rank_)
+    for s in simple_reflections(rs):
+        for p in invariant_family(rs).polys:
+            assert _terms(p.linear_change(s)) == _terms(_ref_linear_change(p, s))
+
+
+TOY = parse_pair_config(
+    "ambient_type: B\nambient_rank: 2\nlittle_type: A\nlittle_rank: 1\nembedding: 0; 1"
+)
+CHANGE_CASES = {
+    "toy": TOY,
+    "skew": PairConfig("B", 2, "A", 1, ((1,), (1,))),
+    "A3-line": PairConfig("A", 3, "A", 1, ((1,), (0,), (0,))),
+    **{f"{t}{n}-split": split_config(t, n) for t, n in FAMILY_CASES[1:]},
+}
+
+
+@pytest.mark.parametrize("name", CHANGE_CASES)
+def test_linear_change_matches_substitution_on_adapted_coordinates(name):
+    config = CHANGE_CASES[name]
+    rs = build_root_system(config.ambient_type, config.ambient_rank)
+    t_vars, x_vars, change = adapt_coordinates(config, rs.form)
+    for p in invariant_family(rs).polys:
+        new = p.linear_change(change, t_vars + x_vars)
+        assert _terms(new) == _terms(_ref_linear_change(p, change, t_vars + x_vars))
 
 
 # -- exactness of _linalg -----------------------------------------------

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from chevfiber.pairdb import (
+    EXCEPTIONAL_SIGNATURES,
     IntegrityError,
     PairRecord,
     b_exceptional_list,
@@ -143,6 +144,13 @@ def test_dual_preserves_signature_and_verdict(db):
         assert (dual.sigma_c, dual.sigma_aq) == (r.sigma_c, r.sigma_aq)
         assert is_exceptional(dual) == is_exceptional(r)
         assert dual_of(dual, db) == r
+
+
+def test_no_exceptional_signature_is_split():
+    # a split record has sigma_b == sigma_aq, so it is b-exceptional only if
+    # an exceptional signature has equal components; verify_database relies
+    # on there being none
+    assert all(c != aq for c, aq in EXCEPTIONAL_SIGNATURES)
 
 
 def test_verify_database_clean(db):

@@ -111,9 +111,7 @@ def test_restrict_zero():
 def test_substitute_linear_change():
     # u1 = t + x, u2 = -t + x turns u1^2 + u2^2 into 2t^2 + 2x^2
     p = P("x1^2 + x2^2")
-    t = Polynomial.variable(("t", "x"), "t")
-    x = Polynomial.variable(("t", "x"), "x")
-    q = p.substitute({"x1": t + x, "x2": -t + x})
+    q = p.linear_change(((1, 1), (-1, 1)), ("t", "x"))
     assert q == parse_polynomial("2*t^2 + 2*x^2", ("t", "x"))
 
 
@@ -125,11 +123,10 @@ def test_linear_change_identity_is_noop():
 
 
 def test_linear_change_reflection_matches_substitute():
-    # the reflection swapping x1 and x2, by hand and as a matrix
+    # the reflection swapping x1 and x2, by hand (terms in the order of p's)
+    # and as a matrix
     p = P("x1^3 + 2*x1*x2 - 5*x2")
-    x1 = Polynomial.variable(("x1", "x2"), "x1")
-    x2 = Polynomial.variable(("x1", "x2"), "x2")
-    by_hand = p.substitute({"x1": x2, "x2": x1})
+    by_hand = P("x2^3 + 2*x2*x1 - 5*x1")
     q = p.linear_change(((0, 1), (1, 0)))
     assert q == by_hand == P("x2^3 + 2*x1*x2 - 5*x1")
     assert list(q.terms) == list(by_hand.terms)
@@ -144,9 +141,28 @@ def test_linear_change_to_new_variables():
 
 def test_substitute_requires_all_used_variables():
     p = P("x1 + x2")
-    t = Polynomial.variable(("t",), "t")
     with pytest.raises(ValueError):
-        p.substitute({"x1": t})
+        p.linear_change(((1,),), ("t",))
+
+
+def test_linear_change_needs_one_row_per_variable():
+    # too few rows: test_substitute_requires_all_used_variables
+    p = P("x1^2 + x2")
+    for matrix in (((1, 0), (0, 1), (1, 1)), ((1,), (0,))):
+        with pytest.raises(ValueError):
+            p.linear_change(matrix)
+
+
+def test_floats_are_neither_coefficients_nor_scalars():
+    # the one rational rule of _linalg._exact: ints and Fractions only
+    with pytest.raises(TypeError):
+        Polynomial(("x",), {(1,): 0.5})
+    x = Polynomial.variable(("x",), "x")
+    calls = (lambda: x * 0.5, lambda: 0.5 * x, lambda: x + 0.5, lambda: x - 0.5,
+             lambda: x.eval_exact([0.5]), lambda: x.eval_exact(["1/2"]))
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_variable_mismatch_rejected():
@@ -163,12 +179,7 @@ def test_jacobian_det_power_sums_a2_oracle():
     p3 = P("-3*x1^2*x2 - 3*x1*x2^2")
     j = jacobian_det([p2, p3], ["x1", "x2"])
     # antisymmetric under swapping x1, x2 up to sign of the alternating factor
-    sw = j.substitute(
-        {
-            "x1": Polynomial.variable(("x1", "x2"), "x2"),
-            "x2": Polynomial.variable(("x1", "x2"), "x1"),
-        }
-    )
+    sw = j.linear_change(((0, 1), (1, 0)))
     assert sw == -1 * j
     assert j.homogeneous_degree() == 1 + 2  # sum of (deg - 1) over the family
 

@@ -184,6 +184,51 @@ def test_selection_validation():
         restrict_family(fam, toy_config(), selection="last")
 
 
+ZERO_OR_DEPENDENT = "restricted invariants are zero or dependent"
+
+
+def test_repeated_index_is_dependent():
+    fam = invariant_family(build_root_system("B", 2))
+    with pytest.raises(RestrictionError, match=ZERO_OR_DEPENDENT):
+        restrict_family(fam, split_config("B", 2), selection=(0, 0))
+
+
+def test_member_restricting_to_zero_is_never_kept():
+    # x1^2*x2^2 is B2-invariant and vanishes on the e2 axis of the toy pair
+    fam = invariant_family(build_root_system("B", 2))
+    vanishing = parse_polynomial("x1^2*x2^2", ("x1", "x2"))
+    hand = InvariantFamily(polys=(vanishing, fam.polys[0]), degrees=(4, 2), group=fam.group)
+    with pytest.raises(RestrictionError, match=ZERO_OR_DEPENDENT):
+        restrict_family(hand, toy_config(), selection=(0,))
+    res = restrict_family(hand, toy_config())
+    assert res.selected == (1,)
+    assert res.restricted == restrict_family(fam, toy_config()).restricted
+
+
+def test_reversed_selection_keeps_its_order():
+    fam = invariant_family(build_root_system("B", 2))
+    res = restrict_family(fam, split_config("B", 2), selection=(1, 0))
+    assert res.selected == (1, 0)
+    assert res.restricted.degrees == (4, 2)
+    assert res.restricted.polys == fam.polys[::-1]
+    assert res.d == 1
+    # swapping the two rows of the Jacobian flips the sign of its value
+    point, value = fam.certificate
+    assert res.restricted.certificate == (point, -value)
+
+
+def test_members_after_the_last_kept_are_never_expanded():
+    # a member over three variables cannot be adapted to a rank-2 change
+    fam = invariant_family(build_root_system("B", 2))
+    stray = parse_polynomial("y1 + y2 + y3", ("y1", "y2", "y3"))
+    hand = InvariantFamily(
+        polys=fam.polys + (stray,), degrees=fam.degrees + (1,), group=fam.group
+    )
+    assert restrict_family(hand, toy_config()).selected == (0,)
+    with pytest.raises(ValueError):
+        restrict_family(hand, toy_config(), selection=(2,))
+
+
 @pytest.mark.parametrize("key", [("A", 2), ("B", 2), ("BC", 2)])
 def test_surjectivity_holds_for_splits(key):
     rs = build_root_system(*key)
