@@ -117,7 +117,7 @@ def _parse_complex_list(text: str | None) -> tuple[complex, ...]:
     return tuple(out)
 
 
-_SYSTEM_KEYS = {"name", "tvars", "xvars", "poly", "little_type", "little_rank", "d"}
+_SYSTEM_KEYS = {"name", "tvars", "xvars", "poly", "little_type", "little_rank"}
 
 
 def _load_config(args, zeta=(), target=None):
@@ -126,7 +126,7 @@ def _load_config(args, zeta=(), target=None):
     restrict takes a pair config only and gets its Restriction.  fiber and
     lambda get the DeformedSystem of either kind at zeta; target None means
     all zeros.  A system config lists tvars/xvars, repeated poly lines, and
-    an optional little group.
+    an optional little group; d is always derived from the degrees.
     """
     with open(args.config, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -146,14 +146,13 @@ def _load_config(args, zeta=(), target=None):
             raise ValueError("little_type and little_rank must be given together")
         if "little_type" in data:
             little = build_root_system(data["little_type"], int(data["little_rank"]))
-        d = int(data["d"]) if "d" in data else None
     else:
         cfg = parse_pair_config(text)
         fam = invariant_family(build_root_system(cfg.ambient_type, cfg.ambient_rank))
         res = restrict_family(fam, cfg, selection=_selection(args))
         if args.command == "restrict":
             return res
-        polys, t_vars, x_vars, little, d = res.adapted, res.t_vars, res.x_vars, res.little, res.d
+        polys, t_vars, x_vars, little = res.adapted, res.t_vars, res.x_vars, res.little
     if target is None:
         target = tuple(0j for _ in polys)
     elif len(target) != len(polys):
@@ -167,7 +166,6 @@ def _load_config(args, zeta=(), target=None):
         zeta=zeta,
         target=target,
         little=little,
-        d=d,
     )
 
 
@@ -327,6 +325,7 @@ def cmd_fiber(args) -> int:
     if expected is None:
         print("count == |W(a_q)|*d : UNKNOWN (no little group)")
         return 0
+    # a returned fiber is complete and d is derived, so FAIL is an internal inconsistency
     if result.count == expected:
         print(f"count == |W(a_q)|*d : PASS ({result.count} == {expected})")
         return 0

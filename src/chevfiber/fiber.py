@@ -7,10 +7,12 @@ homotopy: start solutions of x_i^{d_i} = c_i are tracked to the target system
 along H(x, s) = (1 - s) gamma g(x) + s (f(x) - a) with an Euler predictor and
 a Newton corrector on an adaptive step.  All start paths move as one numpy
 batch, each with its own s and step, and take the steps each would take
-alone.  Endpoints are polished, filtered by residual, merged by proximity,
-and sorted by their coordinates rounded to a grid 1024 times finer than the
-merge radius, so float noise in a coordinate that points share cannot
-reorder them and a fixed seed reproduces results byte for byte.
+alone.  Endpoints are polished and sorted by their coordinates rounded to a
+grid 1024 times finer than the merge radius, so float noise in a coordinate
+that points share cannot reorder them and a fixed seed reproduces results
+byte for byte.  A returned fiber is complete -- no path lost, no two
+endpoints within the merge radius -- or the solve raises FiberSolveError.
+d is derived, never declared, so a returned fiber has |W(little)| * d points.
 
 The symbolic Jacobian determinant of the system in the x directions is
 homogeneous of degree sum(m_i - 1) over the ambient grading -- the sum, not
@@ -26,7 +28,7 @@ most 30 steps polishes tracked endpoints and serves `local_inverse_psi`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cache
 from typing import Iterable, Sequence
 
@@ -66,16 +68,17 @@ _NEWTON_STEPS = 30
 # how `_newton` stopped a row; _STEP_CAP doubles as "still running"
 _CONVERGED, _SINGULAR, _NOT_FINITE, _STEP_CAP = range(4)
 _MAX_RETRIES = 3
-_FAILURE_RATE_LIMIT = 0.05
 
 
 @dataclass(frozen=True)
 class DeformedSystem:
     """U_i(t; x) = a_i with t frozen at zeta.
 
-    `little` and `d` describe the expected fiber structure: the solution
-    count of a generic fiber is |W(little)| * d.  When `little` is given and
-    `d` is not, d is derived from the degree quotient.
+    `little`, whose rank must be the number of x variables, gives the
+    expected fiber structure: a generic fiber has |W(little)| * d points.
+    d is never declared: with `little` it is the degree quotient
+    prod(x degrees) / prod(little degrees), so |W(little)| * d is the number
+    of start paths `solve_fiber` tracks; without `little` it is None.
     """
 
     polys: tuple[Polynomial, ...]
@@ -84,7 +87,7 @@ class DeformedSystem:
     zeta: tuple[complex, ...]
     target: tuple[complex, ...]
     little: RootSystem | None = None
-    d: int | None = None
+    d: int | None = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "polys", tuple(self.polys))
@@ -115,17 +118,13 @@ class DeformedSystem:
         degs = self.x_degrees()
         if 0 in degs:
             raise ValueError(f"equation {degs.index(0) + 1} has no x term")
-        if self.d is not None and self.d < 1:
-            raise ValueError(f"fiber degree d must be at least 1, got {self.d}")
-        if self.little is not None and self.d is None:
-            object.__setattr__(
-                self,
-                "d",
-                rank_d(
-                    degs,
-                    fundamental_degrees(self.little.type_name, self.little.rank),
-                ),
-            )
+        d = None
+        if self.little is not None:
+            rank = self.little.rank
+            if rank != len(self.x_vars):
+                raise ValueError(f"little rank {rank} does not match {len(self.x_vars)} x variables")
+            d = rank_d(degs, fundamental_degrees(self.little.type_name, rank))
+        object.__setattr__(self, "d", d)
 
     @classmethod
     def from_restriction(
@@ -138,7 +137,6 @@ class DeformedSystem:
             zeta=tuple(zeta),
             target=tuple(target),
             little=res.little,
-            d=res.d,
         )
 
     def x_degrees(self) -> tuple[int, ...]:
@@ -150,7 +148,7 @@ class DeformedSystem:
         return tuple(out)
 
     def expected_count(self) -> int | None:
-        if self.little is None or self.d is None:
+        if self.d is None:
             return None
         return weyl_order(self.little.type_name, self.little.rank) * self.d
 
@@ -418,10 +416,13 @@ def solve_fiber(
     seed: int = 0,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
 ) -> FiberResult:
-    """Track every start path and return the merged, sorted fiber.
+    """Track every start path and return the complete, sorted fiber.
 
-    Retries with a fresh gamma (same generator stream) when more than five
-    percent of paths are lost; after three retries the solve is abandoned.
+    An attempt is accepted only when every path reaches the target within
+    `residual_tol` and no two endpoints lie within the merge radius (a path
+    jump, or a target off the generic locus).  Otherwise the paths are
+    tracked again with a fresh gamma from the same generator stream; after
+    three retries the solve raises FiberSolveError.
     """
     if not residual_tol > 0:
         raise ValueError("residual_tol must be positive")
@@ -447,27 +448,23 @@ def solve_fiber(
         )
         X, residual, ok = _track_paths(num, a, gamma, degrees, cs, starts, residual_tol)
         failed = total - int(ok.sum())
-        if failed <= _FAILURE_RATE_LIMIT * total:
+        # endpoints within the merge radius of an earlier endpoint
+        near = np.triu(_max_dist(X[ok], X[ok]) < _CLUSTER_RADIUS, 1)
+        merged = int(near.any(axis=0).sum())
+        if not failed and not merged:
             break
         attempt += 1
         if attempt > _MAX_RETRIES:
-            raise FiberSolveError(
-                f"{failed} of {total} paths failed after {attempt} attempts"
-            )
-
-    # merge endpoints that landed on the same point
-    X, residual = X[ok], residual[ok]
-    near = np.argwhere(np.triu(_max_dist(X, X) < _CLUSTER_RADIUS, 1))
-    reps = [min(c, key=residual.__getitem__) for c in _components(len(X), near)]
-    merged = len(X) - len(reps)
+            lost = f"{failed} of {total} paths failed" if failed else f"{merged} endpoints merged"
+            raise FiberSolveError(f"{lost} after {attempt} attempts")
 
     # Distinct points differ by at least the merge radius, so keys on a grid
     # 1024 times finer still tell them apart, while float noise in a shared
     # coordinate can no longer decide the order.
     keys = np.round(np.stack([X.real, X.imag], axis=2) / (_CLUSTER_RADIUS / 1024))
-    reps.sort(key=lambda i: tuple(keys[i].ravel()))
-    solutions = tuple(tuple(complex(z) for z in X[i]) for i in reps)
-    residuals = tuple(float(residual[i]) for i in reps)
+    order = sorted(range(total), key=lambda i: tuple(keys[i].ravel()))
+    solutions = tuple(tuple(complex(z) for z in X[i]) for i in order)
+    residuals = tuple(float(residual[i]) for i in order)
 
     orbit_classes = None
     if system.little is not None:

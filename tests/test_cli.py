@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -7,6 +8,7 @@ from importlib import resources
 
 import pytest
 
+from chevfiber import cli
 from chevfiber.cli import main
 from chevfiber.rootsys import build_root_system, invariant_family
 
@@ -128,15 +130,21 @@ def test_fiber_json_bytes_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_fiber_declared_d_mismatch_fails_verdict(tmp_path, capsys):
-    cfg = tmp_path / "bad_d.cfg"
-    cfg.write_text(
-        "name: bad-d\ntvars: t1\nxvars: x1\n"
-        "poly: x1^4 + t1^2*x1^2\nlittle_type: A\nlittle_rank: 1\nd: 3\n"
-    )
-    code = main(["fiber", "--config", str(cfg), "--zeta", "1", "--target", "6"])
+def test_fiber_declared_d_mismatch_fails_verdict(monkeypatch, capsys):
+    # solve_fiber returns complete fibers only, so the count verdict can
+    # fail only on an internal inconsistency; a short fiber stands in for one
+    solve = cli.solve_fiber
+
+    def short(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        return dataclasses.replace(
+            out, solutions=out.solutions[:3], residuals=out.residuals[:3], orbit_classes=None
+        )
+
+    monkeypatch.setattr(cli, "solve_fiber", short)
+    code = main(["fiber", "--config", QUARTIC, "--zeta", "1", "--target", "6"])
     assert code == 2
-    assert "FAIL (4 != 6)" in capsys.readouterr().out
+    assert "count == |W(a_q)|*d : FAIL (3 != 4)" in capsys.readouterr().out
 
 
 def test_fiber_wrong_target_arity_exits_1(capsys):
@@ -262,10 +270,27 @@ def test_zero_poly_config_exits_1(tmp_path, capsys):
 
 
 def test_zero_d_config_exits_1(tmp_path, capsys):
+    # d is derived from the degrees; a config cannot declare it
     cfg = tmp_path / "d0.cfg"
     cfg.write_text("xvars: x1\npoly: x1^2\nlittle_type: A\nlittle_rank: 1\nd: 0\n")
     assert main(["fiber", "--config", str(cfg), "--target", "1"]) == 1
-    assert "fiber degree d must be at least 1" in capsys.readouterr().err
+    assert "line 5: unknown config key 'd'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, point, rank",
+    [
+        ("xvars: x1 x2\npoly: x1^2\npoly: x2^2\nlittle_type: A\nlittle_rank: 1\n", "1,2", 1),
+        ("xvars: x1\npoly: x1^2\nlittle_type: B\nlittle_rank: 2\n", "1", 2),
+    ],
+    ids=["A1-on-two-x", "B2-on-one-x"],
+)
+def test_little_rank_mismatch_config_exits_1(tmp_path, monkeypatch, capsys, text, point, rank):
+    cfg = tmp_path / "rank.cfg"
+    cfg.write_text(text)
+    monkeypatch.setattr(cli, "solve_fiber", None)  # rejected before any tracking
+    assert main(["fiber", "--config", str(cfg), "--target", point]) == 1
+    assert f"little rank {rank} does not match" in capsys.readouterr().err
 
 
 def test_no_x_term_config_exits_1(tmp_path, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import json
 import math
 
@@ -82,13 +83,18 @@ def test_zero_equation_rejected():
         )
 
 
-@pytest.mark.parametrize("d", [0, -2])
-def test_fiber_degree_below_one_rejected(d):
-    p = parse_polynomial("x1^2", ("x1",))
-    with pytest.raises(ValueError, match="fiber degree d must be at least 1"):
+@pytest.mark.parametrize(
+    "x_vars, little, rank",
+    [(("x1", "x2"), ("A", 1), 1), (("x1",), ("B", 2), 2)],
+    ids=["A1-on-two-x", "B2-on-one-x"],
+)
+def test_little_rank_must_match_x_variables(x_vars, little, rank):
+    # rejected up front, before the degree quotient or any tracking
+    polys = tuple(parse_polynomial(f"{x}^2", x_vars) for x in x_vars)
+    with pytest.raises(ValueError, match=f"little rank {rank} does not match {len(x_vars)} x"):
         DeformedSystem(
-            polys=(p,), t_vars=(), x_vars=("x1",), zeta=(), target=(1,),
-            little=build_root_system("A", 1), d=d,
+            polys=polys, t_vars=(), x_vars=x_vars, zeta=(), target=(1,) * len(x_vars),
+            little=build_root_system(*little),
         )
 
 
@@ -382,3 +388,78 @@ def test_repeated_variable_name_rejected(t_vars, x_vars):
             polys=polys, t_vars=t_vars, x_vars=x_vars,
             zeta=tuple(1.0 for _ in t_vars), target=tuple(1.0 for _ in x_vars),
         )
+
+
+@functools.cache
+def _a3_split():
+    return restrict_family(invariant_family(build_root_system("A", 3)), split_config("A", 3))
+
+
+def _a3_pushed_forward(draw):
+    # a = U(x0) with x0 standard complex normal from default_rng(draw)
+    res = _a3_split()
+    rng = np.random.default_rng(draw)
+    x0 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    target = tuple(p.eval(list(x0)) for p in res.adapted)
+    return DeformedSystem.from_restriction(res, (), target)
+
+
+def _patched_tracker(monkeypatch, spoil):
+    """Run the real tracker, then let spoil(attempt, X, residual, ok) edit
+    its output in place."""
+    track = fiber._track_paths
+    attempts = []
+
+    def spoiled(*args):
+        X, residual, ok = track(*args)
+        spoil(len(attempts), X, residual, ok)
+        attempts.append(1)
+        return X, residual, ok
+
+    monkeypatch.setattr(fiber, "_track_paths", spoiled)
+    return attempts
+
+
+def _lose_path(attempt, X, residual, ok):
+    X[5], residual[5], ok[5] = np.nan, np.inf, False
+
+
+def _duplicate_endpoint(attempt, X, residual, ok):
+    X[5], residual[5] = X[2], residual[2]
+
+
+def test_lost_path_on_every_attempt_raises(monkeypatch):
+    attempts = _patched_tracker(monkeypatch, _lose_path)
+    with pytest.raises(FiberSolveError, match="^1 of 24 paths failed after 4 attempts$"):
+        solve_fiber(_a3_pushed_forward(0), seed=0)
+    assert len(attempts) == 4
+
+
+def test_merged_endpoints_on_every_attempt_raise(monkeypatch):
+    attempts = _patched_tracker(monkeypatch, _duplicate_endpoint)
+    with pytest.raises(FiberSolveError, match="^1 endpoints merged after 4 attempts$"):
+        solve_fiber(_a3_pushed_forward(0), seed=0)
+    assert len(attempts) == 4
+
+
+def test_lost_path_on_first_attempt_is_tracked_again(monkeypatch):
+    system = _a3_pushed_forward(0)
+    attempts = _patched_tracker(
+        monkeypatch, lambda attempt, *out: attempt == 0 and _lose_path(attempt, *out)
+    )
+    out = solve_fiber(system, seed=0)
+    assert len(attempts) > 1
+    assert out.count == system.expected_count() == 24
+    assert out.path_stats == {"tracked": 24, "failed": 0, "merged": 0}
+
+
+@pytest.mark.parametrize("draw", range(12))
+def test_a3_fiber_is_complete_or_an_error(draw):
+    # a lost path is never accepted: the count law holds, or the solve fails
+    system = _a3_pushed_forward(draw)
+    try:
+        out = solve_fiber(system, seed=draw)
+    except FiberSolveError:
+        return
+    assert out.count == system.expected_count() == 24
+    assert out.path_stats == {"tracked": 24, "failed": 0, "merged": 0}

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 from collections import defaultdict
 from pathlib import Path
@@ -94,8 +95,18 @@ def test_every_module_function_has_a_caller():
 
 
 def test_public_options_are_pinned():
-    # every optional or **-collecting parameter of a public function; a new
-    # option has to be added here on purpose
+    # every defaulted init field of a public dataclass and every optional or
+    # **-collecting parameter of a public function; a new option has to be
+    # added here on purpose
+    fields = [
+        f"{name}.{f.name}"
+        for name in chevfiber.__all__
+        if dataclasses.is_dataclass(getattr(chevfiber, name))
+        for f in dataclasses.fields(getattr(chevfiber, name))
+        if f.init
+        and (f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING)
+    ]
+    assert fields == ["DeformedSystem.little", "InvariantFamily.certificate", "PairConfig.name"]
     options = [
         f"{name}.{p.name}"
         for name in chevfiber.__all__
