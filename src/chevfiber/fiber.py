@@ -17,7 +17,9 @@ d is derived, never declared, so a returned fiber has |W(little)| * d points.
 The symbolic Jacobian determinant of the system in the x directions is
 homogeneous of degree sum(m_i - 1) over the ambient grading -- the sum, not
 the product.  Its zero locus is the ramification divisor; predicates below
-test points against it numerically.
+test points against it numerically.  Orbit classes come from folding each
+point into the dominant chamber by simple reflections, with no element of
+W(little) built.
 
 Only the residual gate is an option; the other tolerances are fixed: merge
 and orbit radius 1e-6 (max norm), singular |det J| <= 1e-10 relative to the
@@ -29,15 +31,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ._linalg import matvec
 from .polyring import Polynomial, jacobian_det
 from .restrict import Restriction, rank_d
-from .rootsys import RootSystem, fundamental_degrees, weyl_group, weyl_order
+from .rootsys import RootSystem, fundamental_degrees, weyl_order
 
 
 class FiberSolveError(RuntimeError):
@@ -57,13 +58,15 @@ class SingularJacobianError(FiberSolveError):
 
 
 class InconsistentClusteringError(FiberSolveError):
-    """A group element matched one fiber point to several others."""
+    """The merge radius does not fit the spacing of the fiber points or their folds."""
 
 
 DEFAULT_RESIDUAL_TOL = 1e-8
 _CLUSTER_RADIUS = 1e-6
 _SINGULAR_TOL = 1e-10
 _INT_TOL = 1e-8
+# the fold's weight on Im<x, alpha>: irrational, so real or imaginary points stay off walls
+_TILT = (math.sqrt(5) - 1) / 2
 _NEWTON_STEPS = 30
 # how `_newton` stopped a row; _STEP_CAP doubles as "still running"
 _CONVERGED, _SINGULAR, _NOT_FINITE, _STEP_CAP = range(4)
@@ -468,7 +471,7 @@ def solve_fiber(
 
     orbit_classes = None
     if system.little is not None:
-        orbit_classes = orbit_partition(solutions, _float_group(system.little))
+        orbit_classes = orbit_partition(solutions, system.little)
 
     return FiberResult(
         seed=seed,
@@ -481,61 +484,58 @@ def solve_fiber(
     )
 
 
-def _components(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
-    """Connected components of the graph on range(n), by union-find.
+def _form_rows(little: RootSystem, vectors: Sequence) -> np.ndarray:
+    """The rows B v of the little form, as floats: X @ rows.T pairs X with each v."""
+    return np.array([[float(c) for c in matvec(little.form, v)] for v in vectors])
 
-    Each component is ascending and the list is ordered by smallest member.
+
+def _fold(X: np.ndarray, little: RootSystem) -> np.ndarray:
+    """The points X (P, r) folded into the dominant chamber of `little`.
+
+    Each round reflects every row in its first simple root alpha with
+    Re<x, alpha> + _TILT Im<x, alpha> < 0.  This folds the real vector
+    Re x + _TILT Im x, so the points of one W-orbit fold onto one point.
     """
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-    classes: dict[int, list[int]] = {}
-    for i in range(n):
-        classes.setdefault(find(i), []).append(i)
-    return list(classes.values())
-
-
-@cache
-def _float_group(rs: RootSystem) -> tuple[np.ndarray, ...]:
-    return tuple(np.array([[float(v) for v in row] for row in w]) for w in weyl_group(rs))
+    alphas = np.array(little.simple_roots, dtype=float)
+    rows = _form_rows(little, little.simple_roots)
+    coroots = 2 * rows / (alphas * rows).sum(axis=1)[:, None]
+    X = X.copy()
+    for _ in range(len(little.roots)):
+        z = X @ coroots.T
+        below = z.real + _TILT * z.imag < 0
+        k = np.flatnonzero(below.any(axis=1))
+        if not k.size:
+            return X
+        j = below[k].argmax(axis=1)
+        X[k] -= z[k, j][:, None] * alphas[j]
+    raise InconsistentClusteringError(f"the fold did not finish in {len(little.roots)} rounds")
 
 
 def orbit_partition(
     points: Sequence[Sequence[complex]],
-    matrices: Sequence[np.ndarray],
+    little: RootSystem,
 ) -> tuple[tuple[int, ...], ...]:
-    """Group fiber points into orbits of the given matrix group.
+    """Group fiber points into orbits of the Weyl group of `little`.
 
-    Each image of a point must match at most one fiber point within the
-    merge radius; several matches mean the merge radius was inconsistent
-    with the point spacing.
+    The closed dominant chamber meets every W-orbit once, so points share an
+    orbit when their folds lie within the merge radius.  Classes are ascending,
+    ordered by smallest member.  Two points within the radius, or folds whose
+    nearness is not transitive, raise InconsistentClusteringError.
     """
     if not len(points):
         return ()
     pts = np.array(points, dtype=np.complex128).reshape(len(points), -1)
-    counts, edges = [], []
-    for m in matrices:
-        matches = _max_dist(pts @ np.asarray(m).T, pts) < _CLUSTER_RADIUS
-        counts.append(matches.sum(axis=1))
-        hit = np.flatnonzero(counts[-1] == 1)
-        edges.extend(zip(hit, matches[hit].argmax(axis=1)))
-    # report the first (point, element) pair with several matches, point-major
-    bad = np.argwhere(np.array(counts).T > 1)
+    near = np.argwhere(np.triu(_max_dist(pts, pts) < _CLUSTER_RADIUS, 1))
+    if near.size:
+        i, j = near[0]
+        raise InconsistentClusteringError(f"points {i} and {j} lie within {_CLUSTER_RADIUS}")
+    folds = _fold(pts, little)
+    same = _max_dist(folds, folds) < _CLUSTER_RADIUS
+    first = same.argmax(axis=1)
+    bad = np.flatnonzero((same != same[first]).any(axis=1))
     if bad.size:
-        i, g = bad[0]
-        raise InconsistentClusteringError(
-            f"point {i} maps within {_CLUSTER_RADIUS} of {counts[g][i]} fiber points"
-        )
-    return tuple(tuple(c) for c in _components(len(pts), edges))
+        raise InconsistentClusteringError(f"fold of point {bad[0]} joins two orbits")
+    return tuple(tuple(np.flatnonzero(first == i).tolist()) for i in sorted(set(first.tolist())))
 
 
 def _unramified(system: DeformedSystem, num: _Numeric, X: np.ndarray) -> np.ndarray:
@@ -550,8 +550,7 @@ def _generic(system: DeformedSystem, X: np.ndarray) -> np.ndarray:
     """Mask of the points X (P, r) that are unramified and pair integrally with no root."""
     if system.little is None:
         raise ValueError("genericity needs a little root system")
-    form = system.little.form
-    pairing = X @ np.array([[float(c) for c in matvec(form, r)] for r in system.little.roots]).T
+    pairing = X @ _form_rows(system.little, system.little.roots).T
     integral = (np.abs(pairing.imag) <= _INT_TOL) & (
         np.abs(pairing.real - np.round(pairing.real)) <= _INT_TOL
     )

@@ -250,9 +250,11 @@ def test_criterion_4_lambda_existence(
             if result.count < 1 or any(r >= 1e-10 for r in result.residuals):
                 ok = False
                 notes.append(f"{name} draw {k} has no lambda below tolerance")
-            if name == "quartic" and len(result.orbit_classes) < 2:
+            # the count law orbit by orbit: d classes of |W(a_q)| points
+            order = weyl_order(system.little.type_name, system.little.rank)
+            if sorted(map(len, result.orbit_classes)) != [order] * system.d:
                 ok = False
-                notes.append(f"quartic draw {k} gives fewer than 2 orbit classes")
+                notes.append(f"{name} draw {k} is not {system.d} orbits of {order} points")
     _announce(
         capfd,
         ok,

@@ -3,6 +3,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -270,14 +271,27 @@ def test_local_inverse_singular_mid_iteration():
 
 
 def test_orbit_partition_inconsistency():
-    eye = [np.eye(1)]
-    with pytest.raises(InconsistentClusteringError):
-        orbit_partition([(0.0,), (1e-9,)], eye)
+    a1 = build_root_system("A", 1)
+    with pytest.raises(InconsistentClusteringError, match="points 0 and 1 lie within 1e-06"):
+        orbit_partition([(0.0,), (1e-9,)], a1)
+    # the points lie 1.6e-6 apart, but their folds 1, 1 + 8e-7 and 1 + 1.6e-6
+    # chain within the radius without all lying within it of each other
+    with pytest.raises(InconsistentClusteringError, match="fold of point 1 joins two orbits"):
+        orbit_partition([(1.0,), (-1.0 - 8e-7,), (1.0 + 1.6e-6,)], a1)
 
 
 def test_orbit_partition_identity_only():
-    classes = orbit_partition([(0.0,), (5.0,)], [np.eye(1)])
-    assert classes == ((0,), (1,))
+    # only the identity relates 1 and 5; the sign flip relates 5 and -5
+    a1 = build_root_system("A", 1)
+    assert orbit_partition([(1.0,), (5.0,)], a1) == ((0,), (1,))
+    assert orbit_partition([(5.0,), (-5.0,)], a1) == ((0, 1),)
+
+
+def test_orbit_partition_fold_is_capped():
+    # -5 needs one reflection and a second round to see it is done
+    clipped = replace(build_root_system("A", 1), roots=((1,),))
+    with pytest.raises(InconsistentClusteringError, match="the fold did not finish in 1 rounds"):
+        orbit_partition([(-5.0,)], clipped)
 
 
 def test_constant_equation_rejected():

@@ -33,6 +33,16 @@ def test_exact_modules_do_not_import_numpy():
         assert "numpy" not in imported, name
 
 
+def test_fiber_does_not_enumerate_the_weyl_group():
+    # orbit classes come from a chamber fold, not from group elements
+    path = Path(chevfiber.__file__).parent / "fiber.py"
+    names = {
+        getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert "weyl_group" not in names
+
+
 def _float_calls(tree):
     calls = {
         getattr(node.func, "id", None) or "." + getattr(node.func, "attr", "")

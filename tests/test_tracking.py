@@ -8,6 +8,8 @@ the two agree to a tolerance, not bit for bit.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from chevfiber.fiber import (
     solve_fiber,
 )
 from chevfiber.restrict import parse_pair_config, restrict_family, split_config
-from chevfiber.rootsys import build_root_system, invariant_family, weyl_group
+from chevfiber.rootsys import build_root_system, invariant_family, weyl_group, weyl_order
 
 TOY_TEXT = """
 ambient_type: B
@@ -192,41 +194,57 @@ def test_batched_tracker_matches_scalar_oracle(name, monkeypatch):
             size = max(1.0, max(abs(z) for z in q))
             assert max(abs(x - y) for x, y in zip(p, q)) <= 1e-10 * size
         assert batched.orbit_classes == scalar.orbit_classes
+        order = weyl_order(system.little.type_name, system.little.rank)
+        assert sorted(map(len, batched.orbit_classes)) == [order] * system.d
 
 
 def _loop_orbit_partition(points, matrices, radius):
-    """The point-by-point orbit partition the vectorised one replaced."""
-    pts = [np.array(p, dtype=np.complex128) for p in points]
+    """The point-by-point orbit partition by group matrices that the fold replaced."""
+    pts = np.array(points, dtype=np.complex128)
     edges = []
     for i, p in enumerate(pts):
         for m in matrices:
-            image = m @ p
-            matches = [
-                j for j, q in enumerate(pts) if float(np.max(np.abs(image - q))) < radius
-            ]
+            matches = np.flatnonzero(np.abs(pts - m @ p).max(axis=1) < radius).tolist()
             if len(matches) > 1:
                 raise InconsistentClusteringError(
                     f"point {i} maps within {radius} of {len(matches)} fiber points"
                 )
             if matches:
                 edges.append((i, matches[0]))
-    return tuple(tuple(c) for c in fiber._components(len(pts), edges))
+    classes = {i: {i} for i in range(len(pts))}
+    for i, j in edges:
+        if classes[i] is not classes[j]:
+            merged = classes[i] | classes[j]
+            for k in merged:
+                classes[k] = merged
+    return tuple(sorted({tuple(sorted(c)) for c in classes.values()}))
 
 
-def _outcome(partition, *args):
-    try:
-        return partition(*args)
-    except InconsistentClusteringError as exc:
-        return f"InconsistentClusteringError: {exc}"
+def _seed(rng, rs, kind):
+    """A complex normal point; "real" and "imaginary" keep one part, "wall"
+    moves the real part onto the wall of a random simple root."""
+    x = np.array(_complex_normal(rng, rs.rank))
+    if kind == "real":
+        return x.real + 0j
+    if kind == "imaginary":
+        return 1j * x.imag
+    if kind == "wall":
+        form = np.array(rs.form, dtype=float)
+        alpha = np.array(rs.simple_roots[int(rng.integers(rs.rank))], dtype=float)
+        x -= (x.real @ form @ alpha) / (alpha @ form @ alpha) * alpha
+    return x
 
 
-@pytest.mark.parametrize("key", [("A", 2), ("B", 2), ("G", 2), ("A", 3)])
+@pytest.mark.parametrize(
+    "key", [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("A", 1), ("C", 2), ("BC", 2)]
+)
 def test_orbit_partition_matches_loop(key):
-    matrices = [np.array(w, dtype=float) for w in weyl_group(build_root_system(*key))]
+    rs = build_root_system(*key)
+    matrices = [np.array(w, dtype=float) for w in weyl_group(rs)]
     rng = np.random.default_rng(7)
-    rank = key[1]
-    for trial in range(6):
-        seeds = [np.array(_complex_normal(rng, rank)) for _ in range(3)]
+    kinds = ["complex"] * 3 + ["real", "imaginary", "wall"] + ["complex"] * 3
+    for trial, kind in enumerate(kinds):
+        seeds = [_seed(rng, rs, kind) for _ in range(3)]
         # whole orbits, a partial one, and a stray point, in shuffled order
         points = [m @ p for p in seeds[:2] for m in matrices]
         points += [m @ seeds[2] for m in matrices[:3]] + [seeds[2] * 1.5]
@@ -235,11 +253,50 @@ def test_orbit_partition_matches_loop(key):
         for p in points:
             if all(np.max(np.abs(p - q)) >= 1e-6 for q in unique):
                 unique.append(p)
-        if trial >= 3:
-            # a near twin makes some image match two points
-            j = int(rng.integers(len(unique)))
-            unique.insert(int(rng.integers(len(unique) + 1)), unique[j] + 1e-9)
-        want = _outcome(_loop_orbit_partition, unique, matrices, 1e-6)
-        got = _outcome(orbit_partition, unique, matrices)
-        assert got == want
-        assert isinstance(want, str) == (trial >= 3)
+        assert orbit_partition(unique, rs) == _loop_orbit_partition(unique, matrices, 1e-6)
+        if trial < 6:
+            continue
+        # a near twin makes some image match two points in the loop; for the
+        # fold it is two input points within the radius
+        j = int(rng.integers(len(unique)))
+        at = int(rng.integers(len(unique) + 1))
+        unique.insert(at, unique[j] + 1e-9)
+        pair = sorted((at, j + (j >= at)))
+        with pytest.raises(InconsistentClusteringError, match="^point .* fiber points$"):
+            _loop_orbit_partition(unique, matrices, 1e-6)
+        with pytest.raises(
+            InconsistentClusteringError,
+            match=f"^points {pair[0]} and {pair[1]} lie within 1e-06$",
+        ):
+            orbit_partition(unique, rs)
+
+
+def _labelled_orbits(rng, matrices, seeds, partial):
+    """The orbits of the seeds, the last one cut to `partial` points, shuffled,
+    with the classes their seed labels give."""
+    points = [m @ s for s in seeds[:-1] for m in matrices]
+    points += [m @ seeds[-1] for m in matrices[:partial]]
+    labels = np.repeat(np.arange(len(seeds)), [len(matrices)] * (len(seeds) - 1) + [partial])
+    order = rng.permutation(len(points))
+    labels = labels[order]
+    classes = sorted(tuple(np.flatnonzero(labels == k).tolist()) for k in range(len(seeds)))
+    return [points[i] for i in order], tuple(classes)
+
+
+def test_orbit_partition_rank_four():
+    rng = np.random.default_rng(11)
+    d4 = build_root_system("D", 4)
+    matrices = [np.array(w, dtype=float) for w in weyl_group(d4)]
+    seeds = [np.array(_complex_normal(rng, 4)) for _ in range(2)]
+    points, classes = _labelled_orbits(rng, matrices, seeds, len(matrices))
+    assert len(points) == 384
+    assert orbit_partition(points, d4) == classes
+
+    f4 = build_root_system("F", 4)
+    matrices = [np.array(w, dtype=float) for w in weyl_group(f4)]
+    seeds = [np.array(_complex_normal(rng, 4)) for _ in range(2)]
+    points, classes = _labelled_orbits(rng, matrices, seeds, 3)
+    assert len(points) == 1155
+    start = time.perf_counter()
+    assert orbit_partition(points, f4) == classes
+    assert time.perf_counter() - start < 2.0
