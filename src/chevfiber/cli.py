@@ -23,7 +23,6 @@ import io
 import sys
 
 from .fiber import (
-    DEFAULT_RESIDUAL_TOL,
     DeformedSystem,
     FiberResult,
     FiberSolveError,
@@ -315,11 +314,7 @@ def cmd_fiber(args) -> int:
     zeta = _parse_complex_list(args.zeta)
     target = _parse_complex_list(args.target)
     system = _load_config(args, zeta, target)
-    result = solve_fiber(
-        system,
-        seed=args.seed,
-        residual_tol=args.tol,
-    )
+    result = solve_fiber(system, seed=args.seed)
     _emit_fiber(args, result)
     expected = system.expected_count()
     if expected is None:
@@ -339,12 +334,7 @@ def cmd_lambda(args) -> int:
     system = _load_config(args, zeta)
     if len(xi) != len(system.x_vars):
         raise UsageError(f"xi needs {len(system.x_vars)} entries, got {len(xi)}")
-    result = solve_lambda_xi(
-        system,
-        xi,
-        seed=args.seed,
-        residual_tol=args.tol,
-    )
+    result = solve_lambda_xi(system, xi, seed=args.seed)
     _emit_fiber(args, result)
     if result.orbit_classes is None:
         print("distinct orbit classes: UNKNOWN (no little group)")
@@ -415,16 +405,19 @@ def cmd_classify(args) -> int:
     return 0
 
 
+# flags every parser level takes; their defaults apply at the top level only
+SHARED_FLAGS = (
+    ("--seed", {"type": int, "default": 0}),
+    ("--degree-bound", {"type": int, "default": 12}),
+    ("--format", {"choices": ("json", "csv", "text"), "default": "text"}),
+    ("--out", {"default": None}),
+)
+
+
 def _add_shared(parser: _Parser, top: bool) -> None:
-    """Shared flags accepted both before and after the subcommand."""
-    d = (lambda v: v) if top else (lambda v: argparse.SUPPRESS)
-    parser.add_argument("--seed", type=int, default=d(0))
-    parser.add_argument("--tol", type=float, default=d(DEFAULT_RESIDUAL_TOL))
-    parser.add_argument("--degree-bound", type=int, default=d(12))
-    parser.add_argument(
-        "--format", choices=("json", "csv", "text"), default=d("text")
-    )
-    parser.add_argument("--out", default=d(None))
+    for flag, options in SHARED_FLAGS:
+        default = options["default"] if top else argparse.SUPPRESS
+        parser.add_argument(flag, **(options | {"default": default}))
 
 
 def build_parser() -> _Parser:
@@ -477,13 +470,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

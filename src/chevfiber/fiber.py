@@ -21,10 +21,12 @@ test points against it numerically.  Orbit classes come from folding each
 point into the dominant chamber by simple reflections, with no element of
 W(little) built.
 
-Only the residual gate is an option; the other tolerances are fixed: merge
-and orbit radius 1e-6 (max norm), singular |det J| <= 1e-10 relative to the
-coefficients and height, integrality 1e-8.  One batched Newton routine of at
-most 30 steps polishes tracked endpoints and serves `local_inverse_psi`.
+No tolerance is an option: merge and orbit radius 1e-6 (max norm), singular
+|det J| <= 1e-10 relative to the coefficients and height, integrality 1e-8.
+One batched Newton routine of at most 30 steps polishes tracked endpoints and
+serves `local_inverse_psi`; an endpoint is accepted when its polish converges,
+to a residual within 1e-12 max(1, |a|, the size of the terms summed into f)
+(Sommese and Wampler, 2005).
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ class InconsistentClusteringError(FiberSolveError):
     """The merge radius does not fit the spacing of the fiber points or their folds."""
 
 
-DEFAULT_RESIDUAL_TOL = 1e-8
 _CLUSTER_RADIUS = 1e-6
 _SINGULAR_TOL = 1e-10
 _INT_TOL = 1e-8
@@ -212,13 +213,20 @@ class _Numeric:
         self.poly_scale = np.array(scales)
         self.coeff_scale = float(np.max(self.poly_scale))
 
-    def __call__(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """f (P, r) and the Jacobian (P, r, r) at the points X (P, r)."""
+    def _monomials(self, X: np.ndarray) -> np.ndarray:
         powers = np.ones((len(X), self.r, int(self.M.max()) + 1), dtype=np.complex128)
         for e in range(1, powers.shape[2]):
             powers[:, :, e] = powers[:, :, e - 1] * X
-        mono = np.prod(powers[:, np.arange(self.r), self.M], axis=2)
+        return np.prod(powers[:, np.arange(self.r), self.M], axis=2)
+
+    def __call__(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """f (P, r) and the Jacobian (P, r, r) at the points X (P, r)."""
+        mono = self._monomials(X)
         return mono @ self.Cf, (mono @ self.Cj).reshape(len(X), self.r, self.r)
+
+    def term_size(self, X: np.ndarray) -> np.ndarray:
+        """(P,) the largest sum of |term| over the equations: the scale of rounding in f."""
+        return (np.abs(self._monomials(X)) @ np.abs(self.Cf)).max(axis=1)
 
 
 def _unit_circle(rng: np.random.Generator) -> complex:
@@ -243,6 +251,18 @@ def _solve_rows(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return y, ok
 
 
+def _points(name: str, points, r: int) -> np.ndarray:
+    """The points as a (P, r) complex array; ValueError unless each has r finite coordinates."""
+    try:
+        X = np.array(points, dtype=np.complex128)
+        ok = X.ndim == 2 and X.shape[1] == r and np.isfinite(X).all()
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must have {r} finite coordinates")
+    return X
+
+
 def _max_dist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """(len(X), len(Y)) max-norm distances between the rows of X and Y."""
     return np.abs(X[:, None, :] - Y[None, :, :]).max(axis=2)
@@ -251,12 +271,14 @@ def _max_dist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 def _newton(num: _Numeric, X: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Newton on f(x) = a from every row of X (P, r), each row on its own.
 
-    A row stops once its residual is within 1e-12 max(1, |a|), its Jacobian
-    is singular, its step is not finite, or it has taken 30 steps.  Returns
-    the final rows and, per row, the outcome code it stopped with.
+    A row stops once its residual is within 1e-12 max(1, |a|, term size),
+    its Jacobian is singular, its step is not finite, or it has taken 30
+    steps; the term size keeps the bound above the float floor of f where
+    large terms cancel to a small target.  Returns the final rows and, per
+    row, the outcome code it stopped with.
     """
     X = X.copy()
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(a))))
+    floor = max(1.0, float(np.max(np.abs(a))))
     outcome = np.full(len(X), _STEP_CAP)
     for _ in range(_NEWTON_STEPS):
         k = np.flatnonzero(outcome == _STEP_CAP)
@@ -264,6 +286,7 @@ def _newton(num: _Numeric, X: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np
             break
         F, J = num(X[k])
         res = F - a
+        tol = 1e-12 * np.maximum(floor, num.term_size(X[k]))
         near = np.abs(res).max(axis=1) <= tol
         outcome[k[near]] = _CONVERGED
         k, res, J = k[~near], res[~near], J[~near]
@@ -283,7 +306,6 @@ def _track_paths(
     degrees: Sequence[int],
     cs: np.ndarray,
     starts: np.ndarray,
-    residual_tol: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Track the start points (P, r) to the target system as one batch.
 
@@ -292,8 +314,8 @@ def _track_paths(
     doubled (to at most 0.1) after a correction in at most 2 iterations and
     halved after a failed one, the path lost below ds = 1e-4.  `_newton`
     polishes the endpoints against f(x) = a.  Returns the endpoints, their
-    residuals, and the mask of paths that reached the target within
-    `residual_tol`.
+    residuals, and the mask of paths that reached the target and whose
+    polish converged.
     """
     d = np.array(degrees, dtype=np.int64)
     # match the start equations to the coefficient size of the target
@@ -353,10 +375,12 @@ def _track_paths(
         shrink = idx[~converged]
         ds[shrink] /= 2
         lost[shrink[ds[shrink] < 1e-4]] = True
-    x[~lost] = _newton(num, x[~lost], a)[0]
+    ok = ~lost
+    x[ok], outcome = _newton(num, x[ok], a)
     residual = np.full(len(x), np.inf)
-    residual[~lost] = np.abs(num(x[~lost])[0] - a).max(axis=1)
-    return x, residual, np.isfinite(residual) & (residual <= residual_tol)
+    residual[ok] = np.abs(num(x[ok])[0] - a).max(axis=1)
+    ok[ok] = outcome == _CONVERGED
+    return x, residual, ok
 
 
 @dataclass(frozen=True)
@@ -414,21 +438,15 @@ def _to_json(value) -> str:
     return "[" + ",".join(_to_json(v) for v in value) + "]"
 
 
-def solve_fiber(
-    system: DeformedSystem,
-    seed: int = 0,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
-) -> FiberResult:
+def solve_fiber(system: DeformedSystem, seed: int = 0) -> FiberResult:
     """Track every start path and return the complete, sorted fiber.
 
-    An attempt is accepted only when every path reaches the target within
-    `residual_tol` and no two endpoints lie within the merge radius (a path
-    jump, or a target off the generic locus).  Otherwise the paths are
+    An attempt is accepted only when every path reaches the target and its
+    polish converges, and no two endpoints lie within the merge radius (a
+    path jump, or a target off the generic locus).  Otherwise the paths are
     tracked again with a fresh gamma from the same generator stream; after
     three retries the solve raises FiberSolveError.
     """
-    if not residual_tol > 0:
-        raise ValueError("residual_tol must be positive")
     num = _Numeric(system)
     degrees = system.x_degrees()
     a = np.array(system.target, dtype=np.complex128)
@@ -449,7 +467,7 @@ def solve_fiber(
             ],
             axis=1,
         )
-        X, residual, ok = _track_paths(num, a, gamma, degrees, cs, starts, residual_tol)
+        X, residual, ok = _track_paths(num, a, gamma, degrees, cs, starts)
         failed = total - int(ok.sum())
         # endpoints within the merge radius of an earlier endpoint
         near = np.triu(_max_dist(X[ok], X[ok]) < _CLUSTER_RADIUS, 1)
@@ -524,7 +542,7 @@ def orbit_partition(
     """
     if not len(points):
         return ()
-    pts = np.array(points, dtype=np.complex128).reshape(len(points), -1)
+    pts = _points("every point", points, little.rank)
     near = np.argwhere(np.triu(_max_dist(pts, pts) < _CLUSTER_RADIUS, 1))
     if near.size:
         i, j = near[0]
@@ -559,13 +577,13 @@ def _generic(system: DeformedSystem, X: np.ndarray) -> np.ndarray:
 
 def is_unramified(system: DeformedSystem, point: Sequence[complex]) -> bool:
     """Whether the Jacobian in x is numerically nonzero at (zeta; point)."""
-    X = np.array([point], dtype=np.complex128)
+    X = _points("point", [point], len(system.x_vars))
     return bool(_unramified(system, _Numeric(system), X)[0])
 
 
 def is_generic(system: DeformedSystem, point: Sequence[complex]) -> bool:
     """Unramified, and no little-system root pairs integrally with the point."""
-    return bool(_generic(system, np.array([point], dtype=np.complex128))[0])
+    return bool(_generic(system, _points("point", [point], len(system.x_vars)))[0])
 
 
 def is_generic_fiber(system: DeformedSystem, result: FiberResult) -> bool:
@@ -575,12 +593,7 @@ def is_generic_fiber(system: DeformedSystem, result: FiberResult) -> bool:
     return bool(_generic(system, np.array(result.solutions, dtype=np.complex128)).all())
 
 
-def solve_lambda_xi(
-    system: DeformedSystem,
-    xi: Sequence[complex],
-    seed: int = 0,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
-) -> FiberResult:
+def solve_lambda_xi(system: DeformedSystem, xi: Sequence[complex], seed: int = 0) -> FiberResult:
     """Solve U(0; lambda) = U(zeta; xi) for lambda.
 
     The target is the exact polynomial evaluated at (zeta; xi); the fiber is
@@ -592,7 +605,7 @@ def solve_lambda_xi(
     at = list(system.zeta) + [complex(z) for z in xi]
     target = tuple(p.eval(at) for p in system.polys)
     base = replace(system, zeta=tuple(0j for _ in system.t_vars), target=target)
-    return solve_fiber(base, seed=seed, residual_tol=residual_tol)
+    return solve_fiber(base, seed=seed)
 
 
 def local_inverse_psi(
@@ -606,11 +619,13 @@ def local_inverse_psi(
     SingularJacobianError if the iteration hits a numerically singular
     Jacobian, and NewtonDivergenceError if it fails to converge.
     """
+    r = len(system.x_vars)
+    x = _points("start", [start], r)
+    a = _points("target", [target], r)[0]
     num = _Numeric(system)
-    x = np.array([start], dtype=np.complex128)
     if not _unramified(system, num, x)[0]:
         raise RamifiedPointError("start point lies on the ramification divisor")
-    x, outcome = _newton(num, x, np.array(target, dtype=np.complex128))
+    x, outcome = _newton(num, x, a)
     if outcome[0] == _SINGULAR:
         raise SingularJacobianError("the Jacobian became singular")
     if outcome[0] == _NOT_FINITE:

@@ -364,7 +364,7 @@ def surjectivity_check(
     return SurjectivityReport(ok=True, failing_degree=None, degree_bound=degree_bound)
 
 
-def split_config(type_name: str, rank: int, name: str = "") -> PairConfig:
+def split_config(type_name: str, rank: int) -> PairConfig:
     """The identity pair: little system equal to the ambient one."""
     return PairConfig(
         ambient_type=type_name,
@@ -372,5 +372,5 @@ def split_config(type_name: str, rank: int, name: str = "") -> PairConfig:
         little_type=type_name,
         little_rank=rank,
         embedding=_identity_form(rank),
-        name=name or f"{type_name}{rank}-split",
+        name=f"{type_name}{rank}-split",
     )

@@ -245,7 +245,7 @@ def test_criterion_4_lambda_existence(
             system = DeformedSystem.from_restriction(
                 res, zeta, tuple(0j for _ in res.adapted)
             )
-            result = solve_lambda_xi(system, xi, seed=k, residual_tol=1e-10)
+            result = solve_lambda_xi(system, xi, seed=k)
             worst = max(worst, max(result.residuals, default=1.0))
             if result.count < 1 or any(r >= 1e-10 for r in result.residuals):
                 ok = False

@@ -5,6 +5,7 @@ import io
 import json
 import re
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -176,14 +177,17 @@ def test_lambda_quartic_has_two_orbit_classes(capsys):
     assert "lambda exists : PASS" in out
 
 
-@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+@pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
 @pytest.mark.parametrize("command", ["fiber", "lambda"])
-def test_nonpositive_tol_exits_1(capsys, command, tol):
-    # a usage error, not a numerical failure (exit 3)
+def test_tol_is_an_unknown_argument(capsys, command, before):
+    # an endpoint is accepted when its polish converges; no tolerance is settable
     point = ["--target", "5"] if command == "fiber" else ["--xi", "2"]
-    argv = [command, "--config", TOY, "--zeta", "1", *point, "--tol", tol]
+    argv = [command, "--config", TOY, "--zeta", "1", *point]
+    argv = ["--tol", "1e-6", *argv] if before else [*argv, "--tol", "1e-6"]
     assert main(argv) == 1
-    assert "residual_tol must be positive" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
 
 
 def test_lambda_wrong_xi_arity_exits_1(capsys):
@@ -490,3 +494,13 @@ def test_fiber_and_lambda_csv_and_text_layout(capsys, argv, verdicts):
     assert [line.startswith("x = ") for line in lines[4:8]] == [True] * 4
     assert lines[8] == "orbit classes: 0 3 | 1 2"
     assert lines[9:] == verdicts
+
+
+def test_readme_lists_the_shared_flags():
+    # README's "Shared flags" sentence names exactly the flags that every
+    # parser level takes from cli.SHARED_FLAGS, in that order
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"Shared flags work before or after the subcommand:(.*?)\.\s", readme, re.S)
+    assert sentence is not None
+    listed = re.findall(r"`(--[a-z-]+)", sentence.group(1))
+    assert listed == [flag for flag, _ in cli.SHARED_FLAGS]

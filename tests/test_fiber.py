@@ -312,14 +312,6 @@ def test_constant_equation_rejected_before_deriving_d():
         )
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
-def test_residual_tol_must_be_positive(tol):
-    with pytest.raises(ValueError, match="residual_tol must be positive"):
-        solve_fiber(toy_system(), seed=0, residual_tol=tol)
-    with pytest.raises(ValueError, match="residual_tol must be positive"):
-        solve_lambda_xi(toy_system(), xi=(0.7,), seed=0, residual_tol=tol)
-
-
 def a2_system():
     fam = invariant_family(build_root_system("A", 2))
     res = restrict_family(fam, split_config("A", 2))
@@ -411,9 +403,12 @@ def _a3_split():
 
 def _a3_pushed_forward(draw):
     # a = U(x0) with x0 standard complex normal from default_rng(draw)
-    res = _a3_split()
     rng = np.random.default_rng(draw)
-    x0 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    return _a3_system_at(rng.standard_normal(3) + 1j * rng.standard_normal(3))
+
+
+def _a3_system_at(x0):
+    res = _a3_split()
     target = tuple(p.eval(list(x0)) for p in res.adapted)
     return DeformedSystem.from_restriction(res, (), target)
 
@@ -456,6 +451,20 @@ def test_merged_endpoints_on_every_attempt_raise(monkeypatch):
     assert len(attempts) == 4
 
 
+def test_unconverged_polish_is_not_accepted(monkeypatch):
+    # a path counts only when its polish converges, however small its residual
+    newton = fiber._newton
+
+    def stalled(num, X, a):
+        X, outcome = newton(num, X, a)
+        outcome[5] = fiber._STEP_CAP
+        return X, outcome
+
+    monkeypatch.setattr(fiber, "_newton", stalled)
+    with pytest.raises(FiberSolveError, match="^1 of 24 paths failed after 4 attempts$"):
+        solve_fiber(_a3_pushed_forward(0), seed=0)
+
+
 def test_lost_path_on_first_attempt_is_tracked_again(monkeypatch):
     system = _a3_pushed_forward(0)
     attempts = _patched_tracker(
@@ -477,3 +486,71 @@ def test_a3_fiber_is_complete_or_an_error(draw):
         return
     assert out.count == system.expected_count() == 24
     assert out.path_stats == {"tracked": 24, "failed": 0, "merged": 0}
+
+
+@pytest.mark.parametrize("draw", [2, 3, 4, 6])
+def test_a3_fiber_at_the_rounding_floor_is_returned(draw):
+    # |a| reaches 1e6 here, so polished residuals end near 1e-8 and an
+    # absolute residual gate let rounding reject paths; an endpoint is
+    # accepted when its polish converges relative to max(1, |a|)
+    rng = np.random.default_rng(draw)
+    x0 = np.array([complex(re, im) for re, im in rng.standard_normal((3, 2))])
+    system = _a3_system_at(x0)
+    out = solve_fiber(system, seed=draw)
+    assert out.count == system.expected_count() == 24
+    assert np.abs(np.array(out.solutions) - x0).max(axis=1).min() < 1e-6
+    assert sorted(map(len, out.orbit_classes)) == [24] * system.d
+    assert is_generic_fiber(system, out)
+
+
+@pytest.mark.parametrize("zeta, target", [(20, 3), (30, 0.1), (40, 1)])
+def test_polish_converges_where_large_terms_cancel(zeta, target):
+    # near x = +-i zeta both terms of x^4 + t^2 x^2 reach zeta^4 and cancel
+    # to the small target, so the float floor of f lies far above
+    # 1e-12 max(1, |a|); the polish bound also scales with the term size
+    p = parse_polynomial("x1^4 + t1^2*x1^2", ("t1", "x1"))
+    system = DeformedSystem(
+        polys=(p,),
+        t_vars=("t1",),
+        x_vars=("x1",),
+        zeta=(zeta,),
+        target=(target,),
+        little=build_root_system("A", 1),
+    )
+    out = solve_fiber(system, seed=0)
+    assert out.count == system.expected_count() == 4
+    assert is_generic_fiber(system, out)
+
+
+@functools.cache
+def _b2_split_point():
+    res = restrict_family(invariant_family(build_root_system("B", 2)), split_config("B", 2))
+    x0 = (0.3 + 0.8j, -1.1 + 0.2j)
+    target = tuple(p.eval(list(x0)) for p in res.adapted)
+    return DeformedSystem.from_restriction(res, (), target), target, x0
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda s, a, x0: is_unramified(s, (0.3 + 0.1j,)), "point"),
+        (lambda s, a, x0: is_generic(s, (0.3, 0.1, 0.2)), "point"),
+        (lambda s, a, x0: is_generic(s, ("1", None)), "point"),
+        (lambda s, a, x0: local_inverse_psi(s, a[:1], x0), "target"),
+        (lambda s, a, x0: local_inverse_psi(s, a, (float("nan"), 1.0)), "start"),
+        (lambda s, a, x0: orbit_partition([x0, (1.0,)], s.little), "every point"),
+        (lambda s, a, x0: orbit_partition([(1, 2, 3)], s.little), "every point"),
+        (lambda s, a, x0: orbit_partition([x0, (1j, math.inf)], s.little), "every point"),
+        (lambda s, a, x0: orbit_partition(x0, s.little), "every point"),
+    ],
+    ids=[
+        "unramified-short", "generic-long", "generic-not-numbers", "target-short",
+        "start-nan", "orbit-ragged", "orbit-wide", "orbit-inf", "orbit-flat",
+    ],
+)
+def test_malformed_points_rejected(call, name):
+    # before, a short point read as unramified, a short target broadcast
+    # over both equations, and a NaN start passed for a ramified one
+    system, target, x0 = _b2_split_point()
+    with pytest.raises(ValueError, match=f"^{name} must have 2 finite coordinates$"):
+        call(system, target, x0)

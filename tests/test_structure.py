@@ -128,9 +128,6 @@ def test_public_options_are_pinned():
         "load_database.path",
         "restrict_family.selection",
         "solve_fiber.seed",
-        "solve_fiber.residual_tol",
         "solve_lambda_xi.seed",
-        "solve_lambda_xi.residual_tol",
-        "split_config.name",
         "surjectivity_check.degree_bound",
     ]

@@ -67,6 +67,9 @@ class _ScalarNumeric:
     def f(self, x):
         return np.array([np.prod(x**E, axis=1) @ C for E, C in zip(self.E, self.C)])
 
+    def term_size(self, x):
+        return max(float(np.abs(np.prod(x**E, axis=1)) @ np.abs(C)) for E, C in zip(self.E, self.C))
+
     def jac(self, x):
         out = np.empty((len(self.E), self.r), dtype=np.complex128)
         for i in range(len(self.E)):
@@ -76,7 +79,7 @@ class _ScalarNumeric:
         return out
 
 
-def _track_one(num, a, gamma, degrees, cs, start, residual_tol):
+def _track_one(num, a, gamma, degrees, cs, start):
     d = np.array(degrees, dtype=np.int64)
     kappa = num.poly_scale
 
@@ -124,32 +127,32 @@ def _track_one(num, a, gamma, degrees, cs, start, residual_tol):
             ds /= 2
             if ds < 1e-4:
                 return None
+    # the endpoint is accepted when its polish converges within 30 steps,
+    # relative to the size of |a| and of the terms summed into f
+    floor = max(1.0, float(np.max(np.abs(a))))
     for _ in range(30):
         res = num.f(x) - a
-        if np.max(np.abs(res)) <= 1e-12 * max(1.0, float(np.max(np.abs(a)))):
-            break
+        if np.max(np.abs(res)) <= 1e-12 * max(floor, num.term_size(x)):
+            return x, float(np.max(np.abs(res)))
         try:
             delta = np.linalg.solve(num.jac(x), -res)
         except np.linalg.LinAlgError:
-            break
+            return None
         if not np.all(np.isfinite(delta)):
-            break
+            return None
         x = x + delta
-    residual = float(np.max(np.abs(num.f(x) - a)))
-    if not np.isfinite(residual) or residual > residual_tol:
-        return None
-    return x, residual
+    return None
 
 
 def _scalar_tracker(system):
     """A stand-in for `fiber._track_paths` that tracks one path at a time."""
     scalar = _ScalarNumeric(system)
 
-    def track(num, a, gamma, degrees, cs, starts, residual_tol):
+    def track(num, a, gamma, degrees, cs, starts):
         X = starts.astype(np.complex128)
         residual = np.full(len(X), np.inf)
         for p, x0 in enumerate(starts):
-            out = _track_one(scalar, a, gamma, degrees, cs, x0, residual_tol)
+            out = _track_one(scalar, a, gamma, degrees, cs, x0)
             if out is not None:
                 X[p], residual[p] = out
         return X, residual, np.isfinite(residual)
@@ -173,11 +176,12 @@ def _complex_normal(rng, k):
 
 @pytest.mark.parametrize("name", ["toy", "quartic", "A2", "B2", "C2", "BC2", "A3"])
 def test_batched_tracker_matches_scalar_oracle(name, monkeypatch):
-    # Draws 0 and 7 give A3 fibers whose residuals sit well below the 1e-8
-    # gate; at unit scale many A3 draws end near it, where rounding alone
-    # decides which paths pass, so no two summation orders agree there.
+    # A3 draws 1 and 4 end near the residual rounding floor (|a| reaches
+    # 1e6); both trackers accept a path when its polish converges relative
+    # to max(1, |a|, term size), so they agree there too.  A3 draw 9 still
+    # loses paths.
     res = _restriction(name)
-    for draw in (0, 7):
+    for draw in (0, 1, 4, 7) if name == "A3" else (0, 7):
         rng = np.random.default_rng(draw)
         zeta = _complex_normal(rng, len(res.t_vars))
         x0 = _complex_normal(rng, len(res.x_vars))
