@@ -332,8 +332,6 @@ def cmd_lambda(args) -> int:
     zeta = _parse_complex_list(args.zeta)
     xi = _parse_complex_list(args.xi)
     system = _load_config(args, zeta)
-    if len(xi) != len(system.x_vars):
-        raise UsageError(f"xi needs {len(system.x_vars)} entries, got {len(xi)}")
     result = solve_lambda_xi(system, xi, seed=args.seed)
     _emit_fiber(args, result)
     if result.orbit_classes is None:
@@ -469,9 +467,26 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _parse(argv):
+    try:
+        return build_parser().parse_args(argv)
+    except UsageError as exc:
+        # an unknown option before the subcommand makes the top level read
+        # the token after it as the command; name the option instead
+        top = _Parser(add_help=False)
+        _add_shared(top, top=True)
+        try:
+            first = next(iter(top.parse_known_args(argv)[1]), "")
+        except UsageError:
+            first = ""
+        if first.startswith("-") and first not in str(exc):
+            raise UsageError(f"unrecognized arguments: {first}")
+        raise
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

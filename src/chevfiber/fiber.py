@@ -600,9 +600,7 @@ def solve_lambda_xi(system: DeformedSystem, xi: Sequence[complex], seed: int = 0
     then taken in the undeformed system.  A nonempty solution list exhibits
     the lambda points attached to xi.
     """
-    if not np.isfinite(xi).all():
-        raise ValueError("xi entries must be finite")
-    at = list(system.zeta) + [complex(z) for z in xi]
+    at = list(system.zeta) + list(_points("xi", [xi], len(system.x_vars))[0])
     target = tuple(p.eval(at) for p in system.polys)
     base = replace(system, zeta=tuple(0j for _ in system.t_vars), target=target)
     return solve_fiber(base, seed=seed)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cache, partial, reduce
 from itertools import chain, islice
 from operator import getitem, itemgetter, mul
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ._linalg import (
     Matrix,
@@ -55,18 +55,6 @@ class RootSystem:
     simple_roots: Matrix
     roots: tuple[Vector, ...]
     form: Matrix
-
-    def bilinear(self, u: Sequence, v: Sequence) -> Fraction:
-        return _exact(sum(map(mul, u, matvec(self.form, v))))
-
-    def reflect(self, v: Sequence, alpha: Vector) -> Vector:
-        v = tuple(map(_exact, v))
-        scale = 2 * self.bilinear(v, alpha) / self.bilinear(alpha, alpha)
-        return tuple(x - scale * a for x, a in zip(v, alpha))
-
-    def is_regular(self, v: Sequence) -> bool:
-        bv = matvec(self.form, v)
-        return all(sum(map(mul, alpha, bv)) != 0 for alpha in self.roots)
 
     def positive_roots(self) -> tuple[Vector, ...]:
         """Roots whose expansion over the simple roots is nonnegative."""
@@ -177,8 +165,9 @@ def build_root_system(type_name: str, rank: int) -> RootSystem:
     )
     seen = _reflection_closure(rs, simples)
     if type_name == "BC":
+        # BC has the identity form, so the short roots are the unit vectors
         for r in list(seen):
-            if rs.bilinear(r, r) == 1:
+            if sum(map(mul, r, r)) == 1:
                 seen.add(tuple(2 * x for x in r))
     roots = tuple(sorted(seen))
     return RootSystem(
@@ -192,25 +181,33 @@ def build_root_system(type_name: str, rank: int) -> RootSystem:
 
 
 def simple_reflections(rs: RootSystem) -> tuple[Matrix, ...]:
-    """Matrices of the reflections in the simple roots, acting on coordinates."""
-    n = rs.rank
+    """Matrices of the reflections in the simple roots, acting on coordinates:
+    s = I - alpha (2 B alpha)^T / B(alpha, alpha)."""
     out = []
     for alpha in rs.simple_roots:
-        cols = [rs.reflect(_unit(n, i), alpha) for i in range(n)]
-        out.append(transpose(tuple(cols)))
+        b_alpha = matvec(rs.form, alpha)
+        coroot = [2 * x / sum(map(mul, alpha, b_alpha)) for x in b_alpha]
+        out.append(tuple(
+            tuple(_exact(int(i == j) - a * c) for j, c in enumerate(coroot))
+            for i, a in enumerate(alpha)
+        ))
     return tuple(out)
 
 
 def weyl_group(rs: RootSystem) -> tuple[Matrix, ...]:
     """Enumerate the Weyl group as coordinate matrices.
 
-    Elements are found by closing the simple reflections under composition,
-    each tracked by where in the root list it sends the simple roots.  The
-    count is cross-checked against the product of the fundamental degrees.
-    Each matrix is img S^-1 (images and simple roots as columns), summed in
-    integers over one common denominator; each distinct row and entry
-    becomes Fractions once and is shared.
+    A group larger than `WEYL_CAP` is refused before any element is built.
+    Elements come from `_closure`, the breadth-first closure behind roots and
+    orbits, of the simple reflections under composition, each tracked by
+    where in the root list it sends the simple roots.  The count is checked
+    against the product of the fundamental degrees.  Each matrix is img S^-1
+    (images and simple roots as columns), summed in integers over one common
+    denominator; each distinct row and entry becomes Fractions once.
     """
+    expected = weyl_order(rs.type_name, rs.rank)
+    if expected > WEYL_CAP:
+        raise ConstructionError(f"Weyl group exceeds enumeration cap {WEYL_CAP}")
     coords = _root_coordinates(rs, rs.roots)[0]
     index = {x: k for k, x in enumerate(coords)}
     gens = [
@@ -220,25 +217,7 @@ def weyl_group(rs: RootSystem) -> tuple[Matrix, ...]:
     # the first simple root is tracked twice, so that itemgetter returns a
     # tuple at rank 1 too
     identity = tuple(map(rs.roots.index, rs.simple_roots + rs.simple_roots[:1]))
-    seen = {identity}
-    frontier = [identity]
-    elements = [identity]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            images = itemgetter(*p)
-            for g in gens:
-                q = images(g)
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-                    elements.append(q)
-                    if len(elements) > WEYL_CAP:
-                        raise ConstructionError(
-                            f"Weyl group exceeds enumeration cap {WEYL_CAP}"
-                        )
-        frontier = nxt
-    expected = weyl_order(rs.type_name, rs.rank)
+    elements = _closure([identity], lambda p: map(itemgetter(*p), gens))
     if len(elements) != expected:
         raise ConstructionError(
             f"enumerated {len(elements)} elements, degree product gives {expected}"
@@ -275,20 +254,25 @@ def _reflect(x: tuple[int, ...], i: int, cartan_row: tuple[int, ...]) -> tuple[i
     return x[:i] + (x[i] - sum(map(mul, cartan_row, x)),) + x[i + 1 :]
 
 
+def _closure(seeds: Sequence, neighbours: Callable[..., Iterable]) -> list:
+    """The seeds and everything reachable from them, in breadth-first
+    discovery order."""
+    out = list(seeds)
+    seen = set(out)
+    for x in out:
+        for y in neighbours(x):
+            if y not in seen:
+                seen.add(y)
+                out.append(y)
+    return out
+
+
 def _reflection_closure(rs: RootSystem, seeds: Sequence[Vector]) -> set[Vector]:
     """The smallest set holding the seeds and closed under simple reflections,
     found in integer simple-root coordinates and mapped back once."""
     coords, den = _root_coordinates(rs, seeds)
     cartan = list(enumerate(_cartan(rs)))
-    seen = set(coords)
-    queue = list(seen)
-    while queue:
-        x = queue.pop()
-        for i, row in cartan:
-            w = _reflect(x, i, row)
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
+    seen = _closure(coords, lambda x: (_reflect(x, i, row) for i, row in cartan))
     simples, simples_den = integer_rows(transpose(rs.simple_roots))
     den *= simples_den
     entries = cache(lambda num: Fraction(num, den))
@@ -387,7 +371,8 @@ def _regular_vectors(rs: RootSystem) -> Iterator[Vector]:
     j = 1
     while True:
         v = tuple(Fraction(j**i) for i in range(rs.rank))
-        if rs.is_regular(v):
+        bv = matvec(rs.form, v)
+        if all(sum(map(mul, alpha, bv)) != 0 for alpha in rs.roots):
             yield v
         j += 1
 

@@ -118,6 +118,17 @@ def test_fiber_dependent_selection_exits_2(capsys):
     assert "dependent" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("selection, message", [
+    ("3", "selection index out of range"),
+    ("1,2", "selection must pick exactly 1 invariants, got 2"),
+], ids=["out-of-range", "wrong-size"])
+def test_restrict_bad_selection_exits_2(capsys, selection, message):
+    assert main(["restrict", "--config", TOY, "--selection", selection]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_fiber_json_bytes_deterministic(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -188,10 +199,12 @@ def test_tol_is_an_unknown_argument(capsys, command, before):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("usage error: ")
+    assert "--tol" in captured.err
 
 
 def test_lambda_wrong_xi_arity_exits_1(capsys):
     assert main(["lambda", "--config", QUARTIC, "--zeta", "1", "--xi", "1,2"]) == 1
+    assert capsys.readouterr().err == "error: xi must have 1 finite coordinates\n"
 
 
 def test_lambda_without_little_group_reports_unknown_classes(tmp_path, capsys):
@@ -314,9 +327,11 @@ def test_no_x_term_config_exits_1(tmp_path, capsys):
     ],
 )
 def test_non_finite_point_exits_1(capsys, point):
-    # a usage error, not a numerical failure after retries (exit 3)
+    # a usage error, not a numerical failure after retries (exit 3); xi is
+    # checked by the point rule of fiber._points
     assert main([point[0], "--config", TOY, *point[1:]]) == 1
-    assert "entries must be finite" in capsys.readouterr().err
+    message = "xi must have 1 finite coordinates" if "--xi" in point else "entries must be finite"
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

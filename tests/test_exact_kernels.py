@@ -2,12 +2,13 @@
 
 The functions prefixed `_ref` below are the Fraction implementations the
 package used before its exact layer summed in integers: a reflection is a
-`bilinear` call with a full matrix-vector product, every product and sum
+`_ref_bilinear` call with a full matrix-vector product, every product and sum
 re-wraps its entries in `Fraction`, the Weyl group is tracked as full
 permutations of the root list, and the invariant family scans its
 candidates eagerly for every degree.  The integer kernels must reproduce
-them byte for byte: the same roots, the same Weyl matrices in the same
-order with the same (numerator, denominator) per entry, and the same
+them byte for byte: the same roots, the same simple reflections (built
+by the coroot formula) and Weyl matrices, in the same order with the same
+(numerator, denominator) per entry, and the same
 polynomial terms in the same insertion order, which `fiber._Numeric`
 follows.
 
@@ -265,6 +266,33 @@ def test_e6_weyl_group_order_and_digest():
     assert hashlib.sha256(_matrices_key(matrices)).hexdigest() == E6_WEYL_DIGEST
 
 
+def _ref_simple_reflections(rs):
+    """Column i of each matrix is the unit vector e_i reflected in the simple root."""
+    n = rs.rank
+    return tuple(
+        _ref_transpose(tuple(_ref_reflect(rs, rootsys._unit(n, i), alpha) for i in range(n)))
+        for alpha in rs.simple_roots
+    )
+
+
+@pytest.mark.parametrize("type_name,rank", GROUP_CASES + (("E", 6),))
+def test_simple_reflections_match_the_fraction_reflection(type_name, rank):
+    rs = build_root_system(type_name, rank)
+    new, ref = simple_reflections(rs), _ref_simple_reflections(rs)
+    assert [_entries(m) for m in new] == [_entries(m) for m in ref]
+
+
+def test_weyl_group_over_the_cap_builds_no_element(monkeypatch):
+    # |W(A8)| = 9! is over the cap, so not even the generators are built
+    rs = build_root_system("A", 8)
+    calls = []
+    reflect = rootsys._reflect
+    monkeypatch.setattr(rootsys, "_reflect", lambda *a: calls.append(a) or reflect(*a))
+    with pytest.raises(rootsys.ConstructionError, match="enumeration cap 100000"):
+        weyl_group(rs)
+    assert calls == []
+
+
 @pytest.mark.parametrize("type_name,rank", FAMILY_CASES)
 def test_family_matches_the_eager_fraction_loop(type_name, rank):
     rs = build_root_system(type_name, rank)
@@ -478,21 +506,16 @@ B2 = build_root_system("B", 2)
 @pytest.mark.parametrize(
     "call",
     [
-        lambda v: B2.bilinear(v, (1, 0)),
-        lambda v: B2.bilinear((1, 0), v),
-        lambda v: B2.reflect(v, B2.simple_roots[0]),
         lambda v: orbit_vectors(B2, v),
         lambda v: PairConfig("B", 2, "A", 1, ((v[0],), (v[1],))),
     ],
-    ids=["bilinear-left", "bilinear-right", "reflect", "orbit_vectors", "PairConfig"],
+    ids=["orbit_vectors", "PairConfig"],
 )
 def test_exact_entry_points_take_the_linalg_float_rule(call):
-    # the same rule as _linalg and so RootSystem.is_regular: rationals pass,
-    # a float or complex entry raises instead of being converted
+    # the same rule as _linalg: rationals pass, a float or complex entry
+    # raises instead of being converted
     call((Fraction(1, 2), 1))
     call((0, 1))
     for bad in (0.5, 1.0, complex(1, 0)):
         with pytest.raises(TypeError):
             call((bad, 1))
-    with pytest.raises(TypeError):
-        B2.is_regular((0.5, 1))

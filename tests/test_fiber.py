@@ -381,8 +381,15 @@ def test_non_finite_zeta_or_target_rejected(zeta, target, name):
 
 
 def test_non_finite_xi_rejected():
-    with pytest.raises(ValueError, match="xi entries must be finite"):
+    with pytest.raises(ValueError, match="xi must have 1 finite coordinates"):
         solve_lambda_xi(toy_system(), xi=(float("nan"),), seed=0)
+
+
+@pytest.mark.parametrize("xi", [(1, 2), ()], ids=["long", "empty"])
+def test_wrong_length_xi_rejected(xi):
+    # the t variables are not counted: xi holds the x coordinates only
+    with pytest.raises(ValueError, match="xi must have 1 finite coordinates"):
+        solve_lambda_xi(quartic_system(), xi=xi, seed=0)
 
 
 @pytest.mark.parametrize("t_vars, x_vars", [((), ("x1", "x1")), (("x1",), ("x1",))])

@@ -203,6 +203,4 @@ def test_family_is_deterministic():
 
 def test_regular_vector_skipping():
     # (1, 1) pairs to zero against the root e1 - e2, so BC2 starts at (1, 2)
-    rs = build_root_system("BC", 2)
-    assert not rs.is_regular((1, 1))
-    assert rs.is_regular((1, 2))
+    assert next(rootsys._regular_vectors(build_root_system("BC", 2))) == (1, 2)
