@@ -3,24 +3,20 @@
 Exact invariant families for finite reflection groups, their restriction
 along symmetric-pair embeddings, numerical fibers of the deformed systems
 U(zeta; x) = a, and the classification table of exceptional pairs.
+
+The exact layers load with the package.  The fiber layer, and numpy with
+it, loads on first use of one of its names (PEP 562), so work that never
+touches a fiber never imports numpy.
 """
 
-from .fiber import (
-    DeformedSystem,
-    FiberResult,
+import importlib
+
+from ._common import (
     FiberSolveError,
     InconsistentClusteringError,
     NewtonDivergenceError,
     RamifiedPointError,
     SingularJacobianError,
-    is_generic,
-    is_generic_fiber,
-    is_unramified,
-    jacobian_J,
-    local_inverse_psi,
-    orbit_partition,
-    solve_fiber,
-    solve_lambda_xi,
 )
 from .pairdb import (
     EXCEPTIONAL_SIGNATURES,
@@ -115,3 +111,14 @@ __all__ = [
     "weyl_group",
     "weyl_order",
 ]
+
+# the names of __all__ not bound above live in the fiber layer, which
+# imports numpy; __getattr__ loads it on first access (PEP 562)
+_FIBER_NAMES = frozenset(__all__) - set(globals())
+
+
+def __getattr__(name: str):
+    if name == "fiber" or name in _FIBER_NAMES:
+        fiber = importlib.import_module(".fiber", __name__)
+        return fiber if name == "fiber" else getattr(fiber, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

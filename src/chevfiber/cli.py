@@ -22,15 +22,7 @@ import csv
 import io
 import sys
 
-from .fiber import (
-    DeformedSystem,
-    FiberResult,
-    FiberSolveError,
-    _fmt_float,
-    _to_json,
-    solve_fiber,
-    solve_lambda_xi,
-)
+from ._common import FiberSolveError, _fmt_float, _to_json
 from .pairdb import (
     IntegrityError,
     b_exceptional_list,
@@ -152,6 +144,8 @@ def _load_config(args, zeta=(), target=None):
         if args.command == "restrict":
             return res
         polys, t_vars, x_vars, little = res.adapted, res.t_vars, res.x_vars, res.little
+    from .fiber import DeformedSystem  # numpy loads here, for fiber and lambda only
+
     if target is None:
         target = tuple(0j for _ in polys)
     elif len(target) != len(polys):
@@ -282,7 +276,7 @@ def cmd_restrict(args) -> int:
     return 0
 
 
-def _emit_fiber(args, result: FiberResult) -> None:
+def _emit_fiber(args, result) -> None:
     width = len(result.solutions[0]) if result.solutions else 0
     header = ["seed", "index"]
     for i in range(width):
@@ -314,6 +308,8 @@ def cmd_fiber(args) -> int:
     zeta = _parse_complex_list(args.zeta)
     target = _parse_complex_list(args.target)
     system = _load_config(args, zeta, target)
+    from .fiber import solve_fiber
+
     result = solve_fiber(system, seed=args.seed)
     _emit_fiber(args, result)
     expected = system.expected_count()
@@ -332,6 +328,8 @@ def cmd_lambda(args) -> int:
     zeta = _parse_complex_list(args.zeta)
     xi = _parse_complex_list(args.xi)
     system = _load_config(args, zeta)
+    from .fiber import solve_lambda_xi
+
     result = solve_lambda_xi(system, xi, seed=args.seed)
     _emit_fiber(args, result)
     if result.orbit_classes is None:
@@ -487,6 +485,8 @@ def _parse(argv):
 def main(argv=None) -> int:
     try:
         args = _parse(argv)
+        if args.seed < 0:
+            raise UsageError(f"--seed must be at least 0, got {args.seed}")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

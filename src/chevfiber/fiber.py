@@ -32,35 +32,24 @@ to a residual within 1e-12 max(1, |a|, the size of the terms summed into f)
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
+from ._common import (
+    FiberSolveError,
+    InconsistentClusteringError,
+    NewtonDivergenceError,
+    RamifiedPointError,
+    SingularJacobianError,
+    _to_json,
+)
 from ._linalg import matvec
 from .polyring import Polynomial, jacobian_det
 from .restrict import Restriction, rank_d
 from .rootsys import RootSystem, fundamental_degrees, weyl_order
-
-
-class FiberSolveError(RuntimeError):
-    """Path tracking could not produce a trustworthy fiber."""
-
-
-class RamifiedPointError(FiberSolveError):
-    """A local inverse was requested at a ramification point."""
-
-
-class NewtonDivergenceError(FiberSolveError):
-    """Newton iteration failed to converge."""
-
-
-class SingularJacobianError(FiberSolveError):
-    """The Jacobian became numerically singular during iteration."""
-
-
-class InconsistentClusteringError(FiberSolveError):
-    """The merge radius does not fit the spacing of the fiber points or their folds."""
 
 
 _CLUSTER_RADIUS = 1e-6
@@ -104,9 +93,13 @@ class DeformedSystem:
         if len(self.polys) != len(self.x_vars):
             raise ValueError("system must be square in the x variables")
         if len(self.zeta) != len(self.t_vars):
-            raise ValueError("zeta length must match the t variables")
+            raise ValueError(
+                f"zeta has {len(self.zeta)} entries, the system has {len(self.t_vars)} t variables"
+            )
         if len(self.target) != len(self.polys):
-            raise ValueError("target length must match the system")
+            raise ValueError(
+                f"target has {len(self.target)} entries, the system has {len(self.polys)} equations"
+            )
         for name in ("zeta", "target"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} entries must be finite")
@@ -402,40 +395,10 @@ class FiberResult:
         return _to_json(vars(self))
 
 
-def _fmt_float(v: float) -> str:
-    return "%.17g" % v
-
-
-# RFC 8259 section 7: escape the quote, the backslash and U+0000..U+001F
-_JSON_ESCAPES = str.maketrans(
-    {chr(i): "\\u%04x" % i for i in range(0x20)}
-    | {"\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-    | {'"': '\\"', "\\": "\\\\"}
-)
-
-
-def _to_json(value) -> str:
-    """Canonical single-line JSON for the payloads chevfiber prints.
-
-    Floats take 17 significant digits and a complex number is its [re,im]
-    pair, so a payload's bytes depend only on the values.  Dicts keep their
-    insertion order; any iterable other than a str or dict is a list.
-    """
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return "%d" % value
-    if isinstance(value, float):
-        return _fmt_float(value)
-    if isinstance(value, complex):
-        return _to_json((value.real, value.imag))
-    if isinstance(value, str):
-        return '"' + value.translate(_JSON_ESCAPES) + '"'
-    if isinstance(value, dict):
-        return "{" + ",".join(_to_json(k) + ":" + _to_json(v) for k, v in value.items()) + "}"
-    return "[" + ",".join(_to_json(v) for v in value) + "]"
+def _check_seed(seed) -> None:
+    # before any work: numpy's own error for a negative seed names no argument
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
 
 
 def solve_fiber(system: DeformedSystem, seed: int = 0) -> FiberResult:
@@ -447,6 +410,7 @@ def solve_fiber(system: DeformedSystem, seed: int = 0) -> FiberResult:
     tracked again with a fresh gamma from the same generator stream; after
     three retries the solve raises FiberSolveError.
     """
+    _check_seed(seed)
     num = _Numeric(system)
     degrees = system.x_degrees()
     a = np.array(system.target, dtype=np.complex128)
@@ -600,6 +564,7 @@ def solve_lambda_xi(system: DeformedSystem, xi: Sequence[complex], seed: int = 0
     then taken in the undeformed system.  A nonempty solution list exhibits
     the lambda points attached to xi.
     """
+    _check_seed(seed)
     at = list(system.zeta) + list(_points("xi", [xi], len(system.x_vars))[0])
     target = tuple(p.eval(at) for p in system.polys)
     base = replace(system, zeta=tuple(0j for _ in system.t_vars), target=target)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from chevfiber import cli
+from chevfiber import cli, fiber
 from chevfiber.cli import main
 from chevfiber.rootsys import build_root_system, invariant_family
 
@@ -145,7 +145,7 @@ def test_fiber_json_bytes_deterministic(tmp_path, capsys):
 def test_fiber_declared_d_mismatch_fails_verdict(monkeypatch, capsys):
     # solve_fiber returns complete fibers only, so the count verdict can
     # fail only on an internal inconsistency; a short fiber stands in for one
-    solve = cli.solve_fiber
+    solve = fiber.solve_fiber
 
     def short(*args, **kwargs):
         out = solve(*args, **kwargs)
@@ -153,7 +153,7 @@ def test_fiber_declared_d_mismatch_fails_verdict(monkeypatch, capsys):
             out, solutions=out.solutions[:3], residuals=out.residuals[:3], orbit_classes=None
         )
 
-    monkeypatch.setattr(cli, "solve_fiber", short)
+    monkeypatch.setattr(fiber, "solve_fiber", short)
     code = main(["fiber", "--config", QUARTIC, "--zeta", "1", "--target", "6"])
     assert code == 2
     assert "count == |W(a_q)|*d : FAIL (3 != 4)" in capsys.readouterr().out
@@ -163,6 +163,30 @@ def test_fiber_wrong_target_arity_exits_1(capsys):
     code = main(["fiber", "--config", TOY, "--zeta", "1", "--target", "1,2"])
     assert code == 1
     assert "target needs 1" in capsys.readouterr().err
+
+
+def test_fiber_without_zeta_names_both_counts(capsys):
+    code = main(["fiber", "--config", TOY, "--target", "5"])
+    assert code == 1
+    assert "zeta has 0 entries, the system has 1 t variables" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roots", "A2"],
+        ["fiber", "--config", TOY, "--zeta", "1", "--target", "5"],
+        ["lambda", "--config", TOY, "--zeta", "1", "--xi", "2"],
+    ],
+    ids=["roots", "fiber", "lambda"],
+)
+def test_negative_seed_is_a_usage_error(capsys, argv, before):
+    seed = ["--seed", "-1"]
+    assert main(seed + argv if before else argv + seed) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: --seed must be at least 0, got -1\n"
 
 
 def test_fiber_missing_config_exits_1(capsys):
@@ -305,7 +329,7 @@ def test_zero_d_config_exits_1(tmp_path, capsys):
 def test_little_rank_mismatch_config_exits_1(tmp_path, monkeypatch, capsys, text, point, rank):
     cfg = tmp_path / "rank.cfg"
     cfg.write_text(text)
-    monkeypatch.setattr(cli, "solve_fiber", None)  # rejected before any tracking
+    monkeypatch.setattr(fiber, "solve_fiber", None)  # rejected before any tracking
     assert main(["fiber", "--config", str(cfg), "--target", point]) == 1
     assert f"little rank {rank} does not match" in capsys.readouterr().err
 

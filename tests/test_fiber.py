@@ -62,9 +62,9 @@ def bare_square_system():
 
 def test_system_validation():
     p = parse_polynomial("x1^2", ("t1", "x1"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="zeta has 0 entries, the system has 1 t variables"):
         DeformedSystem(polys=(p,), t_vars=("t1",), x_vars=("x1",), zeta=(), target=(1,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="target has 2 entries, the system has 1 equations"):
         DeformedSystem(
             polys=(p,), t_vars=("t1",), x_vars=("x1",), zeta=(0.1,), target=(1, 2)
         )
@@ -383,6 +383,17 @@ def test_non_finite_zeta_or_target_rejected(zeta, target, name):
 def test_non_finite_xi_rejected():
     with pytest.raises(ValueError, match="xi must have 1 finite coordinates"):
         solve_lambda_xi(toy_system(), xi=(float("nan"),), seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, None])
+def test_bad_seed_rejected_before_any_work(monkeypatch, seed):
+    system = quartic_system()
+    monkeypatch.setattr(fiber, "_Numeric", None)
+    monkeypatch.setattr(fiber, "_points", None)
+    with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed}"):
+        solve_fiber(system, seed=seed)
+    with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed}"):
+        solve_lambda_xi(system, xi=(0.7,), seed=seed)
 
 
 @pytest.mark.parametrize("xi", [(1, 2), ()], ids=["long", "empty"])

@@ -1,10 +1,37 @@
 import ast
 import dataclasses
 import inspect
+import os
+import subprocess
+import sys
 from collections import defaultdict
 from pathlib import Path
 
+import pytest
+
 import chevfiber
+
+ROOT = Path(__file__).resolve().parents[1]
+TOY = ROOT / "src" / "chevfiber" / "data" / "toy_pair.cfg"
+
+# the public names that live in the fiber layer
+FIBER_NAMES = (
+    "DeformedSystem",
+    "FiberResult",
+    "FiberSolveError",
+    "InconsistentClusteringError",
+    "NewtonDivergenceError",
+    "RamifiedPointError",
+    "SingularJacobianError",
+    "is_generic",
+    "is_generic_fiber",
+    "is_unramified",
+    "jacobian_J",
+    "local_inverse_psi",
+    "orbit_partition",
+    "solve_fiber",
+    "solve_lambda_xi",
+)
 
 
 def test_each_module_level_function_is_defined_once():
@@ -22,7 +49,7 @@ def test_each_module_level_function_is_defined_once():
 def test_exact_modules_do_not_import_numpy():
     # floats belong to the fiber layer; the exact layers stay in Fractions
     package = Path(chevfiber.__file__).parent
-    for name in ("_linalg", "polyring", "rootsys", "restrict", "pairdb"):
+    for name in ("_common", "_linalg", "polyring", "rootsys", "restrict", "pairdb"):
         tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
         imported = set()
         for node in ast.walk(tree):
@@ -31,6 +58,74 @@ def test_exact_modules_do_not_import_numpy():
             elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
                 imported.add(node.module.split(".")[0])
         assert "numpy" not in imported, name
+
+
+def _numpy_loaded_after(argv):
+    # a fresh interpreter, so no earlier import in this test run counts
+    code = (
+        "import contextlib, io, sys, chevfiber, chevfiber.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = chevfiber.cli.main({argv!r})\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = proc.stdout.split()
+    assert code == "0"
+    return loaded == "True"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["roots", "A2"], ["invariants", "B2"], ["restrict", "--config", str(TOY)], ["classify"]],
+    ids=["roots", "invariants", "restrict", "classify"],
+)
+def test_exact_commands_never_load_numpy(argv):
+    assert not _numpy_loaded_after(argv)
+
+
+def test_fiber_command_loads_numpy():
+    assert _numpy_loaded_after(["fiber", "--config", str(TOY), "--zeta", "1", "--target", "5"])
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from chevfiber import *", namespace)
+    assert set(chevfiber.__all__) <= set(namespace)
+
+
+def test_fiber_names_are_the_fiber_modules_objects():
+    from chevfiber import fiber
+
+    assert set(FIBER_NAMES) <= set(chevfiber.__all__)
+    for name in FIBER_NAMES:
+        assert getattr(chevfiber, name) is getattr(fiber, name), name
+    # the error classes are bound eagerly; the rest load with the fiber module
+    assert chevfiber.__getattr__("solve_fiber") is fiber.solve_fiber
+    assert chevfiber.__getattr__("fiber") is fiber
+
+
+def test_fiber_error_hierarchy():
+    assert chevfiber.FiberSolveError.__mro__[1] is RuntimeError
+    subclasses = (
+        chevfiber.InconsistentClusteringError,
+        chevfiber.NewtonDivergenceError,
+        chevfiber.RamifiedPointError,
+        chevfiber.SingularJacobianError,
+    )
+    for cls in subclasses:
+        assert cls.__mro__[1] is chevfiber.FiberSolveError, cls
+
+
+def test_unknown_package_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        chevfiber.no_such_name
 
 
 def test_fiber_does_not_enumerate_the_weyl_group():
@@ -70,21 +165,27 @@ def test_exact_modules_make_no_floats():
 def _uses(path):
     """(module, name) pairs for the functions one file can reach by name.
 
-    `from m import f` and `m.f` count for module m; a bare `f` counts for
-    the file's own module unless it sits inside the def of f itself, so a
+    `from m import f` and `m.f` count for module m, and `chevfiber.f` also
+    for `__init__`, the package's own module; a bare `f` counts for the
+    file's own module unless it sits inside the def of f itself, so a
     function that only calls itself is not used.
     """
     for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
         owner = getattr(stmt, "name", None)
         for node in ast.walk(stmt):
+            pairs = ()
             if isinstance(node, ast.ImportFrom):
                 module = (node.module or "chevfiber").rsplit(".", 1)[-1]
-                yield from ((module, alias.name) for alias in node.names)
+                pairs = [(module, alias.name) for alias in node.names]
             elif isinstance(node, ast.Attribute):
                 base = node.value
-                yield getattr(base, "id", getattr(base, "attr", None)), node.attr
+                pairs = [(getattr(base, "id", getattr(base, "attr", None)), node.attr)]
             elif isinstance(node, ast.Name) and node.id != owner:
-                yield path.stem, node.id
+                pairs = [(path.stem, node.id)]
+            for module, name in pairs:
+                yield module, name
+                if module == "chevfiber":
+                    yield "__init__", name
 
 
 def test_every_module_function_has_a_caller():
