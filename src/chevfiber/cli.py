@@ -111,13 +111,24 @@ def _parse_complex_list(text: str | None) -> tuple[complex, ...]:
 _SYSTEM_KEYS = {"name", "tvars", "xvars", "poly", "little_type", "little_rank"}
 
 
-def _load_config(args, zeta=(), target=None):
+def _check_counts(zeta, xi, t_count: int, x_count: int) -> None:
+    """fiber and lambda: --zeta needs an entry per t variable and --xi one
+    per x variable, checked before any family is built or restricted."""
+    if len(zeta) != t_count:
+        raise ValueError(f"zeta has {len(zeta)} entries, the system has {t_count} t variables")
+    if xi is not None and len(xi) != x_count:
+        raise ValueError(f"xi must have {x_count} finite coordinates")
+
+
+def _load_config(args, zeta=(), target=None, xi=None):
     """Read --config, a pair config or a system config (one with `poly` lines).
 
     restrict takes a pair config only and gets its Restriction.  fiber and
     lambda get the DeformedSystem of either kind at zeta; target None means
     all zeros.  A system config lists tvars/xvars, repeated poly lines, and
-    an optional little group; d is always derived from the degrees.
+    an optional little group; d is always derived from the degrees.  The
+    zeta and xi counts are checked first: a pair config has ambient_rank -
+    little_rank t variables and little_rank x variables.
     """
     with open(args.config, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -131,6 +142,7 @@ def _load_config(args, zeta=(), target=None):
             raise ValueError("missing config key 'poly'")
         t_vars = tuple(v for v in data.get("tvars", "").replace(",", " ").split() if v)
         x_vars = tuple(v for v in data["xvars"].replace(",", " ").split() if v)
+        _check_counts(zeta, xi, len(t_vars), len(x_vars))
         polys = tuple(parse_polynomial(p, t_vars + x_vars) for p in data["poly"])
         little = None
         if ("little_type" in data) != ("little_rank" in data):
@@ -139,6 +151,8 @@ def _load_config(args, zeta=(), target=None):
             little = build_root_system(data["little_type"], int(data["little_rank"]))
     else:
         cfg = parse_pair_config(text)
+        if args.command != "restrict":
+            _check_counts(zeta, xi, cfg.ambient_rank - cfg.little_rank, cfg.little_rank)
         fam = invariant_family(build_root_system(cfg.ambient_type, cfg.ambient_rank))
         res = restrict_family(fam, cfg, selection=_selection(args))
         if args.command == "restrict":
@@ -327,7 +341,7 @@ def cmd_fiber(args) -> int:
 def cmd_lambda(args) -> int:
     zeta = _parse_complex_list(args.zeta)
     xi = _parse_complex_list(args.xi)
-    system = _load_config(args, zeta)
+    system = _load_config(args, zeta, xi=xi)
     from .fiber import solve_lambda_xi
 
     result = solve_lambda_xi(system, xi, seed=args.seed)

@@ -5,9 +5,17 @@ variables t and fiber variables x.  Fixing t = zeta and a target vector a,
 `solve_fiber` finds every solution of U_i(zeta; x) = a_i by a total-degree
 homotopy: start solutions of x_i^{d_i} = c_i are tracked to the target system
 along H(x, s) = (1 - s) gamma g(x) + s (f(x) - a) with an Euler predictor and
-a Newton corrector on an adaptive step.  All start paths move as one numpy
-batch, each with its own s and step, and take the steps each would take
-alone.  Endpoints are polished and sorted by their coordinates rounded to a
+a Newton corrector on an adaptive step, a path lost once its step falls
+below 1e-7.  All start paths move as one numpy batch, each with its own s and
+step, and take the steps each would take alone.
+
+A system whose equations are all homogeneous is solved at unit scale: with
+U_i(lam t, lam x) = lam^m_i U_i(t, x), the paths are tracked at zeta / lam
+and target a_i / lam^m_i for one weight lam set from |a| and the coefficient
+sizes, and the solutions are multiplied by lam at the end.  So the count law
+holds from lam = 1e-6 to 1e6 whatever the coefficients, and the radii below
+apply at unit scale.  A system with an inhomogeneous equation is tracked as
+given.  Endpoints are polished and sorted by their coordinates rounded to a
 grid 1024 times finer than the merge radius, so float noise in a coordinate
 that points share cannot reorder them and a fixed seed reproduces results
 byte for byte.  A returned fiber is complete -- no path lost, no two
@@ -305,10 +313,11 @@ def _track_paths(
     Every path keeps its own s, step ds and fate, and takes the steps it
     would take alone: an Euler predictor, at most 4 Newton corrections, ds
     doubled (to at most 0.1) after a correction in at most 2 iterations and
-    halved after a failed one, the path lost below ds = 1e-4.  `_newton`
-    polishes the endpoints against f(x) = a.  Returns the endpoints, their
-    residuals, and the mask of paths that reached the target and whose
-    polish converged.
+    halved after a failed one, the path lost below ds = 1e-7.  `_newton`
+    polishes the endpoints against f(x) = a.  Returns the endpoints, the
+    residuals |f_i(x) - a_i| (P, r) of each equation (inf on a lost path),
+    and the mask of paths that reached the target and whose polish
+    converged.  `solve_fiber` calls it on the system at unit scale.
     """
     d = np.array(degrees, dtype=np.int64)
     # match the start equations to the coefficient size of the target
@@ -367,11 +376,11 @@ def _track_paths(
         ds[grow] = np.minimum(0.1, ds[grow] * 2)
         shrink = idx[~converged]
         ds[shrink] /= 2
-        lost[shrink[ds[shrink] < 1e-4]] = True
+        lost[shrink[ds[shrink] < 1e-7]] = True
     ok = ~lost
     x[ok], outcome = _newton(num, x[ok], a)
-    residual = np.full(len(x), np.inf)
-    residual[ok] = np.abs(num(x[ok])[0] - a).max(axis=1)
+    residual = np.full(x.shape, np.inf)
+    residual[ok] = np.abs(num(x[ok])[0] - a)
     ok[ok] = outcome == _CONVERGED
     return x, residual, ok
 
@@ -401,19 +410,60 @@ def _check_seed(seed) -> None:
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
 
 
+def _unit_scale(system: DeformedSystem) -> tuple[float, np.ndarray, DeformedSystem]:
+    """The weight lam, the powers lam^m_i, and the system at unit scale.
+
+    When every equation is homogeneous, U_i(lam t, lam x) = lam^m_i U_i(t, x)
+    with m_i its total degree, so x solves the system at (zeta, a) exactly
+    when x / lam solves it at (zeta / lam, a_i / lam^m_i).  Equation and
+    variable scaling (Morgan, 1987) picks lam = exp(mean_i log(|a_i| / c_i)
+    / m_i) over the nonzero a_i, c_i the largest |coefficient| of equation i
+    before zeta is substituted, so that the fiber lies near unit size; when
+    a = 0, lam is the geometric mean of the nonzero |zeta_j|.  When both are
+    zero the fiber is the origin alone, and FiberSolveError names the target
+    non-generic.  A system with an inhomogeneous equation keeps lam = 1.
+    """
+    m = [p.homogeneous_degree() for p in system.polys]
+    if None in m:
+        return 1.0, np.ones(len(m)), system
+    logs = [
+        math.log(abs(a) / float(max(map(abs, p.terms.values())))) / m_i
+        for p, m_i, a in zip(system.polys, m, system.target)
+        if a
+    ]
+    logs = logs or [math.log(abs(z)) for z in system.zeta if z]
+    if not logs:
+        raise FiberSolveError(
+            "non-generic target: target and zeta are zero, so the fiber is the origin"
+            f" with multiplicity {math.prod(m)}"
+        )
+    lam = math.exp(sum(logs) / len(logs))
+    powers = np.array([lam**m_i for m_i in m])
+    unit = replace(
+        system,
+        zeta=tuple(z / lam for z in system.zeta),
+        target=tuple(a / w for a, w in zip(system.target, powers)),
+    )
+    return lam, powers, unit
+
+
 def solve_fiber(system: DeformedSystem, seed: int = 0) -> FiberResult:
     """Track every start path and return the complete, sorted fiber.
 
-    An attempt is accepted only when every path reaches the target and its
-    polish converges, and no two endpoints lie within the merge radius (a
-    path jump, or a target off the generic locus).  Otherwise the paths are
-    tracked again with a fresh gamma from the same generator stream; after
-    three retries the solve raises FiberSolveError.
+    The paths are tracked on the system at unit scale (`_unit_scale`); the
+    merge check, the sort and the orbit classes read the points there, and
+    the returned solutions and residuals are taken back to the caller's
+    zeta and target.  An attempt is accepted only when every path reaches
+    the target and its polish converges, and no two endpoints lie within
+    the merge radius (a path jump, or a target off the generic locus).
+    Otherwise the paths are tracked again with a fresh gamma from the same
+    generator stream; after three retries the solve raises FiberSolveError.
     """
     _check_seed(seed)
-    num = _Numeric(system)
+    lam, powers, unit = _unit_scale(system)
+    num = _Numeric(unit)
     degrees = system.x_degrees()
-    a = np.array(system.target, dtype=np.complex128)
+    a = np.array(unit.target, dtype=np.complex128)
     rng = np.random.default_rng(seed)
 
     total = math.prod(degrees)
@@ -448,12 +498,13 @@ def solve_fiber(system: DeformedSystem, seed: int = 0) -> FiberResult:
     # coordinate can no longer decide the order.
     keys = np.round(np.stack([X.real, X.imag], axis=2) / (_CLUSTER_RADIUS / 1024))
     order = sorted(range(total), key=lambda i: tuple(keys[i].ravel()))
-    solutions = tuple(tuple(complex(z) for z in X[i]) for i in order)
-    residuals = tuple(float(residual[i]) for i in order)
+    solutions = tuple(tuple(complex(z) for z in lam * X[i]) for i in order)
+    # equation i's residual grows by lam^m_i on the way back to the caller's frame
+    residuals = tuple(float(r) for r in (residual[order] * powers).max(axis=1))
 
     orbit_classes = None
     if system.little is not None:
-        orbit_classes = orbit_partition(solutions, system.little)
+        orbit_classes = orbit_partition(X[order], system.little)
 
     return FiberResult(
         seed=seed,

@@ -77,6 +77,16 @@ def split_restrictions():
     return out
 
 
+@pytest.fixture(scope="module")
+def count_law_restrictions(split_restrictions):
+    """The rank-2 splits plus G2 and A3, whose coefficients reach 9.1e6 and 9.1e5."""
+    out = dict(split_restrictions)
+    for t, n in (("G", 2), ("A", 3)):
+        fam = invariant_family(build_root_system(t, n))
+        out[f"{t}{n}"] = restrict_family(fam, split_config(t, n))
+    return out
+
+
 def _draw(rng, k):
     re = rng.standard_normal(k)
     im = rng.standard_normal(k)
@@ -103,7 +113,7 @@ DRAWS = 20
 
 
 def test_criterion_1_fiber_count_law(
-    capfd, toy_restriction, quartic_restriction, split_restrictions
+    capfd, toy_restriction, quartic_restriction, count_law_restrictions
 ):
     t0 = time.time()
     rng = np.random.default_rng(20260819)
@@ -112,7 +122,7 @@ def test_criterion_1_fiber_count_law(
     ok = True
     for k in range(DRAWS):
         for name, system in _systems(
-            toy_restriction, quartic_restriction, split_restrictions, rng
+            toy_restriction, quartic_restriction, count_law_restrictions, rng
         ):
             result = solve_fiber(system, seed=1000 + k)
             expected = system.expected_count()

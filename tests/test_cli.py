@@ -171,6 +171,25 @@ def test_fiber_without_zeta_names_both_counts(capsys):
     assert "zeta has 0 entries, the system has 1 t variables" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fiber", "--config", TOY, "--target", "5"], "zeta has 0 entries, the system has 1"),
+        (["lambda", "--config", TOY, "--zeta", "1,2", "--xi", "2"], "zeta has 2 entries"),
+        (["lambda", "--config", TOY, "--zeta", "1", "--xi", "1,2"], "xi must have 1 finite"),
+        (["lambda", "--config", QUARTIC, "--xi", "2"], "zeta has 0 entries, the system has 1"),
+    ],
+    ids=["fiber-zeta", "lambda-zeta", "lambda-xi", "system-config"],
+)
+def test_point_counts_are_checked_before_the_family(monkeypatch, capsys, argv, message):
+    # a pair config gives the t count as ambient rank minus little rank, a
+    # system config lists its tvars: no family is built, and no polynomial parsed
+    monkeypatch.setattr(cli, "invariant_family", None)
+    monkeypatch.setattr(cli, "parse_polynomial", None)
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
 @pytest.mark.parametrize(
     "argv",

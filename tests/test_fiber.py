@@ -350,13 +350,9 @@ def test_order_ignores_last_bit_noise(monkeypatch):
         assert moved.max() < 1e-14
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=FiberSolveError,
-    reason="tracker scale defect: the A3 coefficients reach 913776, so this "
-    "order-1 target has fiber points of size 1e-2 and every path is lost",
-)
 def test_a3_hand_typed_target():
+    # the A3 coefficients reach 913776, so this order-1 target has fiber
+    # points of size 1e-2; tracked at unit scale, no path is lost
     fam = invariant_family(build_root_system("A", 3))
     res = restrict_family(fam, split_config("A", 3))
     system = DeformedSystem.from_restriction(
@@ -364,6 +360,7 @@ def test_a3_hand_typed_target():
     )
     out = solve_fiber(system, seed=0)
     assert out.count == system.expected_count() == 24
+    assert sorted(map(len, out.orbit_classes)) == [24] * system.d
 
 
 @pytest.mark.parametrize(
@@ -546,6 +543,51 @@ def _b2_split_point():
     x0 = (0.3 + 0.8j, -1.1 + 0.2j)
     target = tuple(p.eval(list(x0)) for p in res.adapted)
     return DeformedSystem.from_restriction(res, (), target), target, x0
+
+
+def test_zero_target_and_zeta_is_named_non_generic(monkeypatch):
+    # the fiber of a homogeneous system at a = 0, zeta = 0 is the origin
+    # alone, with multiplicity 2 * 4; no path is tracked
+    system, _, _ = _b2_split_point()
+    monkeypatch.setattr(fiber, "_track_paths", None)
+    with pytest.raises(
+        FiberSolveError,
+        match="^non-generic target: target and zeta are zero, so the fiber is the origin"
+        " with multiplicity 8$",
+    ):
+        solve_fiber(replace(system, target=(0, 0)), seed=0)
+
+
+def test_zero_target_takes_its_scale_from_zeta():
+    # 20 t^2 + 20 x^2 = 0 at zeta = 1e3 (0.3 + 0.1j) has the points x = +-i zeta
+    zeta = 1e3 * (0.3 + 0.1j)
+    out = solve_fiber(toy_system(zeta=(zeta,), target=(0,)), seed=0)
+    assert out.count == 2
+    for (x,) in out.solutions:
+        assert min(abs(x - 1j * zeta), abs(x + 1j * zeta)) < 1e-12 * abs(zeta)
+
+
+def test_partly_zero_target_is_solved():
+    # the scale comes from the nonzero entry of a alone
+    system, _, _ = _b2_split_point()
+    out = solve_fiber(replace(system, target=(0, 1.5 + 0.3j)), seed=0)
+    assert out.count == system.expected_count() == 8
+    assert sorted(map(len, out.orbit_classes)) == [8] * system.d
+
+
+def test_residuals_are_in_the_callers_frame():
+    # the fiber is solved at unit scale; each equation's residual is taken
+    # back by lam^m_i, so it is the residual of U(x) = a evaluated directly
+    system, _, x0 = _b2_split_point()
+    x0 = tuple(1e3 * z for z in x0)
+    target = tuple(p.eval(list(x0)) for p in system.polys)
+    out = solve_fiber(replace(system, target=target), seed=0)
+    assert out.count == 8
+    direct = max(
+        abs(p.eval(list(x)) - a) for x in out.solutions for p, a in zip(system.polys, target)
+    )
+    assert direct / 10 <= max(out.residuals) <= direct * 10
+    assert max(out.residuals) <= 1e-12 * max(map(abs, target))
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,8 @@
 `_track_one` below is the scalar path tracker the package used before it
 tracked all paths as one batch: one path at a time, evaluating each equation
 and each Jacobian entry on its own.  Batched BLAS sums in another order, so
-the two agree to a tolerance, not bit for bit.
+the two agree to a tolerance, not bit for bit.  A sweep over scales checks
+the count law from lam = 1e-6 to 1e6.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ def _track_one(num, a, gamma, degrees, cs, start):
                 ds = min(0.1, ds * 2)
         else:
             ds /= 2
-            if ds < 1e-4:
+            if ds < 1e-7:
                 return None
     # the endpoint is accepted when its polish converges within 30 steps,
     # relative to the size of |a| and of the terms summed into f
@@ -133,7 +134,7 @@ def _track_one(num, a, gamma, degrees, cs, start):
     for _ in range(30):
         res = num.f(x) - a
         if np.max(np.abs(res)) <= 1e-12 * max(floor, num.term_size(x)):
-            return x, float(np.max(np.abs(res)))
+            return x, np.abs(res)
         try:
             delta = np.linalg.solve(num.jac(x), -res)
         except np.linalg.LinAlgError:
@@ -145,17 +146,21 @@ def _track_one(num, a, gamma, degrees, cs, start):
 
 
 def _scalar_tracker(system):
-    """A stand-in for `fiber._track_paths` that tracks one path at a time."""
-    scalar = _ScalarNumeric(system)
+    """A stand-in for `fiber._track_paths` that tracks one path at a time.
+
+    `solve_fiber` tracks the system at unit scale, so the evaluator is built
+    at that system's zeta, as the batched one is.
+    """
+    scalar = _ScalarNumeric(fiber._unit_scale(system)[2])
 
     def track(num, a, gamma, degrees, cs, starts):
         X = starts.astype(np.complex128)
-        residual = np.full(len(X), np.inf)
+        residual = np.full(X.shape, np.inf)
         for p, x0 in enumerate(starts):
             out = _track_one(scalar, a, gamma, degrees, cs, x0)
             if out is not None:
                 X[p], residual[p] = out
-        return X, residual, np.isfinite(residual)
+        return X, residual, np.isfinite(residual).all(axis=1)
 
     return track
 
@@ -200,6 +205,27 @@ def test_batched_tracker_matches_scalar_oracle(name, monkeypatch):
         assert batched.orbit_classes == scalar.orbit_classes
         order = weyl_order(system.little.type_name, system.little.rank)
         assert sorted(map(len, batched.orbit_classes)) == [order] * system.d
+
+
+@pytest.mark.parametrize(
+    "name", ["toy", "quartic", "A2", "B2", "C2", "BC2", "G2", "A3", "B3", "C3"]
+)
+def test_count_law_holds_over_scales(name):
+    # zeta and x0 scaled by lam, so the fiber scales with them; each system
+    # is solved at unit scale, whatever lam and its coefficient sizes
+    res = _restriction(name)
+    for lam in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+        for draw in range(2):
+            rng = np.random.default_rng(draw)
+            zeta = tuple(lam * z for z in _complex_normal(rng, len(res.t_vars)))
+            x0 = tuple(lam * z for z in _complex_normal(rng, len(res.x_vars)))
+            target = tuple(p.eval(list(zeta + x0)) for p in res.adapted)
+            system = DeformedSystem.from_restriction(res, zeta, target)
+            out = solve_fiber(system, seed=draw)
+            assert out.count == system.expected_count(), (lam, draw)
+            assert np.abs(np.array(out.solutions) - x0).max(axis=1).min() <= 1e-6 * lam
+            order = weyl_order(system.little.type_name, system.little.rank)
+            assert sorted(map(len, out.orbit_classes)) == [order] * system.d
 
 
 def _loop_orbit_partition(points, matrices, radius):
