@@ -111,11 +111,15 @@ def _parse_complex_list(text: str | None) -> tuple[complex, ...]:
 _SYSTEM_KEYS = {"name", "tvars", "xvars", "poly", "little_type", "little_rank"}
 
 
-def _check_counts(zeta, xi, t_count: int, x_count: int) -> None:
-    """fiber and lambda: --zeta needs an entry per t variable and --xi one
-    per x variable, checked before any family is built or restricted."""
+def _check_counts(zeta, target, xi, t_count: int, x_count: int) -> None:
+    """fiber and lambda: --zeta needs an entry per t variable, and --target
+    and --xi one per x variable, checked before any family is built or
+    restricted.  A valid system is square, so its equations number its x
+    variables."""
     if len(zeta) != t_count:
         raise ValueError(f"zeta has {len(zeta)} entries, the system has {t_count} t variables")
+    if target is not None and len(target) != x_count:
+        raise UsageError(f"target needs {x_count} entries, got {len(target)}")
     if xi is not None and len(xi) != x_count:
         raise ValueError(f"xi must have {x_count} finite coordinates")
 
@@ -127,8 +131,8 @@ def _load_config(args, zeta=(), target=None, xi=None):
     lambda get the DeformedSystem of either kind at zeta; target None means
     all zeros.  A system config lists tvars/xvars, repeated poly lines, and
     an optional little group; d is always derived from the degrees.  The
-    zeta and xi counts are checked first: a pair config has ambient_rank -
-    little_rank t variables and little_rank x variables.
+    zeta, target and xi counts are checked first: a pair config has
+    ambient_rank - little_rank t variables and little_rank x variables.
     """
     with open(args.config, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -142,7 +146,7 @@ def _load_config(args, zeta=(), target=None, xi=None):
             raise ValueError("missing config key 'poly'")
         t_vars = tuple(v for v in data.get("tvars", "").replace(",", " ").split() if v)
         x_vars = tuple(v for v in data["xvars"].replace(",", " ").split() if v)
-        _check_counts(zeta, xi, len(t_vars), len(x_vars))
+        _check_counts(zeta, target, xi, len(t_vars), len(x_vars))
         polys = tuple(parse_polynomial(p, t_vars + x_vars) for p in data["poly"])
         little = None
         if ("little_type" in data) != ("little_rank" in data):
@@ -152,7 +156,7 @@ def _load_config(args, zeta=(), target=None, xi=None):
     else:
         cfg = parse_pair_config(text)
         if args.command != "restrict":
-            _check_counts(zeta, xi, cfg.ambient_rank - cfg.little_rank, cfg.little_rank)
+            _check_counts(zeta, target, xi, cfg.ambient_rank - cfg.little_rank, cfg.little_rank)
         fam = invariant_family(build_root_system(cfg.ambient_type, cfg.ambient_rank))
         res = restrict_family(fam, cfg, selection=_selection(args))
         if args.command == "restrict":
@@ -162,10 +166,6 @@ def _load_config(args, zeta=(), target=None, xi=None):
 
     if target is None:
         target = tuple(0j for _ in polys)
-    elif len(target) != len(polys):
-        raise UsageError(
-            f"target needs {len(polys)} entries, got {len(target)}"
-        )
     return DeformedSystem(
         polys=polys,
         t_vars=t_vars,

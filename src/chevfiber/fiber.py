@@ -4,7 +4,7 @@ A DeformedSystem holds square polynomial equations U_i(t; x) over deformation
 variables t and fiber variables x.  Fixing t = zeta and a target vector a,
 `solve_fiber` finds every solution of U_i(zeta; x) = a_i by a total-degree
 homotopy: start solutions of x_i^{d_i} = c_i are tracked to the target system
-along H(x, s) = (1 - s) gamma g(x) + s (f(x) - a) with an Euler predictor and
+along H(x, s) = (1 - s) gamma g(x) + s (f(x) - a) with an RK4 predictor and
 a Newton corrector on an adaptive step, a path lost once its step falls
 below 1e-7.  All start paths move as one numpy batch, each with its own s and
 step, and take the steps each would take alone.
@@ -311,7 +311,7 @@ def _track_paths(
     """Track the start points (P, r) to the target system as one batch.
 
     Every path keeps its own s, step ds and fate, and takes the steps it
-    would take alone: an Euler predictor, at most 4 Newton corrections, ds
+    would take alone: an RK4 predictor, at most 4 Newton corrections, ds
     doubled (to at most 0.1) after a correction in at most 2 iterations and
     halved after a failed one, the path lost below ds = 1e-7.  `_newton`
     polishes the endpoints against f(x) = a.  Returns the endpoints, the
@@ -345,10 +345,20 @@ def _track_paths(
         if not idx.size:
             break
         step = np.minimum(ds[idx], 1.0 - s[idx])
-        _, Hx, hs = homotopy(x[idx], s[idx])
-        v, ok = _solve_rows(Hx, -hs)
-        xn = np.where(ok[:, None], x[idx] + v * step[:, None], x[idx])
-        s_next = s[idx] + step
+        # classical RK4 on dx/ds = -Hx^-1 dH/ds; a row whose stage solve
+        # fails or whose prediction is not finite is predicted at x itself
+        x0, s0 = x[idx], s[idx]
+        k, slope = np.zeros_like(x0), np.zeros_like(x0)
+        good = np.ones(len(idx), dtype=bool)
+        for c, weight in ((0.0, 1), (0.5, 2), (0.5, 2), (1.0, 1)):
+            _, Hx, hs = homotopy(x0 + (c * step)[:, None] * k, s0 + c * step)
+            k, ok = _solve_rows(Hx, -hs)
+            slope += weight * k
+            good &= ok
+        xn = x0 + (step / 6)[:, None] * slope
+        good &= np.isfinite(xn).all(axis=1)
+        xn[~good] = x0[~good]
+        s_next = s0 + step
         iterations = np.zeros(len(idx), dtype=np.int64)
         converged = np.zeros(len(idx), dtype=bool)
         running = np.ones(len(idx), dtype=bool)

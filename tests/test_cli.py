@@ -159,10 +159,21 @@ def test_fiber_declared_d_mismatch_fails_verdict(monkeypatch, capsys):
     assert "count == |W(a_q)|*d : FAIL (3 != 4)" in capsys.readouterr().out
 
 
-def test_fiber_wrong_target_arity_exits_1(capsys):
+def test_fiber_wrong_target_arity_exits_1(monkeypatch, capsys):
+    # a valid system is square, so the target count is checked against the
+    # x count before any family is built
+    calls = []
+    build = cli.invariant_family
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "invariant_family", counted)
     code = main(["fiber", "--config", TOY, "--zeta", "1", "--target", "1,2"])
     assert code == 1
-    assert "target needs 1" in capsys.readouterr().err
+    assert capsys.readouterr().err == "usage error: target needs 1 entries, got 2\n"
+    assert calls == []
 
 
 def test_fiber_without_zeta_names_both_counts(capsys):

@@ -1,10 +1,10 @@
 """The batched tracker and orbit partition against one-at-a-time references.
 
-`_track_one` below is the scalar path tracker the package used before it
-tracked all paths as one batch: one path at a time, evaluating each equation
-and each Jacobian entry on its own.  Batched BLAS sums in another order, so
-the two agree to a tolerance, not bit for bit.  A sweep over scales checks
-the count law from lam = 1e-6 to 1e6.
+`_track_one` below is a scalar path tracker that takes the batched
+tracker's steps (an RK4 predictor and the same corrector and step rule) one
+path at a time, evaluating each equation and each Jacobian entry on its own.
+Batched BLAS sums in another order, so the two agree to a tolerance, not bit
+for bit.  A sweep over scales checks the count law from lam = 1e-6 to 1e6.
 """
 
 from __future__ import annotations
@@ -93,15 +93,25 @@ def _track_one(num, a, gamma, degrees, cs, start):
     def Hx(x, s):
         return (1 - s) * gamma * np.diag(kappa * d * x ** (d - 1)) + s * num.jac(x)
 
+    def tangent(x, s):
+        # dx/ds = -Hx^-1 dH/ds
+        return np.linalg.solve(Hx(x, s), -((num.f(x) - a) - gamma * g(x)))
+
     x = start.astype(np.complex128)
     s = 0.0
     ds = 0.05
     while s < 1.0:
         step = min(ds, 1.0 - s)
+        # classical RK4; a failed stage or a non-finite prediction keeps x
         try:
-            v = np.linalg.solve(Hx(x, s), -((num.f(x) - a) - gamma * g(x)))
-            xp = x + v * step
+            k1 = tangent(x, s)
+            k2 = tangent(x + step / 2 * k1, s + step / 2)
+            k3 = tangent(x + step / 2 * k2, s + step / 2)
+            k4 = tangent(x + step * k3, s + step)
+            xp = x + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         except np.linalg.LinAlgError:
+            xp = x
+        if not np.all(np.isfinite(xp)):
             xp = x
         s_next = s + step
         xn = xp
@@ -183,10 +193,9 @@ def _complex_normal(rng, k):
 def test_batched_tracker_matches_scalar_oracle(name, monkeypatch):
     # A3 draws 1 and 4 end near the residual rounding floor (|a| reaches
     # 1e6); both trackers accept a path when its polish converges relative
-    # to max(1, |a|, term size), so they agree there too.  A3 draw 9 still
-    # loses paths.
+    # to max(1, |a|, term size), so they agree there too.
     res = _restriction(name)
-    for draw in (0, 1, 4, 7) if name == "A3" else (0, 7):
+    for draw in (0, 1, 4, 7, 9) if name == "A3" else (0, 7):
         rng = np.random.default_rng(draw)
         zeta = _complex_normal(rng, len(res.t_vars))
         x0 = _complex_normal(rng, len(res.x_vars))
