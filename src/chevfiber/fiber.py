@@ -18,8 +18,9 @@ apply at unit scale.  A system with an inhomogeneous equation is tracked as
 given.  Endpoints are polished and sorted by their coordinates rounded to a
 grid 1024 times finer than the merge radius, so float noise in a coordinate
 that points share cannot reorder them and a fixed seed reproduces results
-byte for byte.  A returned fiber is complete -- no path lost, no two
-endpoints within the merge radius -- or the solve raises FiberSolveError.
+byte for byte, whatever order the terms of the equations are written in.
+A returned fiber is complete -- no path lost, no two endpoints within the
+merge radius -- or the solve raises FiberSolveError.
 d is derived, never declared, so a returned fiber has |W(little)| * d points.
 
 The symbolic Jacobian determinant of the system in the x directions is
@@ -120,6 +121,12 @@ class DeformedSystem:
                 raise ValueError("every polynomial must use the t + x variable tuple")
             if p.is_zero:
                 raise ValueError(f"equation {i} is the zero polynomial")
+            try:
+                top = float(max(map(abs, p.terms.values())))
+            except OverflowError:
+                top = 0.0
+            if not top:
+                raise ValueError(f"equation {i} has a coefficient beyond float range")
         degs = self.x_degrees()
         if 0 in degs:
             raise ValueError(f"equation {degs.index(0) + 1} has no x term")
@@ -175,12 +182,9 @@ class _Numeric:
 
     Every monomial of f and of df/dx is collected once, so a batch of points
     X (P, r) costs one power table and two matrix products: `mono @ Cf` gives
-    f (P, r) and `mono @ Cj` the Jacobian (P, r, r).
-
-    Columns are laid out in the order of `p.terms`, which sets the order of
-    each float sum, so the last bits of f and J, and with them the fiber
-    bytes, depend on the term order of the polynomials.  `Polynomial.eval`
-    does not: its Horner scheme sorts the terms by exponent.
+    f (P, r) and `mono @ Cj` the Jacobian (P, r, r).  Terms are read sorted by
+    exponent and each coefficient is rounded once, as in `Polynomial.eval`, so
+    f, J and the column layout depend on the polynomials' values alone.
     """
 
     def __init__(self, system: DeformedSystem):
@@ -191,8 +195,8 @@ class _Numeric:
         f_terms, j_terms, scales = [], [], []
         for i, p in enumerate(system.polys):
             acc: dict[tuple[int, ...], complex] = {}
-            for e, c in p.terms.items():
-                z = complex(c.numerator) / complex(c.denominator)
+            for e, c in sorted(p.terms.items()):
+                z = complex(c.numerator / c.denominator)
                 for j in range(k):
                     if e[j]:
                         z *= system.zeta[j] ** e[j]

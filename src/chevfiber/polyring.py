@@ -224,9 +224,7 @@ class Polynomial:
 
         `new_vars` defaults to this polynomial's own variables, so a square
         matrix acting on coordinates (a reflection, say) maps p to p o M.
-        Each monomial is expanded over cached powers of the row forms, and
-        the expansions are added in term order, which sets the order of the
-        result's terms.
+        Each monomial is expanded over cached powers of the row forms.
         """
         new_vars = self.variables if new_vars is None else tuple(new_vars)
         n = len(new_vars)
@@ -328,16 +326,26 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
         for factor in piece.split("*"):
             if not factor:
                 raise ValueError(f"malformed term {piece!r}")
-            name, _, power = factor.partition("^")
+            name, caret, power = factor.partition("^")
             if name in variables:
-                exp[variables.index(name)] += int(power) if power else 1
+                if caret and not power.isdecimal():
+                    raise ValueError(f"malformed exponent in term {piece!r}")
+                exp[variables.index(name)] += int(power or 1)
             else:
                 if power:
                     raise ValueError(f"unknown variable {name!r}")
-                coeff *= Fraction(factor)
+                coeff *= parse_rational(factor)
         e = tuple(exp)
         terms[e] = terms.get(e, Fraction(0)) + coeff
     return Polynomial(variables, terms)
+
+
+def parse_rational(text: str) -> Fraction:
+    """Fraction(text), but a zero denominator is a ValueError naming the text."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def jacobian_matrix(polys: Sequence[Polynomial], xs: Sequence[str]) -> list[list[Polynomial]]:

@@ -28,7 +28,7 @@ from ._linalg import (
     rank as matrix_rank,
     to_fraction_rows,
 )
-from .polyring import Polynomial
+from .polyring import Polynomial, parse_rational
 from .rootsys import (
     InvariantFamily,
     RootSystem,
@@ -130,10 +130,8 @@ def parse_pair_config(text: str) -> PairConfig:
     ambient_rank = int(data["ambient_rank"])
     little_rank = int(data["little_rank"])
     if "embedding" in data:
-        rows = [r for r in data["embedding"].split(";")]
-        embedding = tuple(
-            tuple(Fraction(entry) for entry in row.split()) for row in rows
-        )
+        rows = data["embedding"].split(";")
+        embedding = tuple(tuple(map(parse_rational, row.split())) for row in rows)
     else:
         if ambient_rank != little_rank:
             raise ValueError("embedding may be omitted only when ranks agree")

@@ -327,19 +327,13 @@ def _orbit_sum(rs: RootSystem, orbit: Sequence[Vector], k: int) -> Polynomial:
     images = [[sum(map(mul, row, u)) for row in form] for u in vectors]
     # powers[j][e]: coordinate j of every image, to the e-th power
     powers = [[tuple(x**e for x in column) for e in range(k + 1)] for column in zip(*images)]
-    totals, first = {}, {}
-    for comp in _compositions(k, rs.rank):
-        terms = list(reduce(partial(map, mul), map(getitem, powers, comp)))
-        totals[comp] = sum(terms)
-        first[comp] = next((i for i, t in enumerate(terms) if t), 0)
-    # each monomial with its multinomial coefficient k! / prod(k_j!), in the
-    # order of its first nonzero term, image by image: fiber._Numeric lays
-    # out its columns in term order, so fiber bytes follow it
+    # each monomial with its multinomial coefficient k! / prod(k_j!)
     top = math.factorial(k) * mult
     return Polynomial(rs.variables, {
-        comp: Fraction(top // math.prod(map(math.factorial, comp)) * totals[comp],
+        comp: Fraction(top // math.prod(map(math.factorial, comp))
+                       * sum(reduce(partial(map, mul), map(getitem, powers, comp))),
                        (den * form_den) ** k)
-        for comp in sorted(totals, key=first.get)
+        for comp in _compositions(k, rs.rank)
     })
 
 

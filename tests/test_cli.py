@@ -3,7 +3,10 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -18,6 +21,7 @@ def data_path(name):
     return str(resources.files("chevfiber.data").joinpath(name))
 
 
+ROOT = Path(__file__).resolve().parents[1]
 TOY = data_path("toy_pair.cfg")
 QUARTIC = data_path("synthetic_quartic.cfg")
 SPLIT_BC2 = data_path("split_bc2.cfg")
@@ -268,6 +272,61 @@ def test_lambda_without_little_group_reports_unknown_classes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "distinct orbit classes: UNKNOWN (no little group)" in out
     assert "lambda exists : PASS (3 solutions)" in out
+
+
+def test_fiber_bytes_do_not_depend_on_term_order(tmp_path, capsys):
+    # the shipped quartic, its poly written in both orders
+    outs = []
+    for i, poly in enumerate(("x1^4 + t1^2*x1^2", "t1^2*x1^2 + x1^4")):
+        cfg = tmp_path / f"quartic{i}.cfg"
+        cfg.write_text(f"tvars: t1\nxvars: x1\npoly: {poly}\nlittle_type: A\nlittle_rank: 1\n")
+        argv = ["--config", str(cfg), "--zeta", "0.7+0.3j", "--target", "1.3-0.4j"]
+        assert main(["--format", "json", "fiber", *argv]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+def test_long_exact_coefficient_solves(tmp_path, capsys):
+    # (10^400 + 1) / 10^400: numerator and denominator are beyond float range
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(f"xvars: x1\npoly: 1.{'0' * 399}1*x1^2\nlittle_type: A\nlittle_rank: 1\n")
+    assert main(["fiber", "--config", str(cfg), "--target", "1"]) == 0
+    assert "count == |W(a_q)|*d : PASS (2 == 2)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "text, argv, message",
+    [
+        ("xvars: x1\npoly: x1^+2\n", ["--target", "1"], "malformed exponent in term 'x1^'"),
+        ("xvars: x1\npoly: 1/0*x1^2\n", ["--target", "1"], "zero denominator in '1/0'"),
+        (
+            "ambient_type: B\nambient_rank: 2\nlittle_type: A\nlittle_rank: 1\n"
+            "embedding: 1/0; 1\n",
+            ["--zeta", "1", "--target", "1"],
+            "zero denominator in '1/0'",
+        ),
+        (
+            "xvars: x1\npoly: 1e400*x1^2\n",
+            ["--target", "1"],
+            "equation 1 has a coefficient beyond float range",
+        ),
+    ],
+    ids=["exponent", "coefficient", "embedding", "overflow"],
+)
+def test_config_that_is_not_a_system_exits_1_without_traceback(tmp_path, text, argv, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "chevfiber.cli", "fiber", "--config", str(cfg), *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"error: {message}\n"
 
 
 def test_malformed_db_line_reports_its_file_line(tmp_path, capsys):

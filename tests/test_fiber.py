@@ -4,6 +4,7 @@ import functools
 import json
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from chevfiber.fiber import (
     solve_fiber,
     solve_lambda_xi,
 )
-from chevfiber.polyring import jacobian_det, parse_polynomial
+from chevfiber.polyring import Polynomial, jacobian_det, parse_polynomial
 from chevfiber.restrict import parse_pair_config, restrict_family, split_config
 from chevfiber.rootsys import build_root_system, invariant_family
 
@@ -82,6 +83,27 @@ def test_zero_equation_rejected():
             polys=(zero,), t_vars=(), x_vars=("x1",), zeta=(), target=(1,),
             little=build_root_system("A", 1),
         )
+
+
+@pytest.mark.parametrize("coeff", [Fraction(10**400), Fraction(1, 10**400)], ids=["huge", "tiny"])
+def test_coefficient_beyond_float_range_rejected(coeff):
+    # an equation's largest coefficient must round to a finite nonzero float,
+    # or unit scale would overflow or divide by zero
+    p = Polynomial(("x1",), {(2,): coeff, (0,): coeff / 3})
+    with pytest.raises(ValueError, match="^equation 1 has a coefficient beyond float range$"):
+        DeformedSystem(polys=(p,), t_vars=(), x_vars=("x1",), zeta=(), target=(1,))
+
+
+def test_long_exact_coefficient_is_rounded_once():
+    # (10^400 + 1) / 10^400 has a numerator and denominator beyond float range
+    p = Polynomial(("x1",), {(2,): Fraction(10**400 + 1, 10**400)})
+    system = DeformedSystem(
+        polys=(p,), t_vars=(), x_vars=("x1",), zeta=(), target=(4,),
+        little=build_root_system("A", 1),
+    )
+    out = solve_fiber(system, seed=0)
+    assert out.count == 2
+    assert sorted(round(x[0].real, 12) for x in out.solutions) == [-2.0, 2.0]
 
 
 @pytest.mark.parametrize(
@@ -188,6 +210,27 @@ def test_json_is_deterministic_and_valid():
         "orbit_classes",
     }
     assert len(data["solutions"]) == 2
+
+
+@functools.cache
+def _split(kind, rank):
+    return restrict_family(invariant_family(build_root_system(kind, rank)), split_config(kind, rank))
+
+
+@pytest.mark.parametrize("draw", range(3))
+@pytest.mark.parametrize("kind, rank", [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3)])
+def test_fiber_bytes_do_not_depend_on_term_order(kind, rank, draw):
+    # the same system with every equation's terms stored in reverse order
+    res = _split(kind, rank)
+    rng = np.random.default_rng(draw)
+    x0 = rng.standard_normal(rank) + 1j * rng.standard_normal(rank)
+    system = DeformedSystem.from_restriction(res, (), [p.eval(list(x0)) for p in res.adapted])
+    flipped = replace(system, polys=tuple(
+        Polynomial(p.variables, dict(reversed(list(p.terms.items())))) for p in system.polys
+    ))
+    assert flipped.polys == system.polys
+    assert [list(p.terms) for p in flipped.polys] != [list(p.terms) for p in system.polys]
+    assert solve_fiber(flipped, seed=draw).to_json() == solve_fiber(system, seed=draw).to_json()
 
 
 def test_json_differs_for_different_seed_only_in_stats():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from chevfiber.polyring import (
     jacobian_det,
     jacobian_matrix,
     parse_polynomial,
+    parse_rational,
     polynomial_det,
 )
 
@@ -228,3 +230,28 @@ def test_pow_zero_and_rejections():
         x ** (-1)
     with pytest.raises(ValueError):
         parse_polynomial("", ("x",))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x1^", "malformed exponent in term 'x1^'"),
+        ("x1^+2", "malformed exponent in term 'x1^'"),
+        ("x1^-2", "malformed exponent in term 'x1^'"),
+        ("3*x1^x2", "malformed exponent in term '3*x1^x2'"),
+        ("x1^2.5", "malformed exponent in term 'x1^2.5'"),
+        ("1/0*x1^2", "zero denominator in '1/0'"),
+        ("x1^2 - 3/0", "zero denominator in '3/0'"),
+    ],
+)
+def test_text_that_is_not_a_polynomial_is_refused(text, message):
+    # never read as a nearby polynomial: x1^+2 is not x1 + 2
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        P(text)
+
+
+def test_parse_rational():
+    assert parse_rational("-6/4") == Fraction(-3, 2)
+    assert parse_rational("1." + "0" * 400 + "1") == Fraction(10**401 + 1, 10**401)
+    with pytest.raises(ValueError, match="^zero denominator in '2/0'$"):
+        parse_rational("2/0")

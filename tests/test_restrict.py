@@ -73,6 +73,13 @@ def test_parse_errors_name_the_line(extra, line, message):
         parse_pair_config(TOY_TEXT + extra)
 
 
+@pytest.mark.parametrize("embedding, entry", [("1/0; 1", "1/0"), ("0; -2/0", "-2/0")])
+def test_zero_denominator_in_embedding_is_refused(embedding, entry):
+    text = "ambient_type: B\nambient_rank: 2\nlittle_type: A\nlittle_rank: 1\n"
+    with pytest.raises(ValueError, match=f"^zero denominator in '{entry}'$"):
+        parse_pair_config(text + f"embedding: {embedding}")
+
+
 def test_parse_identity_embedding_default():
     cfg = parse_pair_config(
         "ambient_type: A\nambient_rank: 2\nlittle_type: A\nlittle_rank: 2"
