@@ -5,9 +5,12 @@ variables t and fiber variables x.  Fixing t = zeta and a target vector a,
 `solve_fiber` finds every solution of U_i(zeta; x) = a_i by a total-degree
 homotopy: start solutions of x_i^{d_i} = c_i are tracked to the target system
 along H(x, s) = (1 - s) gamma g(x) + s (f(x) - a) with an RK4 predictor and
-a Newton corrector on an adaptive step, a path lost once its step falls
-below 1e-7.  All start paths move as one numpy batch, each with its own s and
-step, and take the steps each would take alone.
+a Newton corrector that accepts an update within 1e-8 max(1, |x|), on a step
+that doubles with no cap short of s = 1 and halves on a failed correction, a
+path lost once its step falls below 1e-7.  All start paths move as one numpy
+batch, each with its own s and step, and take the steps each would take
+alone; each evaluation of H, H_x and dH/ds is one power table and one matrix
+product.
 
 A system whose equations are all homogeneous is solved at unit scale: with
 U_i(lam t, lam x) = lam^m_i U_i(t, x), the paths are tracked at zeta / lam
@@ -121,11 +124,13 @@ class DeformedSystem:
                 raise ValueError("every polynomial must use the t + x variable tuple")
             if p.is_zero:
                 raise ValueError(f"equation {i} is the zero polynomial")
+            # a coefficient that rounds to 0 or overflows would drop out of the
+            # evaluator or break unit scale
             try:
-                top = float(max(map(abs, p.terms.values())))
+                rounds = all(map(float, p.terms.values()))
             except OverflowError:
-                top = 0.0
-            if not top:
+                rounds = False
+            if not rounds:
                 raise ValueError(f"equation {i} has a coefficient beyond float range")
         degs = self.x_degrees()
         if 0 in degs:
@@ -180,19 +185,22 @@ def jacobian_J(system: DeformedSystem) -> Polynomial:
 class _Numeric:
     """The specialized system as one batched evaluator.
 
-    Every monomial of f and of df/dx is collected once, so a batch of points
-    X (P, r) costs one power table and two matrix products: `mono @ Cf` gives
-    f (P, r) and `mono @ Cj` the Jacobian (P, r, r).  Terms are read sorted by
-    exponent and each coefficient is rounded once, as in `Polynomial.eval`, so
-    f, J and the column layout depend on the polynomials' values alone.
+    Every monomial of f and of df/dx is collected once, with the columns 1,
+    x_i^m_i and x_i^(m_i - 1) of the start system for the x degrees m_i, so
+    a batch of points X (P, r) costs one power table (`monomials`) and one
+    product with the block C = [f | J]: `mono @ C` gives f (P, r) and the
+    Jacobian (P, r, r) side by side.  Terms are read sorted by exponent and
+    each coefficient is rounded once, as in `Polynomial.eval`, so f, J and
+    the column layout depend on the polynomials' values alone.
     """
 
     def __init__(self, system: DeformedSystem):
         k = len(system.t_vars)
         r = len(system.x_vars)
         self.r = r
+        self.degrees = system.x_degrees()
         column: dict[tuple[int, ...], int] = {}
-        f_terms, j_terms, scales = [], [], []
+        terms, scales = [], []
         for i, p in enumerate(system.polys):
             acc: dict[tuple[int, ...], complex] = {}
             for e, c in sorted(p.terms.items()):
@@ -203,35 +211,50 @@ class _Numeric:
                 ex = e[k:]
                 acc[ex] = acc.get(ex, 0j) + z
             for ex, z in acc.items():
-                f_terms.append((column.setdefault(ex, len(column)), i, z))
+                terms.append((column.setdefault(ex, len(column)), i, z))
                 for j in range(r):
                     if ex[j]:
                         dx = ex[:j] + (ex[j] - 1,) + ex[j + 1 :]
-                        j_terms.append((column.setdefault(dx, len(column)), i * r + j, z * ex[j]))
+                        terms.append((column.setdefault(dx, len(column)), r + i * r + j, z * ex[j]))
             scales.append(max(abs(z) for z in acc.values()))
-        self.M = np.array(list(column), dtype=np.int64).reshape(len(column), r)
-        self.Cf = np.zeros((len(column), r), dtype=np.complex128)
-        self.Cj = np.zeros((len(column), r * r), dtype=np.complex128)
-        for C, terms in ((self.Cf, f_terms), (self.Cj, j_terms)):
-            for row, col, z in terms:
-                C[row, col] = z
+
+        # the start system's columns: x_j^m, and 1 as x_0^0
+        def power(j: int, m: int) -> int:
+            return column.setdefault(tuple(m if i == j else 0 for i in range(r)), len(column))
+
+        self.one = power(0, 0)
+        self.top = np.array([power(j, m) for j, m in enumerate(self.degrees)])
+        self.below = np.array([power(j, m - 1) for j, m in enumerate(self.degrees)])
+        M = np.array(list(column), dtype=np.int64).reshape(len(column), r)
+        # x_j^e sits at offset j * depth + e of the flattened power table
+        self.depth = int(M.max()) + 1
+        self.flat = np.arange(r) * self.depth + M
+        self.C = np.zeros((len(column), r + r * r), dtype=np.complex128)
+        for row, col, z in terms:
+            self.C[row, col] = z
+        self.abs_f = np.abs(self.C[:, :r])
         self.poly_scale = np.array(scales)
         self.coeff_scale = float(np.max(self.poly_scale))
 
-    def _monomials(self, X: np.ndarray) -> np.ndarray:
-        powers = np.ones((len(X), self.r, int(self.M.max()) + 1), dtype=np.complex128)
-        for e in range(1, powers.shape[2]):
-            powers[:, :, e] = powers[:, :, e - 1] * X
-        return np.prod(powers[:, np.arange(self.r), self.M], axis=2)
+    def monomials(self, X: np.ndarray) -> np.ndarray:
+        """(P, columns) the monomials at the points X (P, r): one power table and one gather."""
+        table = np.empty((len(X), self.r, self.depth), dtype=np.complex128)
+        table[:, :, 0] = 1
+        table[:, :, 1:] = X[:, :, None]
+        np.cumprod(table, axis=2, out=table)
+        return table.reshape(len(X), -1)[:, self.flat].prod(axis=2)
+
+    def split(self, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The blocks (P, r) and (P, r, r) of a product with C."""
+        return Y[:, : self.r], Y[:, self.r :].reshape(len(Y), self.r, self.r)
 
     def __call__(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """f (P, r) and the Jacobian (P, r, r) at the points X (P, r)."""
-        mono = self._monomials(X)
-        return mono @ self.Cf, (mono @ self.Cj).reshape(len(X), self.r, self.r)
+        return self.split(self.monomials(X) @ self.C)
 
-    def term_size(self, X: np.ndarray) -> np.ndarray:
+    def term_size(self, mono: np.ndarray) -> np.ndarray:
         """(P,) the largest sum of |term| over the equations: the scale of rounding in f."""
-        return (np.abs(self._monomials(X)) @ np.abs(self.Cf)).max(axis=1)
+        return (np.abs(mono) @ self.abs_f).max(axis=1)
 
 
 def _unit_circle(rng: np.random.Generator) -> complex:
@@ -289,9 +312,10 @@ def _newton(num: _Numeric, X: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np
         k = np.flatnonzero(outcome == _STEP_CAP)
         if not k.size:
             break
-        F, J = num(X[k])
+        mono = num.monomials(X[k])
+        F, J = num.split(mono @ num.C)
         res = F - a
-        tol = 1e-12 * np.maximum(floor, num.term_size(X[k]))
+        tol = 1e-12 * np.maximum(floor, num.term_size(mono))
         near = np.abs(res).max(axis=1) <= tol
         outcome[k[near]] = _CONVERGED
         k, res, J = k[~near], res[~near], J[~near]
@@ -304,42 +328,55 @@ def _newton(num: _Numeric, X: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np
     return X, outcome
 
 
+def _homotopy(num: _Numeric, a: np.ndarray, gamma: complex, cs: np.ndarray):
+    """The kernel (X, s) -> (H, H_x, dH/ds) of H = (1 - s) gamma g + s (f - a).
+
+    g = kappa (x^m - c) is the start system, kappa matching its size to the
+    target equations' so neither end dominates.  K = [f - a | J | gamma g |
+    gamma g_x] over the columns of `num` is built once; with B = mono K_f and
+    A = mono K_g, (H, H_x) = s B + (1 - s) A and dH/ds = B - A on the first
+    r columns, so a batch costs one power table and one product.
+    """
+    r = num.r
+    width = r + r * r
+    K = np.zeros((len(num.C), 2 * width), dtype=np.complex128)
+    K[:, :width] = num.C
+    K[num.one, :r] -= a
+    g = gamma * num.poly_scale
+    K[num.top, width + np.arange(r)] = g
+    K[num.one, width : width + r] -= g * cs
+    K[num.below, width + r + np.arange(r) * (r + 1)] = g * np.array(num.degrees)
+
+    def kernel(X: np.ndarray, s: np.ndarray):
+        Y = num.monomials(X) @ K
+        B, A = Y[:, :width], Y[:, width:]
+        H, Hx = num.split(s[:, None] * B + (1 - s)[:, None] * A)
+        return H, Hx, B[:, :r] - A[:, :r]
+
+    return kernel
+
+
 def _track_paths(
     num: _Numeric,
     a: np.ndarray,
     gamma: complex,
-    degrees: Sequence[int],
     cs: np.ndarray,
     starts: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Track the start points (P, r) to the target system as one batch.
 
     Every path keeps its own s, step ds and fate, and takes the steps it
-    would take alone: an RK4 predictor, at most 4 Newton corrections, ds
-    doubled (to at most 0.1) after a correction in at most 2 iterations and
-    halved after a failed one, the path lost below ds = 1e-7.  `_newton`
-    polishes the endpoints against f(x) = a.  Returns the endpoints, the
+    would take alone: an RK4 predictor, at most 4 Newton corrections, each
+    step accepted once its update is within 1e-8 max(1, |x|), ds doubled
+    after a correction in at most 2 iterations and halved after a failed
+    one, the path lost below ds = 1e-7.  A step never passes s = 1.
+    `_newton` polishes the endpoints against f(x) = a to 1e-12, which sets
+    the accuracy of every returned point.  Returns the endpoints, the
     residuals |f_i(x) - a_i| (P, r) of each equation (inf on a lost path),
     and the mask of paths that reached the target and whose polish
     converged.  `solve_fiber` calls it on the system at unit scale.
     """
-    d = np.array(degrees, dtype=np.int64)
-    # match the start equations to the coefficient size of the target
-    # equations so neither homotopy endpoint dominates the other
-    kappa = num.poly_scale
-    diag = np.arange(len(degrees))
-
-    def homotopy(x, s):
-        # H = (1 - s) gamma g + s (f - a) with g = kappa (x^d - c), its
-        # x-Jacobian, and f - a - gamma g, the s-derivative of H
-        F, J = num(x)
-        g = kappa * (x**d - cs)
-        gx = np.zeros_like(J)
-        gx[:, diag, diag] = kappa * d * x ** (d - 1)
-        w = (1 - s) * gamma
-        H = w[:, None] * g + s[:, None] * (F - a)
-        return H, w[:, None, None] * gx + s[:, None, None] * J, (F - a) - gamma * g
-
+    homotopy = _homotopy(num, a, gamma, cs)
     x = starts.astype(np.complex128)
     s = np.zeros(len(x))
     ds = np.full(len(x), 0.05)
@@ -380,14 +417,14 @@ def _track_paths(
             running[k[~finite]] = False
             k, delta = k[finite], delta[finite]
             size = np.maximum(1.0, np.abs(xn[k]).max(axis=1))
-            done = k[np.abs(delta).max(axis=1) <= 1e-10 * size]
+            done = k[np.abs(delta).max(axis=1) <= 1e-8 * size]
             converged[done] = True
             running[done] = False
         moved = idx[converged]
         x[moved] = xn[converged]
         s[moved] = s_next[converged]
         grow = idx[converged & (iterations <= 2)]
-        ds[grow] = np.minimum(0.1, ds[grow] * 2)
+        ds[grow] *= 2
         shrink = idx[~converged]
         ds[shrink] /= 2
         lost[shrink[ds[shrink] < 1e-7]] = True
@@ -476,7 +513,7 @@ def solve_fiber(system: DeformedSystem, seed: int = 0) -> FiberResult:
     _check_seed(seed)
     lam, powers, unit = _unit_scale(system)
     num = _Numeric(unit)
-    degrees = system.x_degrees()
+    degrees = num.degrees
     a = np.array(unit.target, dtype=np.complex128)
     rng = np.random.default_rng(seed)
 
@@ -495,7 +532,7 @@ def solve_fiber(system: DeformedSystem, seed: int = 0) -> FiberResult:
             ],
             axis=1,
         )
-        X, residual, ok = _track_paths(num, a, gamma, degrees, cs, starts)
+        X, residual, ok = _track_paths(num, a, gamma, cs, starts)
         failed = total - int(ok.sum())
         # endpoints within the merge radius of an earlier endpoint
         near = np.triu(_max_dist(X[ok], X[ok]) < _CLUSTER_RADIUS, 1)

@@ -18,6 +18,7 @@ term, and the zero polynomial prints as "0".
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import cache
 from typing import Mapping, Sequence
@@ -294,8 +295,11 @@ def _horner(items, i, point):
     return acc * z ** prev
 
 
+_MANTISSA = re.compile(r"(\d+\.?\d*|\.\d+)[eE]")
+
+
 def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
-    """Parse the canonical text form (signs, p/q coefficients, var^exp)."""
+    """Parse the canonical text form (signs, p/q or decimal coefficients, var^exp)."""
     variables = tuple(variables)
     s = text.replace(" ", "")
     if not s:
@@ -312,7 +316,8 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
     start = i
     pieces: list[tuple[int, str]] = []
     while i <= len(s):
-        if i == len(s) or s[i] in "+-":
+        # a sign after the mantissa of a decimal like 1e-3 belongs to its exponent
+        if i == len(s) or s[i] in "+-" and not _MANTISSA.fullmatch(s[start:i].rpartition("*")[2]):
             pieces.append((sign, s[start:i]))
             if i < len(s):
                 sign = -1 if s[i] == "-" else 1

@@ -286,6 +286,18 @@ def test_fiber_bytes_do_not_depend_on_term_order(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+def test_decimal_exponent_coefficient_solves(tmp_path, capsys):
+    # 1e-3 is 1/1000; its exponent's sign used to split the term, exit 1
+    outs = []
+    for i, coeff in enumerate(("1e-3", "1/1000")):
+        cfg = tmp_path / f"decimal{i}.cfg"
+        cfg.write_text(f"tvars: t1\nxvars: x1\npoly: {coeff}*x1^2 + t1*x1\n")
+        assert main(["fiber", "--config", str(cfg), "--zeta", "0.5", "--target", "1"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert "paths: tracked=2 failed=0 merged=0" in outs[0]
+
+
 def test_long_exact_coefficient_solves(tmp_path, capsys):
     # (10^400 + 1) / 10^400: numerator and denominator are beyond float range
     cfg = tmp_path / "long.cfg"
@@ -310,8 +322,15 @@ def test_long_exact_coefficient_solves(tmp_path, capsys):
             ["--target", "1"],
             "equation 1 has a coefficient beyond float range",
         ),
+        (
+            # read as 0.0 the leading term would vanish, and its root near
+            # -1e401 would be reported as a path jump with exit 3
+            f"tvars: t1\nxvars: x1\npoly: 0.{'0' * 400}1*x1^2 + x1 + t1\n",
+            ["--zeta", "0", "--target", "1"],
+            "equation 1 has a coefficient beyond float range",
+        ),
     ],
-    ids=["exponent", "coefficient", "embedding", "overflow"],
+    ids=["exponent", "coefficient", "embedding", "overflow", "underflow"],
 )
 def test_config_that_is_not_a_system_exits_1_without_traceback(tmp_path, text, argv, message):
     cfg = tmp_path / "bad.cfg"

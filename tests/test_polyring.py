@@ -250,6 +250,19 @@ def test_text_that_is_not_a_polynomial_is_refused(text, message):
         P(text)
 
 
+def test_decimal_exponent_sign_stays_in_its_coefficient():
+    # the sign of 1e-3 is part of the number, not the start of a term
+    p = P("1e-3*x1^2 + 2.5E+2*x2 - .5e-1")
+    assert p.terms == {(2, 0): Fraction(1, 1000), (0, 1): Fraction(250), (0, 0): Fraction(-1, 20)}
+    assert P("x1*1e+2 - 1e-2") == P("100*x1 - 1/100")
+
+
+def test_variable_ending_in_e_still_splits_terms():
+    # xe - 1 and 2*e - 1 are two terms each: the e is a variable, not an exponent
+    assert P("xe-1", ("xe",)).terms == {(1,): Fraction(1), (0,): Fraction(-1)}
+    assert P("2*e-1+x1e+1", ("e", "x1e")).terms == {(1, 0): Fraction(2), (0, 1): Fraction(1)}
+
+
 def test_parse_rational():
     assert parse_rational("-6/4") == Fraction(-3, 2)
     assert parse_rational("1." + "0" * 400 + "1") == Fraction(10**401 + 1, 10**401)

@@ -138,6 +138,23 @@ def test_fiber_does_not_enumerate_the_weyl_group():
     assert "weyl_group" not in names
 
 
+_ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_module_reads_the_environment():
+    # a tuning knob is an argument or a module constant, never an
+    # environment variable that changes a run without changing its command
+    package = Path(chevfiber.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        reads = []
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT:
+                reads.append(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                reads += [alias.name for alias in node.names if alias.name in _ENVIRONMENT]
+        assert reads == [], path.name
+
+
 def _float_calls(tree):
     calls = {
         getattr(node.func, "id", None) or "." + getattr(node.func, "attr", "")

@@ -1,8 +1,10 @@
 """The batched tracker and orbit partition against one-at-a-time references.
 
 `_track_one` below is a scalar path tracker that takes the batched
-tracker's steps (an RK4 predictor and the same corrector and step rule) one
-path at a time, evaluating each equation and each Jacobian entry on its own.
+tracker's steps (an RK4 predictor, a corrector that accepts an update
+within 1e-8 max(1, |x|), and ds doubled with no cap short of the path's
+end) one path at a time, evaluating each equation and each Jacobian entry
+on its own.
 Batched BLAS sums in another order, so the two agree to a tolerance, not bit
 for bit.  A sweep over scales checks the count law from lam = 1e-6 to 1e6.
 """
@@ -21,6 +23,7 @@ from chevfiber.fiber import (
     orbit_partition,
     solve_fiber,
 )
+from chevfiber.polyring import parse_polynomial
 from chevfiber.restrict import parse_pair_config, restrict_family, split_config
 from chevfiber.rootsys import build_root_system, invariant_family, weyl_group, weyl_order
 
@@ -126,14 +129,14 @@ def _track_one(num, a, gamma, degrees, cs, start):
             xn = xn + delta
             if not np.all(np.isfinite(xn)):
                 break
-            if np.max(np.abs(delta)) <= 1e-10 * max(1.0, float(np.max(np.abs(xn)))):
+            if np.max(np.abs(delta)) <= 1e-8 * max(1.0, float(np.max(np.abs(xn)))):
                 converged = True
                 break
         if converged:
             x = xn
             s = s_next
             if iterations <= 2:
-                ds = min(0.1, ds * 2)
+                ds *= 2
         else:
             ds /= 2
             if ds < 1e-7:
@@ -162,8 +165,9 @@ def _scalar_tracker(system):
     at that system's zeta, as the batched one is.
     """
     scalar = _ScalarNumeric(fiber._unit_scale(system)[2])
+    degrees = system.x_degrees()
 
-    def track(num, a, gamma, degrees, cs, starts):
+    def track(num, a, gamma, cs, starts):
         X = starts.astype(np.complex128)
         residual = np.full(X.shape, np.inf)
         for p, x0 in enumerate(starts):
@@ -187,6 +191,60 @@ def _restriction(name):
 
 def _complex_normal(rng, k):
     return tuple(complex(a, b) for a, b in rng.standard_normal((k, 2)))
+
+
+def _inhomogeneous_system(rng):
+    # a constant term shares the start system's column 1, and the degree-1
+    # second equation puts x2^1 and x2^0 among its start columns
+    variables = ("t1", "x1", "x2")
+    polys = tuple(
+        parse_polynomial(text, variables)
+        for text in ("x1^3 + t1*x1*x2^2 - 2", "x2 + 1/2*x1 + 3*t1")
+    )
+    return DeformedSystem(
+        polys=polys,
+        t_vars=variables[:1],
+        x_vars=variables[1:],
+        zeta=_complex_normal(rng, 1),
+        target=(0, 0),
+    )
+
+
+@pytest.mark.parametrize("name", ["toy", "quartic", "A2", "G2", "A3", "inhomogeneous"])
+def test_homotopy_kernel_matches_per_entry_reference(name):
+    # the fused kernel's H, H_x and dH/ds against each equation, each
+    # Jacobian entry and the start system g = kappa (x^m - c) evaluated on
+    # their own, at points with one coordinate exactly 0
+    rng = np.random.default_rng(3)
+    if name == "inhomogeneous":
+        system = _inhomogeneous_system(rng)
+    else:
+        res = _restriction(name)
+        zeta = _complex_normal(rng, len(res.t_vars))
+        system = DeformedSystem.from_restriction(res, zeta, (0,) * len(res.x_vars))
+    r = len(system.x_vars)
+    a = np.array(_complex_normal(rng, r))
+    gamma = complex(np.exp(2j * np.pi * rng.random()))
+    cs = np.exp(2j * np.pi * rng.random(r))
+    X = np.array([_complex_normal(rng, r) for _ in range(8)])
+    X[np.arange(8), rng.integers(r, size=8)] = 0
+    s = rng.random(8)
+    H, Hx, Hs = fiber._homotopy(fiber._Numeric(system), a, gamma, cs)(X, s)
+
+    scalar = _ScalarNumeric(system)
+    d = np.array(system.x_degrees())
+    kappa = scalar.poly_scale
+    for p, x in enumerate(X):
+        g = gamma * kappa * (x**d - cs)
+        gx = gamma * np.diag(kappa * d * x ** (d - 1))
+        f = scalar.f(x) - a
+        expected = (
+            (H[p], (1 - s[p]) * g + s[p] * f),
+            (Hx[p], (1 - s[p]) * gx + s[p] * scalar.jac(x)),
+            (Hs[p], f - g),
+        )
+        for got, want in expected:
+            assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max()), (p, want)
 
 
 @pytest.mark.parametrize("name", ["toy", "quartic", "A2", "B2", "C2", "BC2", "A3"])
