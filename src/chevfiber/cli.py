@@ -125,18 +125,21 @@ def _check_counts(zeta, target, xi, t_count: int, x_count: int) -> None:
 
 
 def _load_config(args, zeta=(), target=None, xi=None):
-    """Read --config, a pair config or a system config (one with `poly` lines).
+    """Read --config, a pair config or a system config (one with a `poly`,
+    `tvars` or `xvars` key).
 
     restrict takes a pair config only and gets its Restriction.  fiber and
     lambda get the DeformedSystem of either kind at zeta; target None means
     all zeros.  A system config lists tvars/xvars, repeated poly lines, and
-    an optional little group; d is always derived from the degrees.  The
-    zeta, target and xi counts are checked first: a pair config has
-    ambient_rank - little_rank t variables and little_rank x variables.
+    an optional little group; d is always derived from the degrees.
+    --selection and the zeta, target and xi counts are checked before any
+    family is built: a pair config has ambient_rank - little_rank t
+    variables and little_rank x variables.
     """
     with open(args.config, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if any(line.startswith("poly") for _, line in _config_lines(text)):
+    keys = {line.partition(":")[0].strip() for _, line in _config_lines(text)}
+    if keys & {"poly", "tvars", "xvars"}:
         if args.command == "restrict":
             raise UsageError(f"{args.config} is a system config; restrict needs a pair config")
         data = _read_config(text, _SYSTEM_KEYS, repeated=("poly",))
@@ -154,11 +157,12 @@ def _load_config(args, zeta=(), target=None, xi=None):
         if "little_type" in data:
             little = build_root_system(data["little_type"], int(data["little_rank"]))
     else:
+        selection = _selection(args)
         cfg = parse_pair_config(text)
         if args.command != "restrict":
             _check_counts(zeta, target, xi, cfg.ambient_rank - cfg.little_rank, cfg.little_rank)
         fam = invariant_family(build_root_system(cfg.ambient_type, cfg.ambient_rank))
-        res = restrict_family(fam, cfg, selection=_selection(args))
+        res = restrict_family(fam, cfg, selection=selection)
         if args.command == "restrict":
             return res
         polys, t_vars, x_vars, little = res.adapted, res.t_vars, res.x_vars, res.little

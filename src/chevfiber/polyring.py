@@ -6,8 +6,8 @@ derivatives, restriction, and linear substitution are all exact, and every
 coefficient, scalar or `eval_exact` point must be an int or a Fraction
 (`_linalg._exact`; a float raises TypeError).  Floating point enters in
 exactly one place: `eval`, which converts each rational coefficient to a
-float once, after all exact preprocessing, and accumulates Horner-style
-variable by variable.
+float once, after all exact preprocessing, and sums the terms c*x^e in
+exponent order, so its value does not depend on how the terms are stored.
 
 Canonical text form: terms in descending graded-lex order (total degree
 first, then lexicographic comparison of exponent vectors), each term printed
@@ -184,22 +184,28 @@ class Polynomial:
     # -- evaluation ----------------------------------------------------
 
     def eval(self, point: Sequence[complex]) -> complex:
-        """Evaluate at a complex point by nested Horner accumulation."""
+        """Evaluate at a complex point: sum c*x^e over the terms in exponent order."""
+        return self._term_sum(point, complex, lambda c: complex(c.numerator / c.denominator))
+
+    def eval_exact(self, point: Sequence) -> Fraction:
+        """Evaluate at a rational point, exactly."""
+        return self._term_sum(point, _exact, Fraction)
+
+    def _term_sum(self, point, coordinate, coefficient):
         if len(point) != len(self.variables):
             raise ValueError(
                 f"point has {len(point)} coordinates, polynomial has {len(self.variables)} variables"
             )
-        pt = [complex(z) for z in point]
-        items = [(e, complex(c.numerator / c.denominator)) for e, c in self.terms.items()]
-        return _horner(items, 0, pt)
-
-    def eval_exact(self, point: Sequence) -> Fraction:
-        """Evaluate at a rational point, exactly."""
-        if len(point) != len(self.variables):
-            raise ValueError("point dimension mismatch")
-        pt = [_exact(z) for z in point]
-        items = list(self.terms.items())
-        return _horner(items, 0, pt)
+        pt = [coordinate(z) for z in point]
+        # 0j or Fraction(0): the zero polynomial evaluates to the same type
+        total = coefficient(Fraction(0))
+        for e, c in sorted(self.terms.items()):
+            term = coefficient(c)
+            for z, k in zip(pt, e):
+                if k:
+                    term *= z**k
+            total += term
+        return total
 
     # -- structural maps -------------------------------------------------
 
@@ -269,30 +275,6 @@ class Polynomial:
             else:
                 chunks.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(chunks)
-
-
-def _horner(items, i, point):
-    """Evaluate grouped terms by Horner recursion on variable i."""
-    if not items:
-        return point[0] * 0 if point else 0
-    if i == len(point):
-        total = None
-        for _, c in items:
-            total = c if total is None else total + c
-        return total
-    groups: dict[int, list] = {}
-    for e, c in items:
-        groups.setdefault(e[i], []).append((e, c))
-    z = point[i]
-    acc = None
-    for k in sorted(groups, reverse=True):
-        sub = _horner(groups[k], i + 1, point)
-        if acc is None:
-            acc, prev = sub, k
-        else:
-            acc = acc * z ** (prev - k) + sub
-            prev = k
-    return acc * z ** prev
 
 
 _MANTISSA = re.compile(r"(\d+\.?\d*|\.\d+)[eE]")

@@ -193,8 +193,11 @@ def test_fiber_without_zeta_names_both_counts(capsys):
         (["lambda", "--config", TOY, "--zeta", "1,2", "--xi", "2"], "zeta has 2 entries"),
         (["lambda", "--config", TOY, "--zeta", "1", "--xi", "1,2"], "xi must have 1 finite"),
         (["lambda", "--config", QUARTIC, "--xi", "2"], "zeta has 0 entries, the system has 1"),
+        (["restrict", "--config", TOY, "--selection", "x"], "bad selection 'x'"),
+        (["fiber", "--config", TOY, "--zeta", "1", "--target", "1+2"],
+         "cannot parse complex number '1+2'"),
     ],
-    ids=["fiber-zeta", "lambda-zeta", "lambda-xi", "system-config"],
+    ids=["fiber-zeta", "lambda-zeta", "lambda-xi", "system-config", "selection", "target-text"],
 )
 def test_point_counts_are_checked_before_the_family(monkeypatch, capsys, argv, message):
     # a pair config gives the t count as ambient rank minus little rank, a
@@ -296,6 +299,23 @@ def test_decimal_exponent_coefficient_solves(tmp_path, capsys):
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
     assert "paths: tracked=2 failed=0 merged=0" in outs[0]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="roots 2 and -5002 differ 2500x in size: the tracker loses the small one to a jump",
+)
+def test_widely_spread_roots_solve(tmp_path, capsys):
+    # 1/10000 x^2 + x/2 = 1 has the roots -2500 +- 50 sqrt(2504)
+    cfg = tmp_path / "spread.cfg"
+    cfg.write_text("tvars: t1\nxvars: x1\npoly: 1/10000*x1^2 + t1*x1\n")
+    argv = ["--format", "json", "fiber", "--config", str(cfg), "--zeta", "0.5", "--target", "1"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out.splitlines()[0])
+    got = sorted(complex(*x[0]) for x in payload["solutions"])
+    want = sorted(-2500 + s * 50 * 2504**0.5 for s in (-1, 1))
+    assert all(abs(g - w) <= 1e-9 * abs(w) for g, w in zip(got, want))
 
 
 def test_long_exact_coefficient_solves(tmp_path, capsys):
@@ -518,6 +538,16 @@ def test_restrict_on_a_system_config_exits_1(capsys):
     assert "system config" in err
     assert "restrict needs a pair config" in err
     assert "unknown config key" not in err
+
+
+def test_system_config_without_poly_is_named(tmp_path, capsys):
+    # tvars and xvars mark a system config even with no poly line
+    cfg = tmp_path / "nopoly.cfg"
+    cfg.write_text("tvars: t1\nxvars: x1\n")
+    assert main(["fiber", "--config", str(cfg), "--zeta", "1", "--target", "1"]) == 1
+    assert capsys.readouterr().err == "error: missing config key 'poly'\n"
+    assert main(["restrict", "--config", str(cfg)]) == 1
+    assert "system config; restrict needs a pair config" in capsys.readouterr().err
 
 
 def test_invariants_f4_prints_the_family(capsys):

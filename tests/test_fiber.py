@@ -74,6 +74,11 @@ def test_system_validation():
         DeformedSystem(
             polys=(q,), t_vars=("t1",), x_vars=("x1",), zeta=(0.1,), target=(1,)
         )
+    with pytest.raises(ValueError, match="empty system"):
+        DeformedSystem(polys=(), t_vars=(), x_vars=(), zeta=(), target=())
+    r = parse_polynomial("x1*x2", ("x1", "x2"))
+    with pytest.raises(ValueError, match="system must be square in the x variables"):
+        DeformedSystem(polys=(r,), t_vars=(), x_vars=("x1", "x2"), zeta=(), target=(1,))
 
 
 def test_zero_equation_rejected():

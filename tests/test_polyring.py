@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import random
 import re
 from fractions import Fraction
+from functools import cache
+from math import prod
 
 import pytest
 
@@ -13,6 +16,7 @@ from chevfiber.polyring import (
     parse_rational,
     polynomial_det,
 )
+from chevfiber.rootsys import build_root_system, invariant_family
 
 
 def P(text: str, variables=("x1", "x2")) -> Polynomial:
@@ -61,12 +65,51 @@ def test_eval_complex():
     assert abs(p.eval([1j])) < 1e-15
 
 
-def test_eval_matches_exact_on_rationals():
-    p = P("2*x1^3*x2 - 5/7*x1*x2^2 + 4")
-    pt = (Fraction(3, 2), Fraction(-1, 3))
-    exact = p.eval_exact(pt)
-    approx = p.eval([float(pt[0]), float(pt[1])])
-    assert abs(approx - float(exact)) < 1e-12 * max(1.0, abs(float(exact)))
+@cache
+def family_members(name: str) -> tuple[Polynomial, ...]:
+    if name == "sparse":
+        return (P("2*x1^3*x2 - 5/7*x1*x2^2 + 4"),)
+    return invariant_family(build_root_system(name[:-1], int(name[-1]))).polys
+
+
+def term_size(p: Polynomial, point) -> float:
+    """sum |c x^e| over the terms, the scale of any rounding error in eval"""
+    return sum(
+        abs(float(c)) * prod(abs(complex(z)) ** k for z, k in zip(point, e))
+        for e, c in p.terms.items()
+    )
+
+
+@pytest.mark.parametrize("name", ["sparse", "G2", "A3", "D4", "F4"])
+def test_eval_matches_exact_on_rationals(name):
+    # dyadic coordinates are exact floats, so the only error is eval's own
+    rng = random.Random(7)
+    for p in family_members(name):
+        for _ in range(5):
+            pt = [Fraction(rng.randint(-64, 64), 16) for _ in p.variables]
+            exact = p.eval_exact(pt)
+            approx = p.eval([float(z) for z in pt])
+            assert abs(approx - float(exact)) <= 1e-15 * term_size(p, pt)
+
+
+@pytest.mark.parametrize("name", ["G2", "A3", "F4"])
+def test_eval_does_not_depend_on_term_order(name):
+    rng = random.Random(11)
+    for p in family_members(name):
+        flipped = Polynomial(p.variables, dict(reversed(list(p.terms.items()))))
+        assert list(flipped.terms) != list(p.terms)
+        for _ in range(5):
+            pt = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in p.variables]
+            assert repr(flipped.eval(pt)) == repr(p.eval(pt))
+
+
+def test_eval_checks_the_point_arity():
+    p = P("x1*x2 + 1")
+    message = "point has 3 coordinates, polynomial has 2 variables"
+    with pytest.raises(ValueError, match=message):
+        p.eval([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match=message):
+        p.eval_exact([1, 2, 3])
 
 
 def test_derivative_leibniz():
