@@ -1,12 +1,15 @@
 """Command line front end.
 
-Subcommands: roots, invariants, restrict, fiber, lambda, classify.  Each
-command builds its output once, as a record, a table and a list of lines,
-and --format picks one: json prints the record as canonical single-line
-JSON whose bytes depend only on the inputs and the seed, csv prints the
-table, and text (the default) prints the lines.  A CSV cell is empty for
-None, yes/no for a bool, and space-separated for a tuple.  All floating
-point numbers are printed with 17 significant digits.
+Subcommands: roots, invariants, restrict, fiber, lambda, classify.  --seed,
+--format and --out work before or after the subcommand; restrict alone
+reads --degree-bound, and restrict, fiber and lambda read --selection
+(1-based indices; pair configs only).  Each command builds its output once,
+as a record, a table and a list of lines, and --format picks one: json
+prints the record as canonical single-line JSON whose bytes depend only on
+the inputs and the seed, csv prints the table, and text (the default)
+prints the lines.  A CSV cell is empty for None, yes/no for a bool, and
+space-separated for a tuple.  All floats are printed with 17 significant
+digits.
 
 Exit codes: 0 success, 1 usage or parse failure, 2 integrity or verdict
 failure, 3 numerical failure or exact construction failure
@@ -132,9 +135,9 @@ def _load_config(args, zeta=(), target=None, xi=None):
     lambda get the DeformedSystem of either kind at zeta; target None means
     all zeros.  A system config lists tvars/xvars, repeated poly lines, and
     an optional little group; d is always derived from the degrees.
-    --selection and the zeta, target and xi counts are checked before any
-    family is built: a pair config has ambient_rank - little_rank t
-    variables and little_rank x variables.
+    --selection (pair configs only) and the zeta, target and xi counts are
+    checked before any family is built: a pair config has ambient_rank -
+    little_rank t variables and little_rank x variables.
     """
     with open(args.config, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -142,6 +145,8 @@ def _load_config(args, zeta=(), target=None, xi=None):
     if keys & {"poly", "tvars", "xvars"}:
         if args.command == "restrict":
             raise UsageError(f"{args.config} is a system config; restrict needs a pair config")
+        if args.selection is not None:
+            raise UsageError(f"--selection needs a pair config; {args.config} is a system config")
         data = _read_config(text, _SYSTEM_KEYS, repeated=("poly",))
         if "xvars" not in data:
             raise ValueError("missing config key 'xvars'")
@@ -181,13 +186,12 @@ def _load_config(args, zeta=(), target=None, xi=None):
 
 
 def _selection(args):
-    raw = getattr(args, "selection", None)
-    if raw is None or raw == "first-by-degree":
+    if args.selection in (None, "first-by-degree"):
         return "first-by-degree"
     try:
-        return tuple(int(tok) - 1 for tok in raw.split(","))
+        return tuple(int(tok) - 1 for tok in args.selection.split(","))
     except ValueError:
-        raise UsageError(f"bad selection {raw!r}; use 1-based indices like 1,3")
+        raise UsageError(f"bad selection {args.selection!r}; use 1-based indices like 1,3")
 
 
 def _parse_type_token(token: str):
@@ -399,8 +403,6 @@ def cmd_classify(args) -> int:
         return 2
     if args.filter == "all":
         rows = list(db)
-    elif args.filter == "exceptional":
-        rows = [r for r in db if is_exceptional(r)]
     elif args.filter == "b-exceptional":
         rows = b_exceptional_list(db)
     else:
@@ -422,7 +424,6 @@ def cmd_classify(args) -> int:
 # flags every parser level takes; their defaults apply at the top level only
 SHARED_FLAGS = (
     ("--seed", {"type": int, "default": 0}),
-    ("--degree-bound", {"type": int, "default": 12}),
     ("--format", {"choices": ("json", "csv", "text"), "default": "text"}),
     ("--out", {"default": None}),
 )
@@ -453,6 +454,7 @@ def build_parser() -> _Parser:
     _add_shared(p, top=False)
     p.add_argument("--config", required=True)
     p.add_argument("--selection", default=None)
+    p.add_argument("--degree-bound", type=int, default=12)
     p.set_defaults(func=cmd_restrict)
 
     p = sub.add_parser("fiber", help="solve U(zeta; x) = target")
@@ -474,11 +476,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("classify", help="exceptional pair table")
     _add_shared(p, top=False)
     p.add_argument("--db", default=None)
-    p.add_argument(
-        "--filter",
-        choices=("all", "exceptional", "b-exceptional", "split"),
-        default="all",
-    )
+    p.add_argument("--filter", choices=("all", "b-exceptional", "split"), default="all")
     p.set_defaults(func=cmd_classify)
     return parser
 

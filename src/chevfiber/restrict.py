@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from typing import Collection, Iterator, Sequence
 
@@ -158,8 +157,10 @@ def adapt_coordinates(
 
     Returns (t_vars, x_vars, change) where change has the complement columns
     first and the embedding columns last, so ambient u = change @ (t; x).
-    The complement is built by Gram-Schmidt against the invariant form and
-    scaled to primitive integer vectors.
+    One Gram-Schmidt pass under the invariant form runs over the embedding
+    columns, which need not be orthogonal, then the unit vectors; the n - r
+    nonzero unit-vector residues, scaled to primitive integer vectors, are
+    the complement.
     """
     n, r = config.ambient_rank, config.little_rank
     columns: list[Vector] = [
@@ -169,21 +170,20 @@ def adapt_coordinates(
     def pairing(u, v):
         return sum(a * b for a, b in zip(u, matvec(form, v)))
 
+    basis: list[Vector] = []
     complement: list[Vector] = []
-    basis = list(columns)
-    for i in range(n):
+    units = [[int(k == i) for k in range(n)] for i in range(n)]
+    for v in columns + units:
         if len(complement) == n - r:
             break
-        v = [Fraction(int(k == i)) for k in range(n)]
         for b in basis:
             coeff = pairing(v, b) / pairing(b, b)
             v = [x - coeff * y for x, y in zip(v, b)]
-        if any(x != 0 for x in v):
-            w = clear_denominators(v)
-            complement.append(w)
-            basis.append(w)
-    if len(complement) != n - r:
-        raise RestrictionError("could not complete a complement basis")
+        if len(basis) < r:
+            basis.append(v)
+        elif any(x != 0 for x in v):
+            complement.append(clear_denominators(v))
+            basis.append(complement[-1])
     t_vars = tuple(f"t{i + 1}" for i in range(n - r))
     x_vars = tuple(f"x{i + 1}" for i in range(r))
     ordered = complement + columns

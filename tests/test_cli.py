@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import hashlib
@@ -85,6 +86,22 @@ def test_restrict_degree_bound_below_one_exits_1(capsys, bound):
     captured = capsys.readouterr()
     assert "degree_bound must be at least 1" in captured.err
     assert "PASS" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roots", "A2", "--degree-bound", "0"],
+        ["--degree-bound", "3", "restrict", "--config", TOY],
+        ["fiber", "--config", TOY, "--zeta", "1", "--target", "5", "--degree-bound", "4"],
+    ],
+    ids=["roots", "before-restrict", "fiber"],
+)
+def test_degree_bound_belongs_to_restrict_alone(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: unrecognized arguments: --degree-bound")
 
 
 def test_fiber_toy_example(capsys):
@@ -196,8 +213,13 @@ def test_fiber_without_zeta_names_both_counts(capsys):
         (["restrict", "--config", TOY, "--selection", "x"], "bad selection 'x'"),
         (["fiber", "--config", TOY, "--zeta", "1", "--target", "1+2"],
          "cannot parse complex number '1+2'"),
+        (["fiber", "--config", QUARTIC, "--zeta", "1", "--target", "6", "--selection", "1"],
+         f"--selection needs a pair config; {QUARTIC} is a system config"),
+        (["lambda", "--config", QUARTIC, "--zeta", "1", "--xi", "2", "--selection", "1"],
+         f"--selection needs a pair config; {QUARTIC} is a system config"),
     ],
-    ids=["fiber-zeta", "lambda-zeta", "lambda-xi", "system-config", "selection", "target-text"],
+    ids=["fiber-zeta", "lambda-zeta", "lambda-xi", "system-config", "selection", "target-text",
+         "fiber-system-selection", "lambda-system-selection"],
 )
 def test_point_counts_are_checked_before_the_family(monkeypatch, capsys, argv, message):
     # a pair config gives the t count as ambient rank minus little rank, a
@@ -387,14 +409,16 @@ def csv_rows(text):
 
 
 def test_classify_filters(capsys):
-    assert main(["--format", "csv", "classify", "--filter", "exceptional"]) == 0
-    assert len(csv_rows(capsys.readouterr().out)) == 35
-
     assert main(["--format", "csv", "classify", "--filter", "b-exceptional"]) == 0
     assert len(csv_rows(capsys.readouterr().out)) == 10
 
     assert main(["--format", "csv", "classify", "--filter", "split"]) == 0
     assert len(csv_rows(capsys.readouterr().out)) == 17
+
+    # every row of a table that passes verify_database is exceptional, so a
+    # filter on that flag would print the `all` rows
+    assert main(["classify", "--filter", "exceptional"]) == 1
+    assert "invalid choice: 'exceptional'" in capsys.readouterr().err
 
 
 def test_classify_split_rows_never_b_exceptional(capsys):
@@ -609,13 +633,18 @@ PINNED_OUTPUT = [
      "cd1531b6327c69a8b6a9871636a1a11aae6510fb08e35f68ea4d4506bb5764ca"),
     (["classify"], "csv",
      "285ef59dbb83f754e27ca69cc9a6aa7e93d24e64c716705a422c00ffe28834fc"),
-    # every pair in the table is exceptional, so this filter keeps all 35
-    (["classify", "--filter", "exceptional"], "text",
-     "6e64c78621ed5046d4bafe5f9fe1587d44f187e8c81eec856edfe9c78473c9da"),
-    (["classify", "--filter", "exceptional"], "json",
-     "cd1531b6327c69a8b6a9871636a1a11aae6510fb08e35f68ea4d4506bb5764ca"),
-    (["classify", "--filter", "exceptional"], "csv",
-     "285ef59dbb83f754e27ca69cc9a6aa7e93d24e64c716705a422c00ffe28834fc"),
+    # a bound below the failing degree 2 passes; CSV does not print the bound
+    (["restrict", "--config", TOY, "--selection", "2", "--degree-bound", "1"], "text",
+     "seed: 0\nconfig: toy-axis\nselected invariants (1-based): 2\n"
+     "degrees: 4\nfiber degree d: 2\nW = 68*x1^4\n"
+     "surjective up to degree 1 : PASS\n"),
+    (["restrict", "--config", TOY, "--selection", "2", "--degree-bound", "1"], "json",
+     '{"seed":0,"config":"toy-axis","selected":[2],"degrees":[4],"d":2,'
+     '"t_vars":["t1"],"x_vars":["x1"],"restricted":["68*x1^4"],'
+     '"adapted":["68*t1^4 + 192*t1^2*x1^2 + 68*x1^4"],"surjective":true,'
+     '"failing_degree":null,"degree_bound":1}\n'),
+    (["restrict", "--config", TOY, "--selection", "2", "--degree-bound", "1"], "csv",
+     "seed,config,index,degree,restricted\n0,toy-axis,2,4,68*x1^4\n"),
     (["classify", "--filter", "b-exceptional"], "text",
      "6066ab6e7eae6fd2ea4a95e0953fd050b6f7a97ca617154b5675eb38a7acf673"),
     (["classify", "--filter", "b-exceptional"], "json",
@@ -681,3 +710,95 @@ def test_readme_lists_the_shared_flags():
     assert sentence is not None
     listed = re.findall(r"`(--[a-z-]+)", sentence.group(1))
     assert listed == [flag for flag, _ in cli.SHARED_FLAGS]
+
+
+# Every option of every parser level must be read: given a value other than
+# its default it changes stdout, writes the --out file, or exits 1.  The
+# base run of each level has every option at its default; the top level
+# ("chevfiber") takes its options before the subcommand, the others after
+# their base run, where a repeated option's last value wins.
+BASE_ARGV = {
+    "chevfiber": ["roots", "A2"],
+    "roots": ["roots", "A2"],
+    "invariants": ["invariants", "A2"],
+    "restrict": ["restrict", "--config", TOY],
+    "fiber": ["fiber", "--config", TOY, "--zeta", "1", "--target", "5"],
+    "lambda": ["lambda", "--config", TOY, "--zeta", "1", "--xi", "2"],
+    "classify": ["classify"],
+}
+
+# (level, option) -> (values, effect); an option with choices lists every
+# choice but its default, and OUT stands for a file under tmp_path
+SHARED_EFFECTS = {
+    "--seed": (["1"], "stdout"),
+    "--format": (["json", "csv"], "stdout"),
+    "--out": (["OUT"], "out"),
+}
+OPTION_EFFECTS = {
+    **{(level, flag): effect for level in BASE_ARGV for flag, effect in SHARED_EFFECTS.items()},
+    ("restrict", "--config"): ([SPLIT_BC2], "stdout"),
+    ("restrict", "--selection"): (["2"], "stdout"),
+    ("restrict", "--degree-bound"): (["4"], "stdout"),
+    ("fiber", "--config"): ([QUARTIC], "stdout"),
+    ("fiber", "--zeta"): (["2"], "stdout"),
+    ("fiber", "--target"): (["6"], "stdout"),
+    ("fiber", "--selection"): (["2"], "stdout"),
+    ("lambda", "--config"): ([QUARTIC], "stdout"),
+    ("lambda", "--zeta"): (["2"], "stdout"),
+    ("lambda", "--xi"): (["3"], "stdout"),
+    ("lambda", "--selection"): (["2"], "stdout"),
+    ("classify", "--db"): (["/no/such/pairs.txt"], "exit 1"),
+    ("classify", "--filter"): (["b-exceptional", "split"], "stdout"),
+}
+
+
+def _parser_options():
+    """(level, option) -> argparse action for every option but --help."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        (level, action.option_strings[-1]): action
+        for level, p in {"chevfiber": parser, **sub.choices}.items()
+        for action in p._actions
+        if action.option_strings and not isinstance(action, argparse._HelpAction)
+    }
+
+
+def test_every_option_has_an_effect_entry():
+    options = _parser_options()
+    assert sorted(set(options) - set(OPTION_EFFECTS)) == [], "options with no effect entry"
+    assert sorted(set(OPTION_EFFECTS) - set(options)) == [], "entries for options that are gone"
+    for key, action in options.items():
+        if action.choices:
+            default = action.default
+            if default is argparse.SUPPRESS:
+                default = options["chevfiber", key[1]].default
+            assert set(OPTION_EFFECTS[key][0]) == set(action.choices) - {default}, key
+
+
+def _run(argv, capsys):
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "level, option, value, effect",
+    [(*key, value, effect) for key, (values, effect) in OPTION_EFFECTS.items() for value in values],
+)
+def test_every_option_has_its_effect(tmp_path, capsys, level, option, value, effect):
+    base = BASE_ARGV[level]
+    out_file = tmp_path / "out.txt"
+    given = [option, str(out_file) if value == "OUT" else value]
+    base_code, base_out = _run(base, capsys)
+    assert base_code == 0
+    code, out = _run(given + base if level == "chevfiber" else base + given, capsys)
+    if effect == "exit 1":
+        assert code == 1
+        return
+    assert code == 0
+    if effect == "stdout":
+        assert out != base_out
+    else:
+        # the payload goes to the file; fiber and lambda verdicts stay on stdout
+        payload = out_file.read_text(encoding="utf-8")
+        assert payload and base_out == payload + out

@@ -199,6 +199,31 @@ def test_deformed_two_variable_system():
     assert all(r < 1e-8 for r in out.residuals)
 
 
+@functools.cache
+def _a3_over_a2():
+    cfg = parse_pair_config(
+        "ambient_type: A\nambient_rank: 3\nlittle_type: A\nlittle_rank: 2\n"
+        "embedding: 1 0; 0 1; 0 0"
+    )
+    return restrict_family(invariant_family(build_root_system("A", 3)), cfg)
+
+
+@pytest.mark.parametrize("draw", range(4))
+def test_non_orthogonal_embedding_gives_one_free_orbit(draw):
+    # W(A2) fixes the t axis only when it is form-orthogonal to the embedded
+    # plane, whose simple roots are not orthogonal; then a pushed-forward
+    # fiber is one free orbit of 6 points, x0 among them
+    rng = np.random.default_rng(draw)
+    x0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    zeta = (complex(rng.standard_normal(), rng.standard_normal()),)
+    res = _a3_over_a2()
+    target = tuple(p.eval([*zeta, *x0]) for p in res.adapted)
+    out = solve_fiber(DeformedSystem.from_restriction(res, zeta, target), seed=draw)
+    assert out.count == 6
+    assert out.orbit_classes == ((0, 1, 2, 3, 4, 5),)
+    assert np.abs(np.array(out.solutions) - x0).max(axis=1).min() < 1e-9
+
+
 def test_jacobian_restriction_law():
     system = quartic_system()
     j = jacobian_J(system)

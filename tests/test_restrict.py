@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from chevfiber._linalg import rank as matrix_rank
+from chevfiber._linalg import det, matvec, rank as matrix_rank
 from chevfiber.polyring import Polynomial, parse_polynomial
 from chevfiber.restrict import (
     PairConfig,
@@ -121,6 +121,23 @@ def test_adapt_coordinates_skew_subspace():
     assert x_col == (1, 1)
     # orthogonal complement, cleared to a primitive integer vector
     assert t_col in ((1, -1), (-1, 1))
+
+
+A3_OVER_A2 = (
+    "ambient_type: A\nambient_rank: 3\nlittle_type: A\nlittle_rank: 2\n"
+    "embedding: 1 0; 0 1; 0 0\n"
+)
+
+
+def test_adapt_coordinates_non_orthogonal_embedding():
+    # the embedded A2 simple roots pair to -1 under the A3 form, so the
+    # complement must be orthogonal to their span, not to each in turn
+    form = build_root_system("A", 3).form
+    _, _, change = adapt_coordinates(parse_pair_config(A3_OVER_A2), form)
+    t_col, *x_cols = zip(*change)
+    for x_col in x_cols:
+        assert sum(a * b for a, b in zip(t_col, matvec(form, x_col))) == 0
+    assert det(change) != 0
 
 
 def test_restrict_toy_oracle():
