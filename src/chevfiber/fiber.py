@@ -2,15 +2,17 @@
 
 A DeformedSystem holds square polynomial equations U_i(t; x) over deformation
 variables t and fiber variables x.  Fixing t = zeta and a target vector a,
-`solve_fiber` finds every solution of U_i(zeta; x) = a_i by a total-degree
-homotopy: start solutions of x_i^{d_i} = c_i are tracked to the target system
-along H(x, s) = (1 - s) gamma g(x) + s (f(x) - a) with an RK4 predictor and
-a Newton corrector that accepts an update within 1e-8 max(1, |x|), on a step
-that doubles with no cap short of s = 1 and halves on a failed correction, a
-path lost once its step falls below 1e-7.  All start paths move as one numpy
-batch, each with its own s and step, and take the steps each would take
-alone; each evaluation of H, H_x and dH/ds is one power table and one matrix
-product.
+`solve_fiber` finds every solution of U_i(zeta; x) = a_i.  With a little
+group and d = 1 the fiber is one free W-orbit of the W-invariant U, so one
+path of H = f(x) - p(s) from a0 = f(x0) to a, closed under the simple
+reflections, gives it all (a parameter homotopy; Sommese and Wampler, 2005,
+ch. 7).  Otherwise, or when a reflected point is no root, the total-degree
+homotopy H = (1 - s) gamma g(x) + s (f(x) - a) tracks every root of
+x_i^{d_i} = c_i.  Each step predicts with RK4 and corrects with Newton, an
+update accepted within 1e-8 max(1, |x|); ds doubles with no cap short of
+s = 1 and halves on a failed correction, a path lost below 1e-7.  All paths
+move as one numpy batch, each with its own s and step, as each would alone;
+each evaluation of H, H_x and dH/ds is one power table and one matrix product.
 
 A system whose equations are all homogeneous is solved at unit scale: with
 U_i(lam t, lam x) = lam^m_i U_i(t, x), the paths are tracked at zeta / lam
@@ -22,7 +24,7 @@ given.  Endpoints are polished and sorted by their coordinates rounded to a
 grid 1024 times finer than the merge radius, so float noise in a coordinate
 that points share cannot reorder them and a fixed seed reproduces results
 byte for byte, whatever order the terms of the equations are written in.
-A returned fiber is complete -- no path lost, no two endpoints within the
+A returned fiber is complete -- no path lost, no two points within the
 merge radius -- or the solve raises FiberSolveError.
 d is derived, never declared, so a returned fiber has |W(little)| * d points.
 
@@ -31,7 +33,7 @@ homogeneous of degree sum(m_i - 1) over the ambient grading -- the sum, not
 the product.  Its zero locus is the ramification divisor; predicates below
 test points against it numerically.  Orbit classes come from folding each
 point into the dominant chamber by simple reflections, with no element of
-W(little) built.
+W(little) built, and distances are checked by a sweep over sorted keys.
 
 No tolerance is an option: merge and orbit radius 1e-6 (max norm), singular
 |det J| <= 1e-10 relative to the coefficients and height, integrality 1e-8.
@@ -83,7 +85,7 @@ class DeformedSystem:
     expected fiber structure: a generic fiber has |W(little)| * d points.
     d is never declared: with `little` it is the degree quotient
     prod(x degrees) / prod(little degrees), so |W(little)| * d is the number
-    of start paths `solve_fiber` tracks; without `little` it is None.
+    of total-degree start paths (a d = 1 fiber tracks one); without `little` it is None.
     """
 
     polys: tuple[Polynomial, ...]
@@ -291,9 +293,30 @@ def _points(name: str, points, r: int) -> np.ndarray:
     return X
 
 
-def _max_dist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """(len(X), len(Y)) max-norm distances between the rows of X and Y."""
-    return np.abs(X[:, None, :] - Y[None, :, :]).max(axis=2)
+def _near_pairs(X: np.ndarray):
+    """Yield index arrays (i, j), i < j, of the rows of X (P, r) within the merge radius.
+
+    Rows sorted on a key, Re and Im x weighted by cos(1), cos(2), ... (independent over Q) over
+    the sum of |weights|, meet the k-th row after them, 2^14 / P values of k at a time, until no
+    keys k apart lie within the radius: keys differ by at most the max-norm distance."""
+    w = np.cos(np.arange(1, 2 * X.shape[1] + 1))
+    key = np.concatenate([X.real, X.imag], axis=1) @ (w / np.abs(w).sum())
+    order = np.argsort(key, kind="stable")
+    key = np.append(key[order], np.inf)  # past the last row
+    rows, block = np.arange(len(X))[:, None], max(1, 2**14 // len(X))
+    for k in range(1, len(X), block):
+        i, j = np.broadcast_arrays(rows, np.minimum(rows + np.arange(k, k + block), len(X)))
+        close = key[j] - key[i] < _CLUSTER_RADIUS
+        if not close.any():
+            return
+        i, j = order[i[close]], order[j[close]]
+        near = np.abs(X[i] - X[j]).max(axis=1) < _CLUSTER_RADIUS
+        yield np.minimum(i, j)[near], np.maximum(i, j)[near]
+
+
+def _merged(X: np.ndarray) -> int:
+    """How many rows of X (P, r) lie within the merge radius of an earlier row."""
+    return len(set().union(*(j.tolist() for _, j in _near_pairs(X))))
 
 
 def _newton(num: _Numeric, X: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -356,14 +379,22 @@ def _homotopy(num: _Numeric, a: np.ndarray, gamma: complex, cs: np.ndarray):
     return kernel
 
 
+def _segment(num: _Numeric, a0: np.ndarray, a: np.ndarray, gamma: complex):
+    """The kernel (X, s) -> (H, J, -tau'(s) (a - a0)) of H = f - (1 - tau) a0 - tau a, with
+    tau = gamma s / (1 + (gamma - 1) s): the gamma trick on the complex line through a0 and a.
+    A batch costs one power table and one product."""
+    def kernel(X: np.ndarray, s: np.ndarray):
+        den = (1 + (gamma - 1) * s)[:, None]
+        F, J = num(X)
+        return F - a0 - gamma * s[:, None] / den * (a - a0), J, -gamma / den**2 * (a - a0)
+
+    return kernel
+
+
 def _track_paths(
-    num: _Numeric,
-    a: np.ndarray,
-    gamma: complex,
-    cs: np.ndarray,
-    starts: np.ndarray,
+    num: _Numeric, a: np.ndarray, homotopy, starts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Track the start points (P, r) to the target system as one batch.
+    """Track the start points (P, r) along the kernel `homotopy` to f(x) = a as one batch.
 
     Every path keeps its own s, step ds and fate, and takes the steps it
     would take alone: an RK4 predictor, at most 4 Newton corrections, each
@@ -376,7 +407,6 @@ def _track_paths(
     and the mask of paths that reached the target and whose polish
     converged.  `solve_fiber` calls it on the system at unit scale.
     """
-    homotopy = _homotopy(num, a, gamma, cs)
     x = starts.astype(np.complex128)
     s = np.zeros(len(x))
     ds = np.full(len(x), 0.05)
@@ -498,63 +528,94 @@ def _unit_scale(system: DeformedSystem) -> tuple[float, np.ndarray, DeformedSyst
     return lam, powers, unit
 
 
-def solve_fiber(system: DeformedSystem, seed: int = 0) -> FiberResult:
-    """Track every start path and return the complete, sorted fiber.
+def _attempts(attempt):
+    """Call attempt() until the failure it returns with what it found is None, at most 4 times."""
+    for n in range(1, _MAX_RETRIES + 2):
+        found, failure = attempt()
+        if failure is None:
+            return found
+    raise FiberSolveError(f"{failure} after {n} attempts")
 
-    The paths are tracked on the system at unit scale (`_unit_scale`); the
-    merge check, the sort and the orbit classes read the points there, and
-    the returned solutions and residuals are taken back to the caller's
-    zeta and target.  An attempt is accepted only when every path reaches
-    the target and its polish converges, and no two endpoints lie within
-    the merge radius (a path jump, or a target off the generic locus).
-    Otherwise the paths are tracked again with a fresh gamma from the same
-    generator stream; after three retries the solve raises FiberSolveError.
+
+def _total_degree(num: _Numeric, a: np.ndarray, rng: np.random.Generator):
+    """One attempt of the total-degree homotopy: prod(m_i) start paths, none lost or merged."""
+    degrees, total = num.degrees, math.prod(num.degrees)
+    # start point `flat` takes root (flat // prod(degrees[:i])) % degrees[i] of equation i
+    digits = np.unravel_index(np.arange(total), degrees, order="F")
+    gamma = _unit_circle(rng)
+    cs = np.array([_unit_circle(rng) for _ in degrees], dtype=np.complex128)
+    roots = [c ** (1.0 / m) * np.exp(2j * np.pi * k / m) for m, c, k in zip(degrees, cs, digits)]
+    X, residual, ok = _track_paths(num, a, _homotopy(num, a, gamma, cs), np.stack(roots, axis=1))
+    failed = total - int(ok.sum())
+    if failed:
+        return None, f"{failed} of {total} paths failed"
+    merged = _merged(X)
+    return (X, residual), f"{merged} endpoints merged" if merged else None
+
+
+def _orbit(num: _Numeric, a: np.ndarray, little: RootSystem, order: int, rng: np.random.Generator):
+    """One attempt at a d = 1 fiber: one path, closed under W(little) into `order` points.
+
+    A complex normal x0 times mu = exp(mean_i log(|a_i| / |f_i(x0)|) / m_i) over the nonzero
+    a_i, so that a0 = f(x0) has the size of a, is tracked from a0 to a.  Finds None, and no
+    failure, if the polish moves a reflected point a grid step: U is then not W-invariant.
+    """
+    x0, gamma = rng.standard_normal(num.r) + 1j * rng.standard_normal(num.r), _unit_circle(rng)
+    a0 = num(x0[None])[0][0]
+    logs = [math.log(abs(ai) / abs(bi)) / m for ai, bi, m in zip(a, a0, num.degrees) if ai and bi]
+    x0 *= math.exp(sum(logs) / len(logs)) if logs else 1.0
+    a0 = num(x0[None])[0][0]
+    x, _, ok = _track_paths(num, a, _segment(num, a0, a, gamma), x0[None])
+    if not ok[0]:
+        return None, "1 of 1 paths failed"
+    X = _orbit_points(x[0], little, order)
+    if len(X) != order:
+        return None, f"the orbit closure has {len(X)} of {order} points"
+    polished, outcome = _newton(num, X, a)
+    if (np.abs(polished - X).max(axis=1) >= _CLUSTER_RADIUS / 1024).any():
+        return None, None
+    failed = int((outcome != _CONVERGED).sum())
+    if failed:
+        return None, f"{failed} of {order} orbit points failed their polish"
+    merged = _merged(polished)
+    found = polished, np.abs(num(polished)[0] - a)
+    return found, f"{merged} endpoints merged" if merged else None
+
+
+def solve_fiber(system: DeformedSystem, seed: int = 0) -> FiberResult:
+    """Return the complete, sorted fiber.
+
+    With a little group and d = 1 one path is tracked and reflected onto its orbit, one class
+    (`_orbit`); otherwise, or if U is not W-invariant, all prod(m_i) total-degree paths are,
+    and `orbit_partition` splits them.  `path_stats["tracked"]` counts the paths.  Points are
+    checked, sorted and classed at unit scale (`_unit_scale`).  An attempt with a lost path, a
+    failed polish or two points within the merge radius (a path jump, or a target off the
+    generic locus) is made again from the same generator stream; after three retries the
+    solve raises FiberSolveError.
     """
     _check_seed(seed)
     lam, powers, unit = _unit_scale(system)
     num = _Numeric(unit)
-    degrees = num.degrees
     a = np.array(unit.target, dtype=np.complex128)
     rng = np.random.default_rng(seed)
-
-    total = math.prod(degrees)
-    # start point `flat` takes root (flat // prod(degrees[:i])) % degrees[i]
-    # of equation i
-    digits = np.unravel_index(np.arange(total), degrees, order="F")
-    attempt = 0
-    while True:
-        gamma = _unit_circle(rng)
-        cs = np.array([_unit_circle(rng) for _ in degrees], dtype=np.complex128)
-        starts = np.stack(
-            [
-                c_i ** (1.0 / d_i) * np.exp(1j * (2 * np.pi * digit / d_i))
-                for d_i, c_i, digit in zip(degrees, cs, digits)
-            ],
-            axis=1,
-        )
-        X, residual, ok = _track_paths(num, a, gamma, cs, starts)
-        failed = total - int(ok.sum())
-        # endpoints within the merge radius of an earlier endpoint
-        near = np.triu(_max_dist(X[ok], X[ok]) < _CLUSTER_RADIUS, 1)
-        merged = int(near.any(axis=0).sum())
-        if not failed and not merged:
-            break
-        attempt += 1
-        if attempt > _MAX_RETRIES:
-            lost = f"{failed} of {total} paths failed" if failed else f"{merged} endpoints merged"
-            raise FiberSolveError(f"{lost} after {attempt} attempts")
+    found = None
+    if system.d == 1:
+        found = _attempts(lambda: _orbit(num, a, system.little, system.expected_count(), rng))
+    X, residual = found or _attempts(lambda: _total_degree(num, a, rng))
 
     # Distinct points differ by at least the merge radius, so keys on a grid
     # 1024 times finer still tell them apart, while float noise in a shared
     # coordinate can no longer decide the order.
     keys = np.round(np.stack([X.real, X.imag], axis=2) / (_CLUSTER_RADIUS / 1024))
-    order = sorted(range(total), key=lambda i: tuple(keys[i].ravel()))
+    order = sorted(range(len(X)), key=lambda i: tuple(keys[i].ravel()))
     solutions = tuple(tuple(complex(z) for z in lam * X[i]) for i in order)
     # equation i's residual grows by lam^m_i on the way back to the caller's frame
     residuals = tuple(float(r) for r in (residual[order] * powers).max(axis=1))
 
     orbit_classes = None
-    if system.little is not None:
+    if found:
+        orbit_classes = (tuple(range(len(X))),)
+    elif system.little is not None:
         orbit_classes = orbit_partition(X[order], system.little)
 
     return FiberResult(
@@ -563,7 +624,7 @@ def solve_fiber(system: DeformedSystem, seed: int = 0) -> FiberResult:
         target=system.target,
         solutions=solutions,
         residuals=residuals,
-        path_stats={"tracked": total, "failed": failed, "merged": merged},
+        path_stats={"tracked": 1 if found else math.prod(num.degrees), "failed": 0, "merged": 0},
         orbit_classes=orbit_classes,
     )
 
@@ -573,6 +634,27 @@ def _form_rows(little: RootSystem, vectors: Sequence) -> np.ndarray:
     return np.array([[float(c) for c in matvec(little.form, v)] for v in vectors])
 
 
+def _reflections(little: RootSystem) -> tuple[np.ndarray, np.ndarray]:
+    """The simple roots and coroot rows: x - (x @ coroots[j]) alphas[j] reflects x in alphas[j]."""
+    alphas = np.array(little.simple_roots, dtype=float)
+    rows = _form_rows(little, little.simple_roots)
+    return alphas, 2 * rows / (alphas * rows).sum(axis=1)[:, None]
+
+
+def _orbit_points(x: np.ndarray, little: RootSystem, order: int) -> np.ndarray:
+    """The W(little)-orbit of x (r,), x first, or more than `order` points: each round keeps
+    the images whose coordinates, rounded to the sort grid (1024 cells per merge radius), no
+    earlier point has, and reflects them in every simple root."""
+    alphas, coroots = _reflections(little)
+    X, images, seen = np.empty((0, len(x)), dtype=np.complex128), x[None], set()
+    while len(images) and len(X) <= order:
+        cells = np.round(np.hstack([images.real, images.imag]) / (_CLUSTER_RADIUS / 1024))
+        new = images[[c not in seen and not seen.add(c) for c in map(tuple, cells.tolist())]]
+        X = np.concatenate([X, new])
+        images = (new[:, None, :] - (new @ coroots.T)[:, :, None] * alphas).reshape(-1, len(x))
+    return X
+
+
 def _fold(X: np.ndarray, little: RootSystem) -> np.ndarray:
     """The points X (P, r) folded into the dominant chamber of `little`.
 
@@ -580,9 +662,7 @@ def _fold(X: np.ndarray, little: RootSystem) -> np.ndarray:
     Re<x, alpha> + _TILT Im<x, alpha> < 0.  This folds the real vector
     Re x + _TILT Im x, so the points of one W-orbit fold onto one point.
     """
-    alphas = np.array(little.simple_roots, dtype=float)
-    rows = _form_rows(little, little.simple_roots)
-    coroots = 2 * rows / (alphas * rows).sum(axis=1)[:, None]
+    alphas, coroots = _reflections(little)
     X = X.copy()
     for _ in range(len(little.roots)):
         z = X @ coroots.T
@@ -609,14 +689,23 @@ def orbit_partition(
     if not len(points):
         return ()
     pts = _points("every point", points, little.rank)
-    near = np.argwhere(np.triu(_max_dist(pts, pts) < _CLUSTER_RADIUS, 1))
-    if near.size:
-        i, j = near[0]
+    near = [min(zip(i.tolist(), j.tolist())) for i, j in _near_pairs(pts) if i.size]
+    if near:
+        i, j = min(near)
         raise InconsistentClusteringError(f"points {i} and {j} lie within {_CLUSTER_RADIUS}")
     folds = _fold(pts, little)
-    same = _max_dist(folds, folds) < _CLUSTER_RADIUS
-    first = same.argmax(axis=1)
-    bad = np.flatnonzero((same != same[first]).any(axis=1))
+    # with N(i) the folds within the radius of fold i and first[i] its least member, N(i) =
+    # N(first[i]) iff both have one size and every member of N(i) is near first[i]
+    P = len(folds)
+    first, size, shared = np.arange(P), np.ones(P, dtype=np.int64), np.ones(P, dtype=np.int64)
+    for i, j in _near_pairs(folds):
+        np.minimum.at(first, j, i)
+        size += np.bincount(np.concatenate([i, j]), minlength=P)
+    for i, j in _near_pairs(folds):
+        p, q = np.concatenate([i, j]), np.concatenate([j, i])
+        near = np.abs(folds[q] - folds[first[p]]).max(axis=1) < _CLUSTER_RADIUS
+        shared += np.bincount(p[near], minlength=P)
+    bad = np.flatnonzero((size != size[first]) | (shared != size))
     if bad.size:
         raise InconsistentClusteringError(f"fold of point {bad[0]} joins two orbits")
     return tuple(tuple(np.flatnonzero(first == i).tolist()) for i in sorted(set(first.tolist())))

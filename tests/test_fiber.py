@@ -3,6 +3,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -156,7 +157,8 @@ def test_toy_fiber_count_and_residuals():
     result = solve_fiber(toy_system(), seed=3)
     assert result.count == 2
     assert all(r < 1e-8 for r in result.residuals)
-    assert result.path_stats["tracked"] == 2
+    # d = 1: one path, reflected onto the other point
+    assert result.path_stats["tracked"] == 1
     assert result.path_stats["failed"] == 0
     # solutions are sorted by real, then imaginary parts
     keys = [tuple((z.real, z.imag) for z in p) for p in result.solutions]
@@ -414,18 +416,18 @@ def _nudged(X, ulps):
 
 def test_order_ignores_last_bit_noise(monkeypatch):
     # the six points of this A2 fiber share first coordinates in pairs, so a
-    # sort on raw floats lets the last bits decide the order of each pair
+    # sort on raw floats lets the last bits decide the order of each pair;
+    # the noise goes into the orbit closure, which the polish leaves alone
     system = a2_system()
     base = solve_fiber(system, seed=3)
-    track = fiber._track_paths
+    closure = fiber._orbit_points
     for sign in (1, -1):
 
         def noisy(*args):
-            X, residual, ok = track(*args)
-            ulps = [sign * (3 if i % 2 else -3) for i in range(len(X))]
-            return _nudged(X, ulps), residual, ok
+            X = closure(*args)
+            return _nudged(X, [sign * (3 if i % 2 else -3) for i in range(len(X))])
 
-        monkeypatch.setattr(fiber, "_track_paths", noisy)
+        monkeypatch.setattr(fiber, "_orbit_points", noisy)
         out = solve_fiber(system, seed=3)
         assert out.orbit_classes == base.orbit_classes
         moved = np.abs(np.array(out.solutions) - np.array(base.solutions))
@@ -532,24 +534,26 @@ def _patched_tracker(monkeypatch, spoil):
 
 
 def _lose_path(attempt, X, residual, ok):
-    X[5], residual[5], ok[5] = np.nan, np.inf, False
+    # the last path: the quartic's fourth total-degree path, or the one orbit path
+    X[-1], residual[-1], ok[-1] = np.nan, np.inf, False
 
 
 def _duplicate_endpoint(attempt, X, residual, ok):
-    X[5], residual[5] = X[2], residual[2]
+    X[3], residual[3] = X[1], residual[1]
 
 
 def test_lost_path_on_every_attempt_raises(monkeypatch):
+    # the quartic selection has d = 2, so it tracks all 4 total-degree paths
     attempts = _patched_tracker(monkeypatch, _lose_path)
-    with pytest.raises(FiberSolveError, match="^1 of 24 paths failed after 4 attempts$"):
-        solve_fiber(_a3_pushed_forward(0), seed=0)
+    with pytest.raises(FiberSolveError, match="^1 of 4 paths failed after 4 attempts$"):
+        solve_fiber(quartic_system(), seed=0)
     assert len(attempts) == 4
 
 
 def test_merged_endpoints_on_every_attempt_raise(monkeypatch):
     attempts = _patched_tracker(monkeypatch, _duplicate_endpoint)
     with pytest.raises(FiberSolveError, match="^1 endpoints merged after 4 attempts$"):
-        solve_fiber(_a3_pushed_forward(0), seed=0)
+        solve_fiber(quartic_system(), seed=0)
     assert len(attempts) == 4
 
 
@@ -559,23 +563,60 @@ def test_unconverged_polish_is_not_accepted(monkeypatch):
 
     def stalled(num, X, a):
         X, outcome = newton(num, X, a)
-        outcome[5] = fiber._STEP_CAP
+        outcome[3] = fiber._STEP_CAP
         return X, outcome
 
     monkeypatch.setattr(fiber, "_newton", stalled)
-    with pytest.raises(FiberSolveError, match="^1 of 24 paths failed after 4 attempts$"):
-        solve_fiber(_a3_pushed_forward(0), seed=0)
+    with pytest.raises(FiberSolveError, match="^1 of 4 paths failed after 4 attempts$"):
+        solve_fiber(quartic_system(), seed=0)
 
 
 def test_lost_path_on_first_attempt_is_tracked_again(monkeypatch):
-    system = _a3_pushed_forward(0)
+    system = quartic_system()
     attempts = _patched_tracker(
         monkeypatch, lambda attempt, *out: attempt == 0 and _lose_path(attempt, *out)
     )
     out = solve_fiber(system, seed=0)
     assert len(attempts) > 1
+    assert out.count == system.expected_count() == 4
+    assert out.path_stats == {"tracked": 4, "failed": 0, "merged": 0}
+
+
+def test_lost_orbit_path_on_every_attempt_raises(monkeypatch):
+    # a d = 1 fiber tracks one path; each attempt draws a fresh x0 and gamma
+    attempts = _patched_tracker(monkeypatch, _lose_path)
+    with pytest.raises(FiberSolveError, match="^1 of 1 paths failed after 4 attempts$"):
+        solve_fiber(_a3_pushed_forward(0), seed=0)
+    assert len(attempts) == 4
+
+
+def test_lost_orbit_path_on_first_attempt_is_tracked_again(monkeypatch):
+    x0 = _a3_draw(0)
+    system = _a3_system_at(x0)
+    attempts = _patched_tracker(
+        monkeypatch, lambda attempt, *out: attempt == 0 and _lose_path(attempt, *out)
+    )
+    out = solve_fiber(system, seed=0)
+    assert len(attempts) == 2
     assert out.count == system.expected_count() == 24
-    assert out.path_stats == {"tracked": 24, "failed": 0, "merged": 0}
+    assert out.path_stats == {"tracked": 1, "failed": 0, "merged": 0}
+    assert out.orbit_classes == (tuple(range(24)),)
+    assert np.abs(np.array(out.solutions) - x0).max(axis=1).min() < 1e-6
+
+
+@pytest.mark.parametrize(
+    "spoil, failure",
+    [
+        (lambda X: X[:-1], "the orbit closure has 23 of 24 points"),
+        (lambda X: np.concatenate([X[:-1], X[:1] + 1e-12]), "1 endpoints merged"),
+    ],
+    ids=["short", "merged"],
+)
+def test_spoiled_orbit_closure_on_every_attempt_raises(monkeypatch, spoil, failure):
+    closure = fiber._orbit_points
+    monkeypatch.setattr(fiber, "_orbit_points", lambda *args: spoil(closure(*args)))
+    with pytest.raises(FiberSolveError, match=f"^{failure} after 4 attempts$"):
+        solve_fiber(_a3_pushed_forward(0), seed=0)
 
 
 @pytest.mark.parametrize("draw", range(12))
@@ -586,21 +627,22 @@ def test_a3_fiber_is_complete_or_an_error(draw):
     system = _a3_system_at(x0)
     out = solve_fiber(system, seed=draw)
     assert out.count == system.expected_count() == 24
-    assert out.path_stats == {"tracked": 24, "failed": 0, "merged": 0}
+    assert out.path_stats == {"tracked": 1, "failed": 0, "merged": 0}
     assert np.abs(np.array(out.solutions) - x0).max(axis=1).min() < 1e-6
 
 
 @pytest.mark.parametrize("draw", range(3))
 def test_a3_fiber_takes_few_homotopy_evaluations(draw, monkeypatch):
     # the tracker evaluates its homotopy kernel once per RK4 stage and once
-    # per correction: 223, 249 and 189 times here with the 1e-8 corrector
-    # and no cap on ds, 262, 306 and 265 times with a 1e-10 corrector and
-    # ds capped at 0.1, and over 1100 times with an Euler predictor
+    # per correction.  The one orbit path takes 25 calls of one row here;
+    # the 24 total-degree paths took 223, 249 and 189 with the 1e-8
+    # corrector and no cap on ds, 262, 306 and 265 with a 1e-10 corrector
+    # and ds capped at 0.1, and over 1100 with an Euler predictor
     calls = []
-    homotopy = fiber._homotopy
+    segment = fiber._segment
 
     def counted(*args):
-        kernel = homotopy(*args)
+        kernel = segment(*args)
 
         def evaluate(X, s):
             calls.append(len(X))
@@ -608,10 +650,57 @@ def test_a3_fiber_takes_few_homotopy_evaluations(draw, monkeypatch):
 
         return evaluate
 
-    monkeypatch.setattr(fiber, "_homotopy", counted)
+    monkeypatch.setattr(fiber, "_segment", counted)
     out = solve_fiber(_a3_pushed_forward(draw), seed=draw)
     assert out.count == 24
-    assert len(calls) <= 260
+    assert calls == [1] * len(calls)
+    assert len(calls) <= 30
+
+
+@pytest.mark.parametrize("draw", range(3))
+def test_d4_split_fiber_is_one_orbit_from_one_path(draw):
+    # 192 points from one tracked path, where total degree tracks 192 paths
+    res = _split("D", 4)
+    rng = np.random.default_rng(draw)
+    x0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    system = DeformedSystem.from_restriction(res, (), [p.eval(list(x0)) for p in res.adapted])
+    start = time.perf_counter()
+    out = solve_fiber(system, seed=draw)
+    assert time.perf_counter() - start < 1.0
+    assert out.count == system.expected_count() == 192
+    assert out.orbit_classes == (tuple(range(192)),)
+    assert out.path_stats["tracked"] == 1
+    assert np.abs(np.array(out.solutions) - x0).max(axis=1).min() < 1e-6
+
+
+def test_system_that_is_not_invariant_takes_total_degree():
+    # x^2 + t x is homogeneous with d = 1 over A1, but x -> -x does not fix
+    # it at zeta != 0: the reflected endpoint is no root, and its polish
+    # moves it far, so the solve tracks both total-degree paths instead
+    p = parse_polynomial("x1^2 + t1*x1", ("t1", "x1"))
+    zeta, a = 0.7 + 0.2j, 1.3 - 0.4j
+    system = DeformedSystem(
+        polys=(p,), t_vars=("t1",), x_vars=("x1",), zeta=(zeta,), target=(a,),
+        little=build_root_system("A", 1),
+    )
+    assert system.d == 1
+    out = solve_fiber(system, seed=0)
+    assert out.path_stats["tracked"] == 2
+    got = sorted((x for (x,) in out.solutions), key=lambda z: (z.real, z.imag))
+    want = sorted(np.roots([1, zeta, -a]), key=lambda z: (z.real, z.imag))
+    assert np.abs(np.array(got) - want).max() < 1e-12
+    assert out.orbit_classes == ((0,), (1,))
+
+
+@pytest.mark.parametrize("kind, rank", [("A", 3), ("BC", 2)])
+def test_orbit_solve_bytes_repeat_for_one_seed(kind, rank):
+    res = _split(kind, rank)
+    rng = np.random.default_rng(5)
+    x0 = rng.standard_normal(rank) + 1j * rng.standard_normal(rank)
+    system = DeformedSystem.from_restriction(res, (), [p.eval(list(x0)) for p in res.adapted])
+    first = solve_fiber(system, seed=5).to_json()
+    assert json.loads(first)["path_stats"]["tracked"] == 1
+    assert solve_fiber(system, seed=5).to_json() == first
 
 
 @pytest.mark.parametrize("draw", [2, 3, 4, 6])

@@ -6,12 +6,16 @@ within 1e-8 max(1, |x|), and ds doubled with no cap short of the path's
 end) one path at a time, evaluating each equation and each Jacobian entry
 on its own.
 Batched BLAS sums in another order, so the two agree to a tolerance, not bit
-for bit.  A sweep over scales checks the count law from lam = 1e-6 to 1e6.
+for bit.  A d = 1 fiber is solved by one path and its orbit closure, which
+the oracle checks against all total-degree paths of the same system.  A sweep
+over scales checks the count law from lam = 1e-6 to 1e6.
 """
 
 from __future__ import annotations
 
 import time
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -162,12 +166,14 @@ def _scalar_tracker(system):
     """A stand-in for `fiber._track_paths` that tracks one path at a time.
 
     `solve_fiber` tracks the system at unit scale, so the evaluator is built
-    at that system's zeta, as the batched one is.
+    at that system's zeta, as the batched one is.  It takes the place of the
+    total-degree kernel, which `_scalar_homotopy` stands in for.
     """
     scalar = _ScalarNumeric(fiber._unit_scale(system)[2])
     degrees = system.x_degrees()
 
-    def track(num, a, gamma, cs, starts):
+    def track(num, a, kernel, starts):
+        gamma, cs = kernel
         X = starts.astype(np.complex128)
         residual = np.full(X.shape, np.inf)
         for p, x0 in enumerate(starts):
@@ -177,6 +183,11 @@ def _scalar_tracker(system):
         return X, residual, np.isfinite(residual).all(axis=1)
 
     return track
+
+
+def _scalar_homotopy(num, a, gamma, cs):
+    # the start system's gamma and c, read by `_scalar_tracker`
+    return gamma, cs
 
 
 def _restriction(name):
@@ -251,7 +262,10 @@ def test_homotopy_kernel_matches_per_entry_reference(name):
 def test_batched_tracker_matches_scalar_oracle(name, monkeypatch):
     # A3 draws 1 and 4 end near the residual rounding floor (|a| reaches
     # 1e6); both trackers accept a path when its polish converges relative
-    # to max(1, |a|, term size), so they agree there too.
+    # to max(1, |a|, term size), so they agree there too.  Only the quartic
+    # has d = 2 and tracks total-degree paths itself; every other system is
+    # one orbit path and its closure, and the oracle tracks all prod(m_i)
+    # paths of it without its little group.
     res = _restriction(name)
     for draw in (0, 1, 4, 7, 9) if name == "A3" else (0, 7):
         rng = np.random.default_rng(draw)
@@ -263,13 +277,18 @@ def test_batched_tracker_matches_scalar_oracle(name, monkeypatch):
         batched = solve_fiber(system, seed=seed)
         with monkeypatch.context() as m:
             m.setattr(fiber, "_track_paths", _scalar_tracker(system))
-            scalar = solve_fiber(system, seed=seed)
-        assert batched.path_stats == scalar.path_stats
+            m.setattr(fiber, "_homotopy", _scalar_homotopy)
+            scalar = solve_fiber(system if system.d > 1 else replace(system, little=None), seed=seed)
+        assert scalar.path_stats["tracked"] == system.expected_count()
+        if system.d > 1:
+            assert batched.path_stats == scalar.path_stats
+            assert batched.orbit_classes == scalar.orbit_classes
+        else:
+            assert batched.path_stats["tracked"] == 1
         assert batched.count == scalar.count == system.expected_count()
         for p, q in zip(batched.solutions, scalar.solutions):
             size = max(1.0, max(abs(z) for z in q))
             assert max(abs(x - y) for x, y in zip(p, q)) <= 1e-10 * size
-        assert batched.orbit_classes == scalar.orbit_classes
         order = weyl_order(system.little.type_name, system.little.rank)
         assert sorted(map(len, batched.orbit_classes)) == [order] * system.d
 
@@ -368,6 +387,23 @@ def test_orbit_partition_matches_loop(key):
             orbit_partition(unique, rs)
 
 
+@pytest.mark.parametrize("r", [1, 2, 4])
+def test_near_pairs_match_every_pair(r):
+    # three tight clusters spread over about the merge radius, half of them
+    # sharing Re x_1, so pairs lie on both sides of the radius and the sweep
+    # takes several blocks of offsets; it must yield each pair once
+    rng = np.random.default_rng(r)
+    centers = rng.standard_normal((3, r)) + 1j * rng.standard_normal((3, r))
+    X = centers[rng.integers(3, size=600)]
+    X = X + 5e-7 * (rng.standard_normal(X.shape) + 1j * rng.standard_normal(X.shape))
+    X[::2, 0] = 0.5 + 1j * X[::2, 0].imag
+    pairs = [p for i, j in fiber._near_pairs(X) for p in zip(i.tolist(), j.tolist())]
+    near = np.abs(X[:, None, :] - X[None, :, :]).max(axis=2) < 1e-6
+    want = set(zip(*np.nonzero(np.triu(near, 1))))
+    assert len(pairs) == len(set(pairs)) and set(pairs) == {(int(i), int(j)) for i, j in want}
+    assert 1000 < len(want) < 600 * 599 // 2 - 1000
+
+
 def _labelled_orbits(rng, matrices, seeds, partial):
     """The orbits of the seeds, the last one cut to `partial` points, shuffled,
     with the classes their seed labels give."""
@@ -394,6 +430,14 @@ def test_orbit_partition_rank_four():
     seeds = [np.array(_complex_normal(rng, 4)) for _ in range(2)]
     points, classes = _labelled_orbits(rng, matrices, seeds, 3)
     assert len(points) == 1155
-    start = time.perf_counter()
-    assert orbit_partition(points, f4) == classes
-    assert time.perf_counter() - start < 2.0
+    # the distance checks sweep sorted keys and build no (P, P, r) array,
+    # which for these points takes over 100 MB
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        assert orbit_partition(points, f4) == classes
+        assert time.perf_counter() - start < 2.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
