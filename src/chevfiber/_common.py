@@ -21,7 +21,7 @@ class SingularJacobianError(FiberSolveError):
 
 
 class InconsistentClusteringError(FiberSolveError):
-    """The merge radius does not fit the spacing of the fiber points or their folds."""
+    """The merge radius does not fit the spacing of the fiber points or their orbits."""
 
 
 def _fmt_float(v: float) -> str:

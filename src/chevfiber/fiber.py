@@ -31,9 +31,9 @@ d is derived, never declared, so a returned fiber has |W(little)| * d points.
 The symbolic Jacobian determinant of the system in the x directions is
 homogeneous of degree sum(m_i - 1) over the ambient grading -- the sum, not
 the product.  Its zero locus is the ramification divisor; predicates below
-test points against it numerically.  Orbit classes come from folding each
-point into the dominant chamber by simple reflections, with no element of
-W(little) built, and distances are checked by a sweep over sorted keys.
+test points against it numerically.  Orbit classes come from closing a
+point under the simple reflections, with no element of W(little) built, and
+distances are checked by a sweep over sorted keys.
 
 No tolerance is an option: merge and orbit radius 1e-6 (max norm), singular
 |det J| <= 1e-10 relative to the coefficients and height, integrality 1e-8.
@@ -69,8 +69,6 @@ from .rootsys import RootSystem, fundamental_degrees, weyl_order
 _CLUSTER_RADIUS = 1e-6
 _SINGULAR_TOL = 1e-10
 _INT_TOL = 1e-8
-# the fold's weight on Im<x, alpha>: irrational, so real or imaginary points stay off walls
-_TILT = (math.sqrt(5) - 1) / 2
 _NEWTON_STEPS = 30
 # how `_newton` stopped a row; _STEP_CAP doubles as "still running"
 _CONVERGED, _SINGULAR, _NOT_FINITE, _STEP_CAP = range(4)
@@ -244,7 +242,7 @@ class _Numeric:
         table[:, :, 0] = 1
         table[:, :, 1:] = X[:, :, None]
         np.cumprod(table, axis=2, out=table)
-        return table.reshape(len(X), -1)[:, self.flat].prod(axis=2)
+        return table.reshape(len(X), self.r * self.depth)[:, self.flat].prod(axis=2)
 
     def split(self, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The blocks (P, r) and (P, r, r) of a product with C."""
@@ -297,13 +295,14 @@ def _near_pairs(X: np.ndarray):
     """Yield index arrays (i, j), i < j, of the rows of X (P, r) within the merge radius.
 
     Rows sorted on a key, Re and Im x weighted by cos(1), cos(2), ... (independent over Q) over
-    the sum of |weights|, meet the k-th row after them, 2^14 / P values of k at a time, until no
-    keys k apart lie within the radius: keys differ by at most the max-norm distance."""
+    the sum of |weights|, meet the k-th row after them, min(P - 1, 2^14 / P) values of k at a
+    time, until no keys k apart lie within the radius: keys differ by at most the max-norm
+    distance."""
     w = np.cos(np.arange(1, 2 * X.shape[1] + 1))
     key = np.concatenate([X.real, X.imag], axis=1) @ (w / np.abs(w).sum())
     order = np.argsort(key, kind="stable")
     key = np.append(key[order], np.inf)  # past the last row
-    rows, block = np.arange(len(X))[:, None], max(1, 2**14 // len(X))
+    rows, block = np.arange(len(X))[:, None], max(1, min(len(X) - 1, 2**14 // len(X)))
     for k in range(1, len(X), block):
         i, j = np.broadcast_arrays(rows, np.minimum(rows + np.arange(k, k + block), len(X)))
         close = key[j] - key[i] < _CLUSTER_RADIUS
@@ -568,7 +567,7 @@ def _orbit(num: _Numeric, a: np.ndarray, little: RootSystem, order: int, rng: np
     x, _, ok = _track_paths(num, a, _segment(num, a0, a, gamma), x0[None])
     if not ok[0]:
         return None, "1 of 1 paths failed"
-    X = _orbit_points(x[0], little, order)
+    X = _orbit_points(x[0], _reflections(little), order)
     if len(X) != order:
         return None, f"the orbit closure has {len(X)} of {order} points"
     polished, outcome = _newton(num, X, a)
@@ -641,11 +640,13 @@ def _reflections(little: RootSystem) -> tuple[np.ndarray, np.ndarray]:
     return alphas, 2 * rows / (alphas * rows).sum(axis=1)[:, None]
 
 
-def _orbit_points(x: np.ndarray, little: RootSystem, order: int) -> np.ndarray:
-    """The W(little)-orbit of x (r,), x first, or more than `order` points: each round keeps
-    the images whose coordinates, rounded to the sort grid (1024 cells per merge radius), no
-    earlier point has, and reflects them in every simple root."""
-    alphas, coroots = _reflections(little)
+def _orbit_points(
+    x: np.ndarray, reflections: tuple[np.ndarray, np.ndarray], order: int
+) -> np.ndarray:
+    """The orbit of x (r,) under the `_reflections` arrays, x first, or more than `order` points:
+    each round keeps the images whose coordinates, rounded to the sort grid (1024 cells per merge
+    radius), no earlier point has, and reflects them in every simple root."""
+    alphas, coroots = reflections
     X, images, seen = np.empty((0, len(x)), dtype=np.complex128), x[None], set()
     while len(images) and len(X) <= order:
         cells = np.round(np.hstack([images.real, images.imag]) / (_CLUSTER_RADIUS / 1024))
@@ -655,36 +656,19 @@ def _orbit_points(x: np.ndarray, little: RootSystem, order: int) -> np.ndarray:
     return X
 
 
-def _fold(X: np.ndarray, little: RootSystem) -> np.ndarray:
-    """The points X (P, r) folded into the dominant chamber of `little`.
-
-    Each round reflects every row in its first simple root alpha with
-    Re<x, alpha> + _TILT Im<x, alpha> < 0.  This folds the real vector
-    Re x + _TILT Im x, so the points of one W-orbit fold onto one point.
-    """
-    alphas, coroots = _reflections(little)
-    X = X.copy()
-    for _ in range(len(little.roots)):
-        z = X @ coroots.T
-        below = z.real + _TILT * z.imag < 0
-        k = np.flatnonzero(below.any(axis=1))
-        if not k.size:
-            return X
-        j = below[k].argmax(axis=1)
-        X[k] -= z[k, j][:, None] * alphas[j]
-    raise InconsistentClusteringError(f"the fold did not finish in {len(little.roots)} rounds")
-
-
 def orbit_partition(
     points: Sequence[Sequence[complex]],
     little: RootSystem,
 ) -> tuple[tuple[int, ...], ...]:
     """Group fiber points into orbits of the Weyl group of `little`.
 
-    The closed dominant chamber meets every W-orbit once, so points share an
-    orbit when their folds lie within the merge radius.  Classes are ascending,
-    ordered by smallest member.  Two points within the radius, or folds whose
-    nearness is not transitive, raise InconsistentClusteringError.
+    The least point with no class yet is closed under the simple reflections
+    (`_orbit_points`), and its class is every point within the merge radius
+    of an image, found in one sweep over the images and the points.  Classes
+    are ascending, ordered by smallest member.  Two points within the radius,
+    a closure of more than |W| points, and nearness that is not transitive
+    (a point near the orbits of two classes, or two points near one image)
+    raise InconsistentClusteringError.
     """
     if not len(points):
         return ()
@@ -693,22 +677,30 @@ def orbit_partition(
     if near:
         i, j = min(near)
         raise InconsistentClusteringError(f"points {i} and {j} lie within {_CLUSTER_RADIUS}")
-    folds = _fold(pts, little)
-    # with N(i) the folds within the radius of fold i and first[i] its least member, N(i) =
-    # N(first[i]) iff both have one size and every member of N(i) is near first[i]
-    P = len(folds)
-    first, size, shared = np.arange(P), np.ones(P, dtype=np.int64), np.ones(P, dtype=np.int64)
-    for i, j in _near_pairs(folds):
-        np.minimum.at(first, j, i)
-        size += np.bincount(np.concatenate([i, j]), minlength=P)
-    for i, j in _near_pairs(folds):
-        p, q = np.concatenate([i, j]), np.concatenate([j, i])
-        near = np.abs(folds[q] - folds[first[p]]).max(axis=1) < _CLUSTER_RADIUS
-        shared += np.bincount(p[near], minlength=P)
-    bad = np.flatnonzero((size != size[first]) | (shared != size))
-    if bad.size:
-        raise InconsistentClusteringError(f"fold of point {bad[0]} joins two orbits")
-    return tuple(tuple(np.flatnonzero(first == i).tolist()) for i in sorted(set(first.tolist())))
+    order, reflections = weyl_order(little.type_name, little.rank), _reflections(little)
+    label = np.full(len(pts), -1)
+    for i in range(len(pts)):
+        if label[i] >= 0:
+            continue
+        images = _orbit_points(pts[i], reflections, order)
+        n = len(images)
+        if n > order:
+            raise InconsistentClusteringError(f"the orbit of point {i} has over {order} points")
+        # the (image, point) pairs; rows n and on of the sweep are the points
+        pairs = np.hstack([np.stack(p) for p in _near_pairs(np.concatenate([images, pts]))])
+        image, point = pairs[:, (pairs[0] < n) & (pairs[1] >= n)] - [[0], [n]]
+        twice = np.flatnonzero(np.bincount(image, minlength=n) > 1)
+        if twice.size:
+            j, k = sorted(point[image == twice[0]])[:2]
+            raise InconsistentClusteringError(f"points {j} and {k} lie near one image of point {i}")
+        taken = point[label[point] >= 0]
+        if taken.size:
+            j = taken.min()
+            raise InconsistentClusteringError(
+                f"point {j} lies near the orbits of points {label[j]} and {i}"
+            )
+        label[point] = i
+    return tuple(tuple(np.flatnonzero(label == i).tolist()) for i in sorted(set(label.tolist())))
 
 
 def _unramified(system: DeformedSystem, num: _Numeric, X: np.ndarray) -> np.ndarray:

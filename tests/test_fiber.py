@@ -29,7 +29,7 @@ from chevfiber.fiber import (
 )
 from chevfiber.polyring import Polynomial, jacobian_det, parse_polynomial
 from chevfiber.restrict import parse_pair_config, restrict_family, split_config
-from chevfiber.rootsys import build_root_system, invariant_family
+from chevfiber.rootsys import build_root_system, invariant_family, weyl_order
 
 TOY_TEXT = """
 name: toy-axis
@@ -358,10 +358,17 @@ def test_orbit_partition_inconsistency():
     a1 = build_root_system("A", 1)
     with pytest.raises(InconsistentClusteringError, match="points 0 and 1 lie within 1e-06"):
         orbit_partition([(0.0,), (1e-9,)], a1)
-    # the points lie 1.6e-6 apart, but their folds 1, 1 + 8e-7 and 1 + 1.6e-6
-    # chain within the radius without all lying within it of each other
-    with pytest.raises(InconsistentClusteringError, match="fold of point 1 joins two orbits"):
+    # the orbit {1, -1} of point 0 reaches point 1, whose distance 8e-7 from -1 puts
+    # it near the orbit {1 + 1.6e-6, -1 - 1.6e-6} of point 2 too: nearness is not transitive
+    with pytest.raises(
+        InconsistentClusteringError, match="^point 1 lies near the orbits of points 0 and 2$"
+    ):
         orbit_partition([(1.0,), (-1.0 - 8e-7,), (1.0 + 1.6e-6,)], a1)
+    # -1 - 8e-7 and -1 + 8e-7 lie 1.6e-6 apart, both near the image -1 of point 0
+    with pytest.raises(
+        InconsistentClusteringError, match="^points 1 and 2 lie near one image of point 0$"
+    ):
+        orbit_partition([(1.0,), (-1.0 - 8e-7,), (-1.0 + 8e-7,)], a1)
 
 
 def test_orbit_partition_identity_only():
@@ -371,11 +378,15 @@ def test_orbit_partition_identity_only():
     assert orbit_partition([(5.0,), (-5.0,)], a1) == ((0, 1),)
 
 
-def test_orbit_partition_fold_is_capped():
-    # -5 needs one reflection and a second round to see it is done
-    clipped = replace(build_root_system("A", 1), roots=((1,),))
-    with pytest.raises(InconsistentClusteringError, match="the fold did not finish in 1 rounds"):
-        orbit_partition([(-5.0,)], clipped)
+def test_orbit_partition_closure_is_capped():
+    # B2's reflections labelled as A2: the closure of a generic point has 8
+    # points, more than |W(A2)| = 6; the origin, point 0, closes on itself
+    fake = replace(build_root_system("B", 2), type_name="A")
+    assert weyl_order("A", 2) == 6
+    with pytest.raises(
+        InconsistentClusteringError, match="^the orbit of point 1 has over 6 points$"
+    ):
+        orbit_partition([(0.0, 0.0), (0.3 + 0.1j, 1.7 - 0.4j)], fake)
 
 
 def test_constant_equation_rejected():
@@ -588,6 +599,13 @@ def test_lost_orbit_path_on_every_attempt_raises(monkeypatch):
     with pytest.raises(FiberSolveError, match="^1 of 1 paths failed after 4 attempts$"):
         solve_fiber(_a3_pushed_forward(0), seed=0)
     assert len(attempts) == 4
+
+
+def test_ramified_target_loses_the_orbit_path():
+    # 20 t^2 + 20 x^2 = 5 at t = 0.5 has the double root x = 0: the one path
+    # is lost on every attempt, and the empty batch of endpoints is no error
+    with pytest.raises(FiberSolveError, match="^1 of 1 paths failed after 4 attempts$"):
+        solve_fiber(toy_system(zeta=(0.5,), target=(5.0,)), seed=0)
 
 
 def test_lost_orbit_path_on_first_attempt_is_tracked_again(monkeypatch):

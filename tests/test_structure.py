@@ -129,7 +129,7 @@ def test_unknown_package_attribute_raises():
 
 
 def test_fiber_does_not_enumerate_the_weyl_group():
-    # orbit classes come from a chamber fold, not from group elements
+    # orbit classes come from closures under the simple reflections, not from group elements
     path = Path(chevfiber.__file__).parent / "fiber.py"
     names = {
         getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)

@@ -315,7 +315,7 @@ def test_count_law_holds_over_scales(name):
 
 
 def _loop_orbit_partition(points, matrices, radius):
-    """The point-by-point orbit partition by group matrices that the fold replaced."""
+    """The reference orbit partition: every group matrix applied to every point."""
     pts = np.array(points, dtype=np.complex128)
     edges = []
     for i, p in enumerate(pts):
@@ -338,16 +338,18 @@ def _loop_orbit_partition(points, matrices, radius):
 
 def _seed(rng, rs, kind):
     """A complex normal point; "real" and "imaginary" keep one part, "wall"
-    moves the real part onto the wall of a random simple root."""
+    moves the real part onto the wall of a random simple root, and "fixed"
+    both parts, so that the reflection in that root fixes the point."""
     x = np.array(_complex_normal(rng, rs.rank))
     if kind == "real":
         return x.real + 0j
     if kind == "imaginary":
         return 1j * x.imag
-    if kind == "wall":
+    if kind in ("wall", "fixed"):
         form = np.array(rs.form, dtype=float)
         alpha = np.array(rs.simple_roots[int(rng.integers(rs.rank))], dtype=float)
-        x -= (x.real @ form @ alpha) / (alpha @ form @ alpha) * alpha
+        y = x.real if kind == "wall" else x
+        x -= (y @ form @ alpha) / (alpha @ form @ alpha) * alpha
     return x
 
 
@@ -358,7 +360,7 @@ def test_orbit_partition_matches_loop(key):
     rs = build_root_system(*key)
     matrices = [np.array(w, dtype=float) for w in weyl_group(rs)]
     rng = np.random.default_rng(7)
-    kinds = ["complex"] * 3 + ["real", "imaginary", "wall"] + ["complex"] * 3
+    kinds = ["complex"] * 3 + ["real", "imaginary", "wall", "fixed"] + ["complex"] * 3
     for trial, kind in enumerate(kinds):
         seeds = [_seed(rng, rs, kind) for _ in range(3)]
         # whole orbits, a partial one, and a stray point, in shuffled order
@@ -372,8 +374,8 @@ def test_orbit_partition_matches_loop(key):
         assert orbit_partition(unique, rs) == _loop_orbit_partition(unique, matrices, 1e-6)
         if trial < 6:
             continue
-        # a near twin makes some image match two points in the loop; for the
-        # fold it is two input points within the radius
+        # a near twin makes some image match two points in the loop; for
+        # orbit_partition it is two input points within the radius
         j = int(rng.integers(len(unique)))
         at = int(rng.integers(len(unique) + 1))
         unique.insert(at, unique[j] + 1e-9)
@@ -385,6 +387,23 @@ def test_orbit_partition_matches_loop(key):
             match=f"^points {pair[0]} and {pair[1]} lie within 1e-06$",
         ):
             orbit_partition(unique, rs)
+
+
+def test_orbit_partition_wall_orbit():
+    # (3, 2) z is fixed by the reflection in alpha_1, so its G2 orbit has 6
+    # points, each on a wall, where the float noise of the group matrices
+    # decides on which side of the wall a point lies
+    g2 = build_root_system("G", 2)
+    x = np.array([3, 2]) * (0.3 + 0.9j)
+    form = np.array(g2.form, dtype=float)
+    assert x @ form @ np.array(g2.simple_roots[0], dtype=float) == 0
+    points = []
+    for w in weyl_group(g2):
+        p = np.array(w, dtype=float) @ x
+        if all(np.abs(p - q).max() >= 1e-6 for q in points):
+            points.append(p)
+    assert len(points) == 6
+    assert orbit_partition(points, g2) == (tuple(range(6)),)
 
 
 @pytest.mark.parametrize("r", [1, 2, 4])
