@@ -9,6 +9,14 @@ exactly one place: `eval`, which converts each rational coefficient to a
 float once, after all exact preprocessing, and sums the terms c*x^e in
 exponent order, so its value does not depend on how the terms are stored.
 
+Products, powers and linear changes run on Python ints: each operand's
+coefficients become integer numerators over their least common denominator,
+each exponent is packed into one int (so multiplying monomials adds ints),
+the terms are multiplied and summed in ints, and each result coefficient
+becomes a Fraction once, at the end.  A sum that reaches 0 is deleted at the
+same moment as it would be in Fractions, so the terms keep the insertion
+order of the Fraction arithmetic.
+
 Canonical text form: terms in descending graded-lex order (total degree
 first, then lexicographic comparison of exponent vectors), each term printed
 as "coeff*x1^a1*x2^a2" with the coefficient a rational in lowest terms and
@@ -20,10 +28,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
+from operator import index
 from typing import Mapping, Sequence
 
-from ._linalg import _exact
+from ._linalg import _exact, integer_rows, to_fraction_rows
 
 Exponent = tuple[int, ...]
 
@@ -37,7 +46,7 @@ class Polynomial:
         object.__setattr__(self, "variables", tuple(variables))
         clean: dict[Exponent, Fraction] = {}
         for exp, c in (terms or {}).items():
-            e = tuple(int(x) for x in exp)
+            e = tuple(map(index, exp))
             if len(e) != len(self.variables):
                 raise ValueError("exponent length does not match variable count")
             if any(x < 0 for x in e):
@@ -131,28 +140,20 @@ class Polynomial:
                 return Polynomial.zero(self.variables)
             return Polynomial._trusted(self.variables, {e: c * f for e, c in self.terms.items()})
         self._check_compatible(other)
-        acc: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                acc[e] = acc.get(e, Fraction(0)) + c1 * c2
-                if acc[e] == 0:
-                    del acc[e]
-        return Polynomial._trusted(self.variables, acc)
+        shift = _shift(self.degree() + other.degree())
+        a, a_den = _numerators(self.terms, shift)
+        b, b_den = _numerators(other.terms, shift)
+        return _unpacked(self.variables, _product(a, b), a_den * b_den, shift)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        n = index(n)
         if n < 0:
             raise ValueError("negative power")
-        result = Polynomial.constant(self.variables, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        shift = _shift(self.degree() * n)
+        nums, den = _numerators(self.terms, shift)
+        return _unpacked(self.variables, _power(nums, n), den**n, shift)
 
     def __eq__(self, other):
         return (
@@ -231,30 +232,39 @@ class Polynomial:
 
         `new_vars` defaults to this polynomial's own variables, so a square
         matrix acting on coordinates (a reflection, say) maps p to p o M.
-        Each monomial is expanded over cached powers of the row forms.
+        The entries must be ints or Fractions.  M becomes an integer matrix
+        over one denominator, and each monomial is expanded in ints over
+        cached powers of its integer row forms; each result coefficient is
+        divided once, at the end.
         """
         new_vars = self.variables if new_vars is None else tuple(new_vars)
         n = len(new_vars)
         if len(matrix) != len(self.variables) or any(len(row) != n for row in matrix):
             raise ValueError("matrix needs one row per variable and one column per new variable")
-        units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
-        forms = [Polynomial(new_vars, {u: m for u, m in zip(units, row) if m != 0}) for row in matrix]
+        # u = (R / den) y with R an integer matrix and p = sum_e (a_e / cden) u^e,
+        # so the monomial u^e of degree |e| adds a_e den^(top - |e|) (R y)^e
+        # to the numerators over cden den^top
+        rows, den = integer_rows(to_fraction_rows(matrix))
+        (nums,), cden = integer_rows([self.terms.values()])
+        top = self.degree()
+        shift = _shift(top)
+        forms = [{1 << shift * j: m for j, m in enumerate(row) if m} for row in rows]
 
         @cache
-        def power(i: int, k: int) -> Polynomial:
-            return forms[i] ** k
+        def power(i: int, k: int) -> dict[int, int]:
+            return _power(forms[i], k)
 
-        acc: dict[Exponent, Fraction] = {}
-        for e, c in self.terms.items():
-            term = Polynomial.constant(new_vars, c)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * power(i, k)
-            for f, d in term.terms.items():
-                acc[f] = acc.get(f, Fraction(0)) + d
-                if acc[f] == 0:
+        acc: dict[int, int] = {}
+        for e, c in zip(self.terms, nums):
+            weight = c * den ** (top - sum(e))
+            factors = [power(i, k) for i, k in enumerate(e) if k]
+            for f, d in (reduce(_product, factors) if factors else {0: 1}).items():
+                total = acc.get(f, 0) + weight * d
+                if total:
+                    acc[f] = total
+                else:
                     del acc[f]
-        return Polynomial._trusted(new_vars, acc)
+        return _unpacked(new_vars, acc, cden * den ** max(top, 0), shift)
 
     # -- text form -------------------------------------------------------
 
@@ -275,6 +285,60 @@ class Polynomial:
             else:
                 chunks.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(chunks)
+
+
+# The integer kernels key each term by its exponent packed into one int,
+# `shift` bits per variable, so that multiplying monomials adds two ints.
+
+
+def _shift(degree: int) -> int:
+    """Bits per variable that hold every entry of an exponent up to this
+    total degree, so that adding packed exponents never carries."""
+    return max(degree, 1).bit_length()
+
+
+def _numerators(terms: Mapping[Exponent, Fraction], shift: int) -> tuple[dict[int, int], int]:
+    """Coefficients as integer numerators over their least common
+    denominator, keyed by packed exponent."""
+    (nums,), den = integer_rows([terms.values()])
+    return {sum(k << shift * i for i, k in enumerate(e)): c for e, c in zip(terms, nums)}, den
+
+
+def _unpacked(variables: tuple[str, ...], terms: Mapping[int, int], den: int, shift: int) -> Polynomial:
+    """The polynomial whose coefficients are `terms` over `den`, in their order."""
+    mask = (1 << shift) - 1
+    offsets = range(0, shift * len(variables), shift)
+    return Polynomial._trusted(variables, {
+        tuple(key >> o & mask for o in offsets): Fraction(c, den) for key, c in terms.items()
+    })
+
+
+def _product(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
+    """The product of two integer term maps.  A sum that reaches 0 is deleted
+    there and then, as in Fractions, so a later term of that exponent is
+    inserted anew."""
+    acc: dict[int, int] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            total = acc.get(e, 0) + c1 * c2
+            if total:
+                acc[e] = total
+            else:
+                del acc[e]
+    return acc
+
+
+def _power(terms: Mapping[int, int], n: int) -> Mapping[int, int]:
+    """terms^n by repeated squaring."""
+    result = None
+    while n:
+        if n & 1:
+            # 1 * terms is terms, in the same order
+            result = terms if result is None else _product(result, terms)
+        terms = _product(terms, terms) if n > 1 else terms
+        n >>= 1
+    return {0: 1} if result is None else result
 
 
 _MANTISSA = re.compile(r"(\d+\.?\d*|\.\d+)[eE]")

@@ -31,7 +31,6 @@ from ._linalg import (
     det,
     integer_rows,
     inverse,
-    matmul,
     matvec,
     rank as matrix_rank,
     transpose,
@@ -235,17 +234,26 @@ def weyl_group(rs: RootSystem) -> tuple[Matrix, ...]:
 
 def _root_coordinates(rs: RootSystem, vectors: Sequence) -> tuple[list[tuple[int, ...]], int]:
     """Vectors in simple-root coordinates, as integer tuples over their
-    least common denominator."""
-    sinv = inverse(transpose(rs.simple_roots))
-    rows, den = integer_rows([matvec(sinv, v) for v in vectors])
-    return list(map(tuple, rows)), den
+    least common denominator: integer rows of S^-1 times the integer rows
+    of the vectors, reduced by the gcd of every entry and the denominator."""
+    sinv, sinv_den = integer_rows(inverse(transpose(rs.simple_roots)))
+    ints, den = integer_rows(vectors)
+    rows = [tuple(sum(map(mul, s, v)) for s in sinv) for v in ints]
+    den *= sinv_den
+    g = math.gcd(den, *chain.from_iterable(rows))
+    return [tuple(x // g for x in row) for row in rows], den // g
 
 
 def _cartan(rs: RootSystem) -> list[tuple[int, ...]]:
     """Cartan integers 2 (alpha_i, alpha_j) / (alpha_i, alpha_i); every
-    supported type is crystallographic, so each is an int."""
-    gram = matmul(matmul(rs.simple_roots, rs.form), transpose(rs.simple_roots))
-    return [tuple(int(2 * g / row[i]) for g in row) for i, row in enumerate(gram)]
+    supported type is crystallographic, so each is an int.  The Gram matrix
+    S F S^T is formed from integer rows of S and F, whose denominators
+    cancel in the quotient."""
+    simples = integer_rows(rs.simple_roots)[0]
+    form = integer_rows(rs.form)[0]
+    images = [[sum(map(mul, row, a)) for row in form] for a in simples]
+    gram = [[sum(map(mul, a, b)) for b in images] for a in simples]
+    return [tuple(2 * g // row[i] for g in row) for i, row in enumerate(gram)]
 
 
 def _reflect(x: tuple[int, ...], i: int, cartan_row: tuple[int, ...]) -> tuple[int, ...]:

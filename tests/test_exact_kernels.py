@@ -21,12 +21,20 @@ one forward elimination behind `rank`, `det` and `inverse` against the
 reduced row echelon form and the separate determinant loop it replaced,
 and `Polynomial.linear_change` against the general substitution it used to
 call, term order included.
+
+Polynomial products, powers and linear changes run in ints over packed
+exponents; `_ref_mul` and `_ref_pow` are the Fraction loops they replaced,
+and the substitution reference is built on them.  On seeded random
+polynomials the kernels must give the same terms in the same insertion
+order: a sum that cancels to 0 is deleted when it does, so a later term of
+that exponent moves to the end.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import random
 from fractions import Fraction
 from itertools import chain
 
@@ -43,7 +51,7 @@ from chevfiber._linalg import (
     to_fraction_rows,
     transpose,
 )
-from chevfiber.polyring import Polynomial
+from chevfiber.polyring import Polynomial, parse_polynomial
 from chevfiber.restrict import PairConfig, adapt_coordinates, parse_pair_config, split_config
 from chevfiber.rootsys import (
     RootSystem,
@@ -422,6 +430,30 @@ def test_rank_det_inverse_match_the_reduced_echelon_references(name):
 # -- one substitution ----------------------------------------------------
 
 
+def _ref_mul(p, q):
+    """The Fraction product loop."""
+    acc = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            acc[e] = acc.get(e, Fraction(0)) + c1 * c2
+            if acc[e] == 0:
+                del acc[e]
+    return Polynomial(p.variables, acc)
+
+
+def _ref_pow(p, n):
+    """Repeated squaring over `_ref_mul`."""
+    result = Polynomial.constant(p.variables, 1)
+    base = p
+    while n:
+        if n & 1:
+            result = _ref_mul(result, base)
+        base = _ref_mul(base, base) if n > 1 else base
+        n >>= 1
+    return result
+
+
 def _ref_linear_change(p, matrix, new_vars=None):
     """`linear_change` as it was: the row forms substituted as images."""
     new_vars = p.variables if new_vars is None else tuple(new_vars)
@@ -437,7 +469,7 @@ def _ref_linear_change(p, matrix, new_vars=None):
         term = Polynomial.constant(new_vars, c)
         for i, v in enumerate(p.variables):
             if e[i]:
-                term = term * images[v] ** e[i]
+                term = _ref_mul(term, _ref_pow(images[v], e[i]))
         out = out + term
     return out
 
@@ -469,6 +501,93 @@ def test_linear_change_matches_substitution_on_adapted_coordinates(name):
     for p in invariant_family(rs).polys:
         new = p.linear_change(change, t_vars + x_vars)
         assert _terms(new) == _terms(_ref_linear_change(p, change, t_vars + x_vars))
+
+
+# -- integer polynomial kernels ----------------------------------------
+
+VARIABLES = ("x1", "x2", "x3", "x4")
+DENOMINATORS = (1, 1, 2, 3, 4, 6, 9, 10)
+
+
+def _rational(rng, zero=False):
+    while True:
+        c = Fraction(rng.randint(-12, 12), rng.choice(DENOMINATORS))
+        if c or zero:
+            return c
+
+
+def _random_poly(rng, n, terms=6, degree=4):
+    """Up to `terms` monomials of mixed degree, mixed denominators."""
+    acc = {}
+    for _ in range(rng.randint(1, terms)):
+        e = tuple(rng.randint(0, degree) for _ in range(n))
+        acc[e] = _rational(rng)
+    return Polynomial(VARIABLES[:n], acc)
+
+
+def _poly3(text):
+    return parse_polynomial(text, VARIABLES[:3])
+
+
+def _cancelling_pair(rng, n):
+    """a + b and a - b: their product a^2 - b^2 cancels every cross term."""
+    a, b = _random_poly(rng, n), _random_poly(rng, n)
+    return a + b, a - b
+
+
+def test_products_delete_a_cancelled_sum_when_it_reaches_zero():
+    # x*y*z gets 1, then -1 (deleted), then 1 again: it moves to the end
+    p = _poly3("x1 + x2 + x1*x2")
+    q = _poly3("x2*x3 - x1*x3 + x3")
+    new, ref = p * q, _ref_mul(p, q)
+    assert _terms(new) == _terms(ref)
+    assert list(new.terms)[-1] == (1, 1, 1)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_products_and_powers_match_the_fraction_loops(seed):
+    rng = random.Random(seed)
+    n = 1 + seed % 4
+    p, q = _random_poly(rng, n), _random_poly(rng, n)
+    zero = Polynomial.zero(VARIABLES[:n])
+    pairs = [(p, q), (q, p), _cancelling_pair(rng, n), (p, zero), (zero, p), (zero, zero)]
+    for a, b in pairs:
+        assert _terms(a * b) == _terms(_ref_mul(a, b))
+    for base in (p, p - q, zero, Polynomial.constant(VARIABLES[:n], Fraction(-2, 3))):
+        for k in range(6):
+            assert _terms(base**k) == _terms(_ref_pow(base, k))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_linear_change_matches_substitution_on_random_rational_matrices(seed):
+    # n -> m variables, as restrict_family maps ambient to adapted ones;
+    # zeros, mixed denominators, and inhomogeneous and zero polynomials
+    rng = random.Random(100 + seed)
+    n, m = 1 + seed % 4, 1 + rng.randrange(4)
+    new_vars = tuple(f"y{j + 1}" for j in range(m))
+    matrix = [[_rational(rng, zero=True) for _ in range(m)] for _ in range(n)]
+    p = _random_poly(rng, n, terms=8)
+    cases = [p, p * _random_poly(rng, n), Polynomial.zero(VARIABLES[:n])]
+    for poly in cases:
+        new = poly.linear_change(matrix, new_vars)
+        assert _terms(new) == _terms(_ref_linear_change(poly, matrix, new_vars))
+    if n == m:
+        assert _terms(p.linear_change(matrix)) == _terms(_ref_linear_change(p, matrix))
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, 0.0])
+def test_linear_change_and_products_take_no_float(bad):
+    p = _poly3("x1^2 + 1/2*x2*x3 - 3")
+    rows = [[1, 0, 0], [0, Fraction(1, 2), 0], [0, 0, 1]]
+    for i in range(3):
+        matrix = [list(row) for row in rows]
+        matrix[i][i] = bad
+        with pytest.raises(TypeError):
+            p.linear_change(matrix)
+    with pytest.raises(TypeError):
+        p * bad
+    with pytest.raises(TypeError):
+        bad * p
 
 
 # -- exactness of _linalg -----------------------------------------------

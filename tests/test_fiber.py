@@ -691,6 +691,35 @@ def test_d4_split_fiber_is_one_orbit_from_one_path(draw):
     assert np.abs(np.array(out.solutions) - x0).max(axis=1).min() < 1e-6
 
 
+@functools.cache
+def _f4_split():
+    """The F4 split restriction, and the seconds `restrict_family` took."""
+    family = invariant_family(build_root_system("F", 4))
+    start = time.perf_counter()
+    res = restrict_family(family, split_config("F", 4))
+    return res, time.perf_counter() - start
+
+
+def test_f4_split_restriction_time():
+    # the integer kernels of polyring restrict F4 in well under a second;
+    # the Fraction loops took 3.5 s
+    assert _f4_split()[1] < 1.5
+
+
+@pytest.mark.parametrize("draw", range(3))
+def test_f4_split_fiber_is_one_orbit_from_one_path(draw):
+    # 1152 points from one tracked path, where total degree tracks 1152 paths
+    res = _f4_split()[0]
+    rng = np.random.default_rng(draw)
+    x0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    system = DeformedSystem.from_restriction(res, (), [p.eval(list(x0)) for p in res.adapted])
+    out = solve_fiber(system, seed=draw)
+    assert out.count == system.expected_count() == 1152
+    assert out.orbit_classes == (tuple(range(1152)),)
+    assert out.path_stats["tracked"] == 1
+    assert np.abs(np.array(out.solutions) - x0).max(axis=1).min() < 1e-6
+
+
 def test_system_that_is_not_invariant_takes_total_degree():
     # x^2 + t x is homogeneous with d = 1 over A1, but x -> -x does not fix
     # it at zeta != 0: the reflected endpoint is no root, and its polish

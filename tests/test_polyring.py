@@ -210,6 +210,23 @@ def test_floats_are_neither_coefficients_nor_scalars():
             call()
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, Fraction(3, 2), Fraction(2), "2"])
+def test_exponents_must_be_integers(bad):
+    # never truncated or parsed: x^1.5 is not x^1, "2" is not 2
+    with pytest.raises(TypeError):
+        Polynomial(("x",), {(bad,): 1})
+    with pytest.raises(TypeError):
+        Polynomial.variable(("x",), "x") ** bad
+
+
+def test_integer_like_exponents_pass():
+    np = pytest.importorskip("numpy")
+    x2 = Polynomial(("x",), {(2,): 1})
+    assert Polynomial(("x",), {(np.int64(2),): 1}) == x2
+    assert Polynomial(("x", "y"), {(True, False): 1}).terms == {(1, 0): 1}
+    assert all(type(k) is int for e in Polynomial(("x",), {(np.int32(2),): 1}).terms for k in e)
+
+
 def test_variable_mismatch_rejected():
     a = Polynomial.variable(("x",), "x")
     b = Polynomial.variable(("y",), "y")
