@@ -5,14 +5,15 @@ Everything here is exact; nothing ever touches floating point.  A float (or
 any other non-rational) entry raises TypeError in `_exact`, the rule that
 `polyring` shares; it is never converted, so an exact result cannot turn into
 floats.  Products and sums run on the entries as given, and each result entry
-becomes a Fraction once.  One forward elimination, `_echelon`, gives the
-rank, the determinant and (with back-substitution) the inverse.
+becomes a Fraction once.  One fraction-free elimination in ints,
+`_eliminate`, gives the rank, the determinant and (with back-substitution)
+the inverse; rows of different lengths raise ValueError there.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
@@ -34,61 +35,90 @@ def to_fraction_rows(rows: Sequence[Sequence]) -> list[list[Fraction]]:
     return [[_exact(x) for x in row] for row in rows]
 
 
-def _echelon(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int], int]:
-    """Forward elimination, pivoting on the first nonzero entry of a column.
-    Returns the echelon rows, each pivot row's column, and (-1)^(row swaps)."""
-    m = to_fraction_rows(rows)
+def _eliminate(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int], int, int]:
+    """Fraction-free forward elimination (Bareiss), pivoting on the first
+    nonzero entry of a column.
+
+    Each row is scaled to integers by the lcm of its denominators.  A row
+    below pivot p is updated to (p x - a y) / q, with q the previous pivot;
+    by Sylvester's identity the division is exact, and every entry is a
+    minor of the scaled matrix, so the last pivot of a square matrix of full
+    rank is its determinant up to the row swaps.  Returns the echelon rows,
+    each pivot row's column, (-1)^(row swaps) and the product of the row
+    scales.
+    """
+    m: list[list[int]] = []
+    scale = 1
+    for row in rows:
+        if len(row) != len(rows[0]):
+            raise ValueError("matrix rows differ in length")
+        row = [_exact(x) for x in row]
+        den = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (den // x.denominator) for x in row])
+        scale *= den
     pivots: list[int] = []
-    sign = 1
+    sign, prev = 1, 1
     for c in range(len(m[0]) if m else 0):
         r = len(pivots)
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
         if pivot != r:
             m[r], m[pivot] = m[pivot], m[r]
             sign = -sign
-        inv = 1 / m[r][c]
+        p, top = m[r][c], m[r][c:]
         for i in range(r + 1, len(m)):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            a = m[i][c]
+            m[i][c:] = [(p * x - a * y) // prev for x, y in zip(m[i][c:], top)]
+        prev = p
         pivots.append(c)
         if len(pivots) == len(m):
             break
-    return m, pivots, sign
+    return m, pivots, sign, scale
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    return len(_echelon(rows)[1])
+    return len(_eliminate(rows)[1])
 
 
-def det(a: Sequence[Sequence]) -> Fraction:
-    """Exact determinant: the signed product of the echelon pivots."""
+def _require_square(a: Sequence[Sequence]) -> int:
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix is not square")
-    m, pivots, sign = _echelon(a)
+    return n
+
+
+def det(a: Sequence[Sequence]) -> Fraction:
+    """Exact determinant: the signed last pivot over the row scales."""
+    n = _require_square(a)
+    if n == 0:
+        return Fraction(1)
+    m, pivots, sign, scale = _eliminate(a)
     if len(pivots) < n:
         return Fraction(0)
-    return prod((m[i][i] for i in range(n)), start=Fraction(sign))
+    return Fraction(sign * m[-1][-1], scale)
 
 
 def inverse(a: Sequence[Sequence]) -> Matrix:
-    """Exact inverse: eliminate [A | I], then back-substitute."""
-    n = len(a)
-    aug = [[_exact(a[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    m, pivots, _ = _echelon(aug)
+    """Exact inverse: eliminate [A | I], then back-substitute in ints.
+
+    With d the last pivot, d A^-1 is an integer matrix (the adjugate of the
+    scaled rows, times the row scales), so each back-substitution division
+    is exact; each entry is divided by d once, at the end.
+    """
+    n = _require_square(a)
+    m, pivots, _, _ = _eliminate([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)])
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    inv: list[list[Fraction]] = [[]] * n
+    d = m[-1][n - 1] if n else 1
+    inv: list[list[int]] = [[]] * n
     for i in reversed(range(n)):
-        row = m[i][n:]
+        row = [d * x for x in m[i][n:]]
         for j in range(i + 1, n):
-            if m[i][j] != 0:
+            if m[i][j]:
                 row = [x - m[i][j] * y for x, y in zip(row, inv[j])]
-        inv[i] = [x / m[i][i] for x in row]
-    return tuple(map(tuple, inv))
+        inv[i] = [x // m[i][i] for x in row]
+    return tuple(tuple(Fraction(x, d) for x in row) for row in inv)
 
 
 def matvec(a: Sequence[Sequence], v: Sequence) -> Vector:

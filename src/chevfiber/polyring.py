@@ -186,27 +186,43 @@ class Polynomial:
 
     def eval(self, point: Sequence[complex]) -> complex:
         """Evaluate at a complex point: sum c*x^e over the terms in exponent order."""
-        return self._term_sum(point, complex, lambda c: complex(c.numerator / c.denominator))
-
-    def eval_exact(self, point: Sequence) -> Fraction:
-        """Evaluate at a rational point, exactly."""
-        return self._term_sum(point, _exact, Fraction)
-
-    def _term_sum(self, point, coordinate, coefficient):
-        if len(point) != len(self.variables):
-            raise ValueError(
-                f"point has {len(point)} coordinates, polynomial has {len(self.variables)} variables"
-            )
-        pt = [coordinate(z) for z in point]
-        # 0j or Fraction(0): the zero polynomial evaluates to the same type
-        total = coefficient(Fraction(0))
+        pt = [complex(z) for z in self._checked(point)]
+        total = 0j
         for e, c in sorted(self.terms.items()):
-            term = coefficient(c)
+            term = complex(c.numerator / c.denominator)
             for z, k in zip(pt, e):
                 if k:
                     term *= z**k
             total += term
         return total
+
+    def eval_exact(self, point: Sequence) -> Fraction:
+        """Evaluate at a rational point, exactly, in ints.
+
+        With the point as integers z over one denominator D and the
+        coefficients as integers a_e over cden, the value is
+        sum_e a_e z^e D^(top - |e|) over cden D^top: one Fraction at the end.
+        """
+        (pt,), den = integer_rows([[_exact(z) for z in self._checked(point)]])
+        if not self.terms:
+            return Fraction(0)
+        (nums,), cden = integer_rows([self.terms.values()])
+        top = self.degree()
+        total = 0
+        for e, c in zip(self.terms, nums):
+            term = c * den ** (top - sum(e))
+            for z, k in zip(pt, e):
+                if k:
+                    term *= z**k
+            total += term
+        return Fraction(total, cden * den**top)
+
+    def _checked(self, point: Sequence) -> Sequence:
+        if len(point) != len(self.variables):
+            raise ValueError(
+                f"point has {len(point)} coordinates, polynomial has {len(self.variables)} variables"
+            )
+        return point
 
     # -- structural maps -------------------------------------------------
 

@@ -326,9 +326,15 @@ def surjectivity_check(
     otherwise), so the degree-k products lie in the space Inv_k of degree-k
     invariants.  They span it exactly when their rank equals dim Inv_k,
     which Chevalley's theorem gives as the number of ways to write k as a
-    sum of the little fundamental degrees.  Every degree 1..degree_bound is
-    tested this way; the report names the first degree where the rank
-    falls short.
+    sum of the little fundamental degrees.  The report names the first
+    degree up to degree_bound where the rank falls short.
+
+    Only the degrees up to min(degree_bound, max e_j), e_j the little
+    fundamental degrees, are tested.  Every fundamental invariant has degree
+    at most max e_j, so if the products span Inv_k for each k up to there,
+    the subalgebra they generate holds a generating set of all invariants
+    and spans every Inv_k; no higher degree can fail, and the report is the
+    one the test of every degree up to degree_bound would give.
     """
     if degree_bound < 1:
         raise ValueError("degree_bound must be at least 1")
@@ -347,7 +353,7 @@ def surjectivity_check(
     def family_power(i: int, a: int) -> Polynomial:
         return family.polys[i] ** a
 
-    for k in range(1, degree_bound + 1):
+    for k in range(1, min(degree_bound, max(little_degrees)) + 1):
         products = []
         for a in _product_exponents(family.degrees, k):
             prod = Polynomial.constant(variables, 1)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial, reduce
+from functools import cache, cached_property, partial, reduce
 from itertools import chain, islice
 from operator import getitem, itemgetter, mul
 from typing import Callable, Iterable, Iterator, Sequence
@@ -31,7 +31,6 @@ from ._linalg import (
     det,
     integer_rows,
     inverse,
-    matvec,
     rank as matrix_rank,
     transpose,
 )
@@ -54,6 +53,44 @@ class RootSystem:
     simple_roots: Matrix
     roots: tuple[Vector, ...]
     form: Matrix
+
+    # Integer data that every closure and Weyl enumeration reads, computed
+    # once per object on first use; the dataclass is frozen but keeps a
+    # __dict__, which is where cached_property stores them.
+
+    @cached_property
+    def _sinv(self) -> tuple[list[list[int]], int]:
+        """S^-1, S with the simple roots as columns, as integer rows over
+        one denominator."""
+        return integer_rows(inverse(transpose(self.simple_roots)))
+
+    @cached_property
+    def _cartan(self) -> list[tuple[int, ...]]:
+        """Cartan integers 2 (alpha_i, alpha_j) / (alpha_i, alpha_i); every
+        supported type is crystallographic, so each is an int.  The Gram
+        matrix S F S^T is formed from integer rows of S and F, whose
+        denominators cancel in the quotient."""
+        simples = integer_rows(self.simple_roots)[0]
+        form = integer_rows(self.form)[0]
+        images = [[sum(map(mul, row, a)) for row in form] for a in simples]
+        gram = [[sum(map(mul, a, b)) for b in images] for a in simples]
+        return [tuple(2 * g // row[i] for g in row) for i, row in enumerate(gram)]
+
+    @cached_property
+    def _reflections(self) -> tuple[Matrix, ...]:
+        """`simple_reflections`, from integer rows a of the simple roots and
+        the form: entry (i, j) is (q delta_ij - a_i b_j) / q with b = 2 B a
+        and q = (a, B a)."""
+        form = integer_rows(self.form)[0]
+        out = []
+        for alpha in integer_rows(self.simple_roots)[0]:
+            b = [2 * sum(map(mul, row, alpha)) for row in form]
+            q = sum(map(mul, alpha, b)) // 2
+            out.append(tuple(
+                tuple(Fraction(q * (i == j) - a * c, q) for j, c in enumerate(b))
+                for i, a in enumerate(alpha)
+            ))
+        return tuple(out)
 
     def positive_roots(self) -> tuple[Vector, ...]:
         """Roots whose expansion over the simple roots is nonnegative."""
@@ -162,35 +199,20 @@ def build_root_system(type_name: str, rank: int) -> RootSystem:
         roots=(),
         form=form,
     )
-    seen = _reflection_closure(rs, simples)
+    vectors, den = _reflection_closure(rs, simples)
     if type_name == "BC":
         # BC has the identity form, so the short roots are the unit vectors
-        for r in list(seen):
-            if sum(map(mul, r, r)) == 1:
-                seen.add(tuple(2 * x for x in r))
-    roots = tuple(sorted(seen))
-    return RootSystem(
-        type_name=type_name,
-        rank=rank,
-        variables=rs.variables,
-        simple_roots=simples,
-        roots=roots,
-        form=form,
-    )
+        vectors += [tuple(2 * x for x in v) for v in vectors if sum(map(mul, v, v)) == den * den]
+    # the cached integer data read the simple roots and the form alone, so
+    # the object that ran the closure is completed in place
+    object.__setattr__(rs, "roots", _sorted_vectors(vectors, den))
+    return rs
 
 
 def simple_reflections(rs: RootSystem) -> tuple[Matrix, ...]:
     """Matrices of the reflections in the simple roots, acting on coordinates:
-    s = I - alpha (2 B alpha)^T / B(alpha, alpha)."""
-    out = []
-    for alpha in rs.simple_roots:
-        b_alpha = matvec(rs.form, alpha)
-        coroot = [2 * x / sum(map(mul, alpha, b_alpha)) for x in b_alpha]
-        out.append(tuple(
-            tuple(_exact(int(i == j) - a * c) for j, c in enumerate(coroot))
-            for i, a in enumerate(alpha)
-        ))
-    return tuple(out)
+    s = I - alpha (2 B alpha)^T / B(alpha, alpha); built once per system."""
+    return rs._reflections
 
 
 def weyl_group(rs: RootSystem) -> tuple[Matrix, ...]:
@@ -211,7 +233,7 @@ def weyl_group(rs: RootSystem) -> tuple[Matrix, ...]:
     index = {x: k for k, x in enumerate(coords)}
     gens = [
         tuple(index[_reflect(x, i, row)] for x in coords)
-        for i, row in enumerate(_cartan(rs))
+        for i, row in enumerate(rs._cartan)
     ]
     # the first simple root is tracked twice, so that itemgetter returns a
     # tuple at rank 1 too
@@ -224,7 +246,7 @@ def weyl_group(rs: RootSystem) -> tuple[Matrix, ...]:
 
     n = rs.rank
     roots, den = integer_rows(rs.roots)
-    sinv, sinv_den = integer_rows(inverse(transpose(rs.simple_roots)))
+    sinv, sinv_den = rs._sinv
     den *= sinv_den
     columns = tuple(zip(*sinv))
     entries = cache(lambda num: Fraction(num, den))
@@ -236,24 +258,12 @@ def _root_coordinates(rs: RootSystem, vectors: Sequence) -> tuple[list[tuple[int
     """Vectors in simple-root coordinates, as integer tuples over their
     least common denominator: integer rows of S^-1 times the integer rows
     of the vectors, reduced by the gcd of every entry and the denominator."""
-    sinv, sinv_den = integer_rows(inverse(transpose(rs.simple_roots)))
+    sinv, sinv_den = rs._sinv
     ints, den = integer_rows(vectors)
     rows = [tuple(sum(map(mul, s, v)) for s in sinv) for v in ints]
     den *= sinv_den
     g = math.gcd(den, *chain.from_iterable(rows))
     return [tuple(x // g for x in row) for row in rows], den // g
-
-
-def _cartan(rs: RootSystem) -> list[tuple[int, ...]]:
-    """Cartan integers 2 (alpha_i, alpha_j) / (alpha_i, alpha_i); every
-    supported type is crystallographic, so each is an int.  The Gram matrix
-    S F S^T is formed from integer rows of S and F, whose denominators
-    cancel in the quotient."""
-    simples = integer_rows(rs.simple_roots)[0]
-    form = integer_rows(rs.form)[0]
-    images = [[sum(map(mul, row, a)) for row in form] for a in simples]
-    gram = [[sum(map(mul, a, b)) for b in images] for a in simples]
-    return [tuple(2 * g // row[i] for g in row) for i, row in enumerate(gram)]
 
 
 def _reflect(x: tuple[int, ...], i: int, cartan_row: tuple[int, ...]) -> tuple[int, ...]:
@@ -275,20 +285,26 @@ def _closure(seeds: Sequence, neighbours: Callable[..., Iterable]) -> list:
     return out
 
 
-def _reflection_closure(rs: RootSystem, seeds: Sequence[Vector]) -> set[Vector]:
+def _reflection_closure(rs: RootSystem, seeds: Sequence[Vector]) -> tuple[list[tuple[int, ...]], int]:
     """The smallest set holding the seeds and closed under simple reflections,
-    found in integer simple-root coordinates and mapped back once."""
+    found in integer simple-root coordinates and mapped back once: distinct
+    integer vectors over one denominator, in discovery order."""
     coords, den = _root_coordinates(rs, seeds)
-    cartan = list(enumerate(_cartan(rs)))
+    cartan = list(enumerate(rs._cartan))
     seen = _closure(coords, lambda x: (_reflect(x, i, row) for i, row in cartan))
     simples, simples_den = integer_rows(transpose(rs.simple_roots))
-    den *= simples_den
+    return [tuple(sum(map(mul, row, x)) for row in simples) for x in seen], den * simples_den
+
+
+def _sorted_vectors(vectors: Iterable[tuple[int, ...]], den: int) -> tuple[Vector, ...]:
+    """Integer vectors over a positive denominator as sorted Fraction vectors;
+    the integers sort as their quotients do."""
     entries = cache(lambda num: Fraction(num, den))
-    return {tuple(entries(sum(map(mul, row, x))) for row in simples) for x in seen}
+    return tuple(tuple(map(entries, v)) for v in sorted(vectors))
 
 
 def orbit_vectors(rs: RootSystem, v: Sequence) -> tuple[Vector, ...]:
-    return tuple(sorted(_reflection_closure(rs, [tuple(map(_exact, v))])))
+    return _sorted_vectors(*_reflection_closure(rs, [tuple(map(_exact, v))]))
 
 
 def _product_exponents(degrees: Sequence[int], k: int) -> list[tuple[int, ...]]:
@@ -370,12 +386,16 @@ class InvariantFamily:
 
 
 def _regular_vectors(rs: RootSystem) -> Iterator[Vector]:
+    """The vectors (1, j, j^2, ...), j = 1, 2, ..., paired with no root to
+    0; the pairings run on integer rows of the form and the roots."""
+    form = integer_rows(rs.form)[0]
+    roots = integer_rows(rs.roots)[0]
     j = 1
     while True:
-        v = tuple(Fraction(j**i) for i in range(rs.rank))
-        bv = matvec(rs.form, v)
-        if all(sum(map(mul, alpha, bv)) != 0 for alpha in rs.roots):
-            yield v
+        v = [j**i for i in range(rs.rank)]
+        bv = [sum(map(mul, row, v)) for row in form]
+        if all(sum(map(mul, alpha, bv)) for alpha in roots):
+            yield tuple(map(Fraction, v))
         j += 1
 
 

@@ -17,10 +17,14 @@ The F4 family and the E6 Weyl matrices take the references tens of seconds,
 so they are pinned by digests recorded from the references instead.
 
 The same holds for the two jobs each written once in the exact layer: the
-one forward elimination behind `rank`, `det` and `inverse` against the
-reduced row echelon form and the separate determinant loop it replaced,
-and `Polynomial.linear_change` against the general substitution it used to
-call, term order included.
+one fraction-free elimination in ints behind `rank`, `det` and `inverse`
+against the Fraction reduced row echelon form and determinant loop
+(`_ref_rref`, `_ref_det`, `_ref_inverse`), on fixed and seeded random
+matrices with entries up to 10^30, and `Polynomial.linear_change` against
+the general substitution it used to call, term order included.  Ragged
+rows, and a matrix that is not square for `det` and `inverse`, raise
+ValueError.  `Polynomial.eval_exact`, which sums in ints, is checked
+against the term-by-term Fraction sum.
 
 Polynomial products, powers and linear changes run in ints over packed
 exponents; `_ref_mul` and `_ref_pow` are the Fraction loops they replaced,
@@ -390,6 +394,22 @@ def _ref_inverse(a):
     return tuple(tuple(m[i][n:]) for i in range(n))
 
 
+def _random_matrix(rng, rows, cols, big):
+    """Rational entries with numerators in [-big, big] and denominators in
+    [1, big]; at small `big` many entries are 0."""
+    return tuple(
+        tuple(Fraction(rng.randint(-big, big), rng.randint(1, big)) for _ in range(cols))
+        for _ in range(rows)
+    )
+
+
+def _low_rank(rng, rows, cols, r, big):
+    """A rows x cols product of rank at most r < min(rows, cols)."""
+    return _ref_matmul(_random_matrix(rng, rows, r, big), _random_matrix(rng, r, cols, big))
+
+
+_rng = random.Random(2500)
+BIG = 10**30
 half = Fraction(1, 2)
 MATRICES = {
     "swap": ((0, 2, 1), (1, 1, 0), (3, half, 4)),
@@ -398,28 +418,50 @@ MATRICES = {
     "singular-column": ((0, 1), (0, 5)),
     "tall": ((1, 2), (2, 4), (5, half)),
     "wide": ((0, 1, 2, 3), (0, 2, 4, 7)),
+    "one-row": ((1, 2),),
+    "ragged": ((1, 2), (3, 4, 5)),
+    "ragged-short": ((1, 2, 3), (4, 5), (6, 7, 8)),
     "zero": ((0, 0, 0), (0, 0, 0)),
     "zero-square": ((0, 0), (0, 0)),
     "one": ((Fraction(-3, 4),),),
     "one-zero": ((0,),),
     "empty": (),
+    # seeded random rationals, up to 10^30 in numerator and denominator
+    "random-square-small": _random_matrix(_rng, 5, 5, 3),
+    "random-square-big": _random_matrix(_rng, 5, 5, BIG),
+    "random-tall-big": _random_matrix(_rng, 6, 3, BIG),
+    "random-wide-big": _random_matrix(_rng, 3, 6, BIG),
+    "random-rank-2-square-big": _low_rank(_rng, 4, 4, 2, BIG),
+    "random-rank-3-square-small": _low_rank(_rng, 5, 5, 3, 4),
+    "random-rank-2-tall-big": _low_rank(_rng, 5, 3, 2, BIG),
+    "random-rank-1-wide-big": _low_rank(_rng, 3, 5, 1, BIG),
 }
 
 
 @pytest.mark.parametrize("name", MATRICES)
 def test_rank_det_inverse_match_the_reduced_echelon_references(name):
     a = MATRICES[name]
+    if len({len(row) for row in a}) > 1:
+        # ragged rows are refused, never truncated
+        for call in (rank, det, inverse):
+            with pytest.raises(ValueError):
+                call(a)
+        return
     assert rank(a) == len(_ref_rref(a)[1])
+    if name.startswith("random-rank-"):
+        assert rank(a) == int(name.split("-")[2])
     if any(len(row) != len(a) for row in a):
-        with pytest.raises(ValueError):
-            det(a)
+        # a wide matrix is not inverted by its leading block
+        for call in (det, inverse):
+            with pytest.raises(ValueError, match="matrix is not square"):
+                call(a)
         return
     value = det(a)
     assert type(value) is Fraction and value == _ref_det(a)
     if value == 0:
         with pytest.raises(ValueError):
             _ref_inverse(a)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="matrix is singular"):
             inverse(a)
         return
     inv = inverse(a)
@@ -575,6 +617,32 @@ def test_linear_change_matches_substitution_on_random_rational_matrices(seed):
         assert _terms(p.linear_change(matrix)) == _terms(_ref_linear_change(p, matrix))
 
 
+def _ref_eval(p, point):
+    """The term-by-term Fraction sum."""
+    total = Fraction(0)
+    for e, c in p.terms.items():
+        for z, k in zip(point, e):
+            c *= Fraction(z) ** k
+        total += c
+    return total
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_eval_exact_matches_the_fraction_sum(seed):
+    # mixed degrees, points with denominators, zeros and plain ints
+    rng = random.Random(300 + seed)
+    n = 1 + seed % 4
+    p = _random_poly(rng, n, terms=8)
+    points = [tuple(_rational(rng, zero=True) for _ in range(n)) for _ in range(4)]
+    points += [tuple(range(n)), (0,) * n, tuple(Fraction(-1, 3 + i) for i in range(n))]
+    zero = Polynomial.zero(VARIABLES[:n])
+    for poly in (p, p * _random_poly(rng, n), p - p, zero, Polynomial.constant(VARIABLES[:n], 3)):
+        for point in points:
+            value = poly.eval_exact(point)
+            assert type(value) is Fraction and value == _ref_eval(poly, point)
+    assert _entries([[zero.eval_exact(points[0])]]) == [[(Fraction, 0, 1)]]
+
+
 @pytest.mark.parametrize("bad", [0.5, 1.0, 0.0])
 def test_linear_change_and_products_take_no_float(bad):
     p = _poly3("x1^2 + 1/2*x2*x3 - 3")
@@ -588,6 +656,9 @@ def test_linear_change_and_products_take_no_float(bad):
         p * bad
     with pytest.raises(TypeError):
         bad * p
+    for poly in (p, Polynomial.zero(VARIABLES[:3])):
+        with pytest.raises(TypeError):
+            poly.eval_exact((1, bad, Fraction(1, 2)))
 
 
 # -- exactness of _linalg -----------------------------------------------
@@ -616,8 +687,11 @@ def test_floats_never_enter_an_exact_result(bad):
         matmul(with_bad, exact)
     with pytest.raises(TypeError):
         transpose(with_bad)
+    for call in (inverse, det, rank):
+        with pytest.raises(TypeError):
+            call(with_bad)
     with pytest.raises(TypeError):
-        inverse(with_bad)
+        rank(((1, 2, bad),))
     with pytest.raises(TypeError):
         clear_denominators((1, bad))
 

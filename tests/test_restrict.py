@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from chevfiber import restrict
 from chevfiber._linalg import det, matvec, rank as matrix_rank
 from chevfiber.polyring import Polynomial, parse_polynomial
 from chevfiber.restrict import (
@@ -22,6 +23,7 @@ from chevfiber.rootsys import (
     InvariantFamily,
     _compositions,
     build_root_system,
+    fundamental_degrees,
     invariant_family,
     weyl_group,
 )
@@ -354,6 +356,68 @@ def test_surjectivity_matches_reynolds_reference(name, bound):
     assert surjectivity_check(family, degree_bound=bound) == want
     # the cases cover both verdicts
     assert want.ok == (name not in ("quartic", "x1^4"))
+
+
+def _degree_verdicts(family, top):
+    """Whether the family products span the invariants, at each degree
+    1..top: the rank test run at every degree, with no stop."""
+    little_degrees = fundamental_degrees(family.group.type_name, family.group.rank)
+    verdicts = []
+    for k in range(1, top + 1):
+        products = []
+        for a in _product_exponents(family.degrees, k):
+            prod = Polynomial.constant(family.variables, 1)
+            for p, ai in zip(family.polys, a):
+                prod = prod * p**ai
+            products.append(prod)
+        monos = sorted({e for p in products for e in p.terms})
+        rows = [[p.terms.get(e, 0) for e in monos] for p in products]
+        verdicts.append(matrix_rank(rows) == len(_product_exponents(little_degrees, k)))
+    return verdicts
+
+
+STOP_CASES = ("toy", "quartic", "x1^4", "A2", "B2", "C2", "BC2", "G2", "A3", "B3", "C3")
+
+
+@pytest.mark.parametrize("name", STOP_CASES)
+def test_surjectivity_stop_agrees_with_every_degree(name):
+    # the report is the one a test of every degree up to the bound gives
+    family = _reference_family(name)
+    verdicts = _degree_verdicts(family, 12)
+    for bound in range(1, 13):
+        failing = next((k for k in range(1, bound + 1) if not verdicts[k - 1]), None)
+        want = SurjectivityReport(ok=failing is None, failing_degree=failing, degree_bound=bound)
+        assert surjectivity_check(family, degree_bound=bound) == want
+    # once every degree up to the top little degree passes, so does every
+    # degree above it: the stop loses nothing
+    top = max(fundamental_degrees(family.group.type_name, family.group.rank))
+    assert all(verdicts) == all(verdicts[:top]) == (name not in ("quartic", "x1^4"))
+
+
+@pytest.mark.parametrize("name", STOP_CASES)
+def test_surjectivity_builds_no_product_above_the_top_little_degree(name, monkeypatch):
+    family = _reference_family(name)
+    top = max(fundamental_degrees(family.group.type_name, family.group.rank))
+    built, ranked = [], []
+    exponents = restrict._product_exponents
+    monkeypatch.setattr(
+        restrict, "_product_exponents",
+        lambda degrees, k: built.append(k) or exponents(degrees, k),
+    )
+    monkeypatch.setattr(
+        restrict, "matrix_rank", lambda rows: ranked.append(rows) or matrix_rank(rows)
+    )
+    for bound in range(1, 13):
+        built.clear()
+        ranked.clear()
+        report = surjectivity_check(family, degree_bound=bound)
+        stop = min(bound, top) if report.ok else report.failing_degree
+        # each checked degree builds its products and the little count once,
+        # and ranks one product matrix
+        assert built == [k for k in range(1, stop + 1) for _ in range(2)]
+        assert len(ranked) == stop
+    # the failing families fail at the top little degree itself
+    assert report.ok or report.failing_degree == top == 2
 
 
 @pytest.mark.parametrize("bound", [0, -3])
