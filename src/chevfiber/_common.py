@@ -1,7 +1,29 @@
-"""The fiber error classes, which `cli.main` maps to exit 3, and the JSON
-every payload is printed in: shared by `fiber` and `cli`, and free of numpy,
-so a command that does only exact work never loads it.
+"""What every entry point shares, free of the exact layers and of numpy.
+
+The error classes `cli.main` maps to exit codes (ConstructionError and the
+fiber errors to 3, RestrictionError and IntegrityError to 2), the reader of
+`key: value` config lines that `restrict` and `pairdb` both use, and the
+JSON every payload is printed in.  The modules that raise an error class
+re-export it, so `rootsys.ConstructionError` is this module's class.  Only
+this module and `cli` load with `import chevfiber.cli`; each command then
+loads the layers it runs.
 """
+
+from __future__ import annotations
+
+from typing import Iterator
+
+
+class ConstructionError(RuntimeError):
+    """Raised when a requested algebraic object cannot be built."""
+
+
+class RestrictionError(RuntimeError):
+    """Raised when a pair configuration does not yield a valid restriction."""
+
+
+class IntegrityError(RuntimeError):
+    """The pair database violates one of its stated invariants."""
 
 
 class FiberSolveError(RuntimeError):
@@ -22,6 +44,15 @@ class SingularJacobianError(FiberSolveError):
 
 class InconsistentClusteringError(FiberSolveError):
     """The merge radius does not fit the spacing of the fiber points or their orbits."""
+
+
+def _config_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, content) of each line that is not blank once its `#`
+    comment is stripped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
 
 
 def _fmt_float(v: float) -> str:

@@ -25,33 +25,16 @@ import csv
 import io
 import sys
 
-from ._common import FiberSolveError, _fmt_float, _to_json
-from .pairdb import (
+# each command imports the layers it runs, so a command loads no layer it
+# does not use (classify, for one, loads pairdb alone)
+from ._common import (
+    ConstructionError,
+    FiberSolveError,
     IntegrityError,
-    b_exceptional_list,
-    format_sigma,
-    is_b_exceptional,
-    is_exceptional,
-    is_split,
-    load_database,
-    parse_sigma,
-    verify_database,
-)
-from .polyring import parse_polynomial
-from .restrict import (
     RestrictionError,
     _config_lines,
-    _read_config,
-    parse_pair_config,
-    restrict_family,
-    surjectivity_check,
-)
-from .rootsys import (
-    ConstructionError,
-    build_root_system,
-    fundamental_degrees,
-    invariant_family,
-    weyl_group,
+    _fmt_float,
+    _to_json,
 )
 
 
@@ -139,6 +122,10 @@ def _load_config(args, zeta=(), target=None, xi=None):
     checked before any family is built: a pair config has ambient_rank -
     little_rank t variables and little_rank x variables.
     """
+    from .polyring import parse_polynomial
+    from .restrict import _read_config, parse_pair_config, restrict_family
+    from .rootsys import build_root_system, invariant_family
+
     with open(args.config, "r", encoding="utf-8") as fh:
         text = fh.read()
     keys = {line.partition(":")[0].strip() for _, line in _config_lines(text)}
@@ -195,6 +182,8 @@ def _selection(args):
 
 
 def _parse_type_token(token: str):
+    from .pairdb import parse_sigma
+
     try:
         return parse_sigma(token)
     except ValueError:
@@ -207,6 +196,8 @@ def _parse_type_token(token: str):
 
 
 def cmd_roots(args) -> int:
+    from .rootsys import build_root_system, fundamental_degrees, weyl_group
+
     t, n = _parse_type_token(args.system)
     rs = build_root_system(t, n)
     # weyl_group raises ConstructionError (exit 3) unless |W| is the product
@@ -233,6 +224,8 @@ def cmd_roots(args) -> int:
 
 
 def cmd_invariants(args) -> int:
+    from .rootsys import build_root_system, invariant_family
+
     t, n = _parse_type_token(args.system)
     fam = invariant_family(build_root_system(t, n))
     point, value = fam.certificate
@@ -258,6 +251,8 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_restrict(args) -> int:
+    from .restrict import surjectivity_check
+
     res = _load_config(args)
     report = surjectivity_check(res.restricted, degree_bound=args.degree_bound)
     name = res.config.name or args.config
@@ -365,22 +360,6 @@ def cmd_lambda(args) -> int:
     return 2
 
 
-# b_exceptional and split are undefined (None) for a record without sigma_b
-_CLASSIFY_COLUMNS = {
-    "name_g": lambda rec: rec.name_g,
-    "name_h": lambda rec: rec.name_h,
-    "sigma_c": lambda rec: format_sigma(rec.sigma_c),
-    "sigma_b": lambda rec: format_sigma(rec.sigma_b),
-    "sigma_aq": lambda rec: format_sigma(rec.sigma_aq),
-    "exceptional": is_exceptional,
-    "b_exceptional": lambda rec: None if rec.sigma_b is None else is_b_exceptional(rec),
-    "split": lambda rec: None if rec.sigma_b is None else is_split(rec),
-    "group_case": lambda rec: rec.is_group_case,
-    "provenance": lambda rec: rec.provenance,
-    "dual_name": lambda rec: rec.dual_name,
-}
-
-
 # one text line per record, with the flags as yes, no or ? (undefined)
 _CLASSIFY_LINE = (
     "%(name_g)-18s %(name_h)-22s c=%(sigma_c)-4s b=%(sigma_b)-4s aq=%(sigma_aq)-4s"
@@ -395,6 +374,30 @@ def _tri(v) -> str:
 
 
 def cmd_classify(args) -> int:
+    from .pairdb import (
+        b_exceptional_list,
+        format_sigma,
+        is_b_exceptional,
+        is_exceptional,
+        is_split,
+        load_database,
+        verify_database,
+    )
+
+    # b_exceptional and split are undefined (None) for a record without sigma_b
+    columns = {
+        "name_g": lambda rec: rec.name_g,
+        "name_h": lambda rec: rec.name_h,
+        "sigma_c": lambda rec: format_sigma(rec.sigma_c),
+        "sigma_b": lambda rec: format_sigma(rec.sigma_b),
+        "sigma_aq": lambda rec: format_sigma(rec.sigma_aq),
+        "exceptional": is_exceptional,
+        "b_exceptional": lambda rec: None if rec.sigma_b is None else is_b_exceptional(rec),
+        "split": lambda rec: None if rec.sigma_b is None else is_split(rec),
+        "group_case": lambda rec: rec.is_group_case,
+        "provenance": lambda rec: rec.provenance,
+        "dual_name": lambda rec: rec.dual_name,
+    }
     db = load_database(args.db)
     problems = verify_database(db)
     if problems:
@@ -407,7 +410,7 @@ def cmd_classify(args) -> int:
         rows = b_exceptional_list(db)
     else:
         rows = [r for r in db if r.sigma_b is not None and is_split(r)]
-    cells = [{col: get(r) for col, get in _CLASSIFY_COLUMNS.items()} for r in rows]
+    cells = [{col: get(r) for col, get in columns.items()} for r in rows]
     lines = [f"seed: {args.seed}", f"records: {len(cells)}"]
     for c in cells:
         flags = {k: _tri(c[k]) for k in ("exceptional", "b_exceptional", "split")}
@@ -415,7 +418,7 @@ def cmd_classify(args) -> int:
     _emit(
         args,
         {"seed": args.seed, "count": len(cells), "rows": cells},
-        [("seed", *_CLASSIFY_COLUMNS)] + [(args.seed, *c.values()) for c in cells],
+        [("seed", *columns)] + [(args.seed, *c.values()) for c in cells],
         lines,
     )
     return 0

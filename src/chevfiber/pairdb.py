@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable
 
-from .restrict import _config_lines
+from ._common import IntegrityError, _config_lines
 
 Sigma = tuple[str, int]
 
@@ -47,10 +47,6 @@ REMOVED_PAIRS = (
     ("e7(C)", "e7(-25)"),
     ("e8(C)", "e8(-24)"),
 )
-
-
-class IntegrityError(RuntimeError):
-    """The pair database violates one of its stated invariants."""
 
 
 def parse_sigma(text: str) -> Sigma:

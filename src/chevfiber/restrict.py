@@ -17,8 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import Collection, Iterator, Sequence
+from typing import Collection, Sequence
 
+from ._common import RestrictionError, _config_lines
 from ._linalg import (
     Matrix,
     Vector,
@@ -38,10 +39,6 @@ from .rootsys import (
     fundamental_degrees,
     simple_reflections,
 )
-
-
-class RestrictionError(RuntimeError):
-    """Raised when a pair configuration does not yield a valid restriction."""
 
 
 @dataclass(frozen=True)
@@ -78,15 +75,6 @@ _PAIR_KEYS = {
     "little_rank",
     "embedding",
 }
-
-
-def _config_lines(text: str) -> Iterator[tuple[int, str]]:
-    """(line number, content) of each line that is not blank once its `#`
-    comment is stripped."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
 
 
 def _read_config(
@@ -294,6 +282,9 @@ def restrict_family(
     restricted = InvariantFamily(
         polys=tuple(w_polys), degrees=degrees, group=little, certificate=certificate
     )
+    # the frozen family records that its group fixes it, so that
+    # surjectivity_check does not test the same reflections again
+    object.__setattr__(restricted, "_invariance_checked", True)
     return Restriction(
         config=config,
         ambient=family,
@@ -323,11 +314,12 @@ def surjectivity_check(
 
     Each member must be homogeneous of its listed degree (ValueError
     otherwise) and invariant under the little group (RestrictionError
-    otherwise), so the degree-k products lie in the space Inv_k of degree-k
-    invariants.  They span it exactly when their rank equals dim Inv_k,
-    which Chevalley's theorem gives as the number of ways to write k as a
-    sum of the little fundamental degrees.  The report names the first
-    degree up to degree_bound where the rank falls short.
+    otherwise; a family from restrict_family has passed that test), so the
+    degree-k products lie in the space Inv_k of degree-k invariants.  They
+    span it exactly when their rank equals dim Inv_k, which Chevalley's
+    theorem gives as the number of ways to write k as a sum of the little
+    fundamental degrees.  The report names the first degree up to
+    degree_bound where the rank falls short.
 
     Only the degrees up to min(degree_bound, max e_j), e_j the little
     fundamental degrees, are tested.  Every fundamental invariant has degree
@@ -346,7 +338,8 @@ def surjectivity_check(
         raise ValueError("family variable count does not match the little rank")
     if any(p.homogeneous_degree() != m for p, m in zip(family.polys, family.degrees)):
         raise ValueError("a family member is not homogeneous of its listed degree")
-    _require_invariant(family.polys, little)
+    if not getattr(family, "_invariance_checked", False):
+        _require_invariant(family.polys, little)
     little_degrees = fundamental_degrees(little.type_name, little.rank)
 
     @cache

@@ -24,6 +24,7 @@ from itertools import chain, islice
 from operator import getitem, itemgetter, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
+from ._common import ConstructionError
 from ._linalg import (
     Matrix,
     Vector,
@@ -39,10 +40,6 @@ from .polyring import Polynomial, jacobian_det, jacobian_matrix
 WEYL_CAP = 100_000
 # regular vectors tried per fundamental degree before the simple roots
 _MAX_CANDIDATES = 25
-
-
-class ConstructionError(RuntimeError):
-    """Raised when a requested algebraic object cannot be built."""
 
 
 @dataclass(frozen=True)

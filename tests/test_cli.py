@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from chevfiber import cli, fiber
+from chevfiber import cli, fiber, polyring, rootsys
 from chevfiber.cli import main
 from chevfiber.rootsys import build_root_system, invariant_family
 
@@ -182,15 +182,16 @@ def test_fiber_declared_d_mismatch_fails_verdict(monkeypatch, capsys):
 
 def test_fiber_wrong_target_arity_exits_1(monkeypatch, capsys):
     # a valid system is square, so the target count is checked against the
-    # x count before any family is built
+    # x count before any family is built; cli imports the function from
+    # rootsys when it runs, so the patch goes there
     calls = []
-    build = cli.invariant_family
+    build = rootsys.invariant_family
 
     def counted(*args, **kwargs):
         calls.append(1)
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "invariant_family", counted)
+    monkeypatch.setattr(rootsys, "invariant_family", counted)
     code = main(["fiber", "--config", TOY, "--zeta", "1", "--target", "1,2"])
     assert code == 1
     assert capsys.readouterr().err == "usage error: target needs 1 entries, got 2\n"
@@ -224,8 +225,8 @@ def test_fiber_without_zeta_names_both_counts(capsys):
 def test_point_counts_are_checked_before_the_family(monkeypatch, capsys, argv, message):
     # a pair config gives the t count as ambient rank minus little rank, a
     # system config lists its tvars: no family is built, and no polynomial parsed
-    monkeypatch.setattr(cli, "invariant_family", None)
-    monkeypatch.setattr(cli, "parse_polynomial", None)
+    monkeypatch.setattr(rootsys, "invariant_family", None)
+    monkeypatch.setattr(polyring, "parse_polynomial", None)
     assert main(argv) == 1
     assert message in capsys.readouterr().err
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -437,6 +438,28 @@ def test_surjectivity_rejects_non_invariant_family():
     )
     with pytest.raises(RestrictionError, match="not little-group invariant"):
         surjectivity_check(fam, degree_bound=12)
+
+
+def test_surjectivity_tests_invariance_unless_restrict_family_did(monkeypatch):
+    # restrict_family tests its restricted family and records that on it, so
+    # surjectivity_check does not test it again; a copy with a member
+    # swapped for a non-invariant one is tested, and rejected
+    calls = []
+    require = restrict._require_invariant
+    monkeypatch.setattr(
+        restrict, "_require_invariant",
+        lambda polys, little: calls.append(polys) or require(polys, little),
+    )
+    res = restrict_family(invariant_family(build_root_system("B", 2)), toy_config())
+    assert calls == [list(res.restricted.polys)]
+    assert surjectivity_check(res.restricted).ok
+    assert len(calls) == 1
+    odd = dataclasses.replace(
+        res.restricted, polys=(parse_polynomial("x1^3", ("x1",)),), degrees=(3,)
+    )
+    with pytest.raises(RestrictionError, match="not little-group invariant"):
+        surjectivity_check(odd)
+    assert len(calls) == 2
 
 
 def test_surjectivity_rejects_misstated_degree():

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import importlib
 import inspect
 import os
 import subprocess
@@ -60,13 +61,20 @@ def test_exact_modules_do_not_import_numpy():
         assert "numpy" not in imported, name
 
 
-def _numpy_loaded_after(argv):
-    # a fresh interpreter, so no earlier import in this test run counts
-    code = (
-        "import contextlib, io, sys, chevfiber, chevfiber.cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = chevfiber.cli.main({argv!r})\n"
-        "print(code, 'numpy' in sys.modules)\n"
+def _modules_loaded(code, argv=None):
+    """The `chevfiber` modules, and numpy if it is one, that a fresh
+    interpreter holds after running `code` and then, given argv,
+    `cli.main(argv)` with exit 0; fresh, so no earlier import in this test
+    run counts."""
+    if argv is not None:
+        code += (
+            "\nimport contextlib, io, chevfiber.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert chevfiber.cli.main({argv!r}) == 0\n"
+        )
+    code += (
+        "\nimport sys\n"
+        "print(*(m for m in sys.modules if m == 'numpy' or m.split('.')[0] == 'chevfiber'))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -76,22 +84,43 @@ def _numpy_loaded_after(argv):
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    code, loaded = proc.stdout.split()
-    assert code == "0"
-    return loaded == "True"
+    return set(proc.stdout.split())
+
+
+CLI_MODULES = {"chevfiber", "chevfiber._common", "chevfiber.cli"}
+
+
+def test_package_import_loads_only_itself():
+    # dir() lists every public name before any of them is loaded
+    code = "import chevfiber\nassert set(chevfiber.__all__) <= set(dir(chevfiber))"
+    assert _modules_loaded(code) == {"chevfiber"}
+
+
+def test_cli_import_adds_only_cli_and_common():
+    assert _modules_loaded("import chevfiber.cli") == CLI_MODULES
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["roots", "A2"], ["invariants", "B2"], ["restrict", "--config", str(TOY)], ["classify"]],
+    "argv, layers",
+    [
+        (["roots", "A2"], {"pairdb", "_linalg", "polyring", "rootsys"}),
+        (["invariants", "B2"], {"pairdb", "_linalg", "polyring", "rootsys"}),
+        (["restrict", "--config", str(TOY)], {"_linalg", "polyring", "rootsys", "restrict"}),
+        (["classify"], {"pairdb", "data"}),
+    ],
     ids=["roots", "invariants", "restrict", "classify"],
 )
-def test_exact_commands_never_load_numpy(argv):
-    assert not _numpy_loaded_after(argv)
+def test_exact_commands_never_load_numpy(argv, layers):
+    # each exact command loads only its own layers: none loads the fiber
+    # layer or numpy, classify loads no algebra, and roots and invariants do
+    # not load restrict
+    loaded = _modules_loaded("", argv)
+    assert loaded == CLI_MODULES | {f"chevfiber.{name}" for name in layers}
 
 
 def test_fiber_command_loads_numpy():
-    assert _numpy_loaded_after(["fiber", "--config", str(TOY), "--zeta", "1", "--target", "5"])
+    loaded = _modules_loaded("", ["fiber", "--config", str(TOY), "--zeta", "1", "--target", "5"])
+    assert {"chevfiber.fiber", "numpy"} <= loaded
 
 
 def test_star_import_binds_every_public_name():
@@ -106,9 +135,31 @@ def test_fiber_names_are_the_fiber_modules_objects():
     assert set(FIBER_NAMES) <= set(chevfiber.__all__)
     for name in FIBER_NAMES:
         assert getattr(chevfiber, name) is getattr(fiber, name), name
-    # the error classes are bound eagerly; the rest load with the fiber module
+    # the error classes live in _common and the rest in the fiber module,
+    # which each one's first access loads
     assert chevfiber.__getattr__("solve_fiber") is fiber.solve_fiber
     assert chevfiber.__getattr__("fiber") is fiber
+
+
+def test_public_names_are_their_defining_modules_objects():
+    # the package resolves each name in the module that defines it, and
+    # binds it on first access
+    for name in chevfiber.__all__:
+        value = getattr(chevfiber, name)
+        home = importlib.import_module(f"chevfiber.{chevfiber._HOME[name]}")
+        assert getattr(home, name) is value, name
+        assert getattr(value, "__module__", home.__name__) == home.__name__, name
+        assert vars(chevfiber)[name] is value, name
+    assert set(dir(chevfiber)) == set(chevfiber.__dir__()) >= set(chevfiber.__all__)
+
+
+def test_moved_error_classes_are_the_common_ones():
+    from chevfiber import _common, pairdb, restrict, rootsys
+
+    assert rootsys.ConstructionError is _common.ConstructionError
+    assert restrict.RestrictionError is _common.RestrictionError
+    assert pairdb.IntegrityError is _common.IntegrityError
+    assert chevfiber.ConstructionError is _common.ConstructionError
 
 
 def test_fiber_error_hierarchy():
@@ -207,7 +258,12 @@ def _uses(path):
 
 def test_every_module_function_has_a_caller():
     package = Path(chevfiber.__file__).parent
-    used = {("chevfiber", name) for name in chevfiber.__all__}
+    # a public name is used where the package resolves it: in its defining module
+    used = {
+        (getattr(chevfiber, name).__module__.rsplit(".", 1)[-1], name)
+        for name in chevfiber.__all__
+        if callable(getattr(chevfiber, name))
+    }
     root = Path(__file__).resolve().parents[1]
     for folder in ("src", "tests", "bench", "demos"):
         for path in sorted((root / folder).rglob("*.py")):
