@@ -2,13 +2,14 @@
 
 A DeformedSystem holds square polynomial equations U_i(t; x) over deformation
 variables t and fiber variables x.  Fixing t = zeta and a target vector a,
-`solve_fiber` finds every solution of U_i(zeta; x) = a_i.  With a little
-group and d = 1 the fiber is one free W-orbit of the W-invariant U, so one
-path of H = f(x) - p(s) from a0 = f(x0) to a, closed under the simple
-reflections, gives it all (a parameter homotopy; Sommese and Wampler, 2005,
-ch. 7).  Otherwise, or when a reflected point is no root, the total-degree
-homotopy H = (1 - s) gamma g(x) + s (f(x) - a) tracks every root of
-x_i^{d_i} = c_i.  Each step predicts with RK4 and corrects with Newton, an
+`solve_fiber` finds every solution of U_i(zeta; x) = a_i along the linear
+homotopy H = (1 - s) g(x) + s (f(x) - a).  With a little group and d = 1
+the fiber is one free W-orbit of the W-invariant U: one path from
+g = conj(gamma) (f - a0), a0 = f(x0), on which f = (1 - tau) a0 + tau a (a
+parameter homotopy; Sommese and Wampler, 2005, ch. 7), closed under the
+simple reflections, gives it all.  Otherwise, or when a reflected point is
+no root, g = gamma kappa (x^m - c) and every root of x_i^{m_i} = c_i is
+tracked.  Each step predicts with RK4 and corrects with Newton, an
 update accepted within 1e-8 max(1, |x|); ds doubles with no cap short of
 s = 1 and halves on a failed correction, a path lost below 1e-7.  All paths
 move as one numpy batch, each with its own s and step, as each would alone;
@@ -40,7 +41,8 @@ No tolerance is an option: merge and orbit radius 1e-6 (max norm), singular
 One batched Newton routine of at most 30 steps polishes tracked endpoints and
 serves `local_inverse_psi`; an endpoint is accepted when its polish converges,
 to a residual within 1e-12 max(1, |a|, the size of the terms summed into f)
-(Sommese and Wampler, 2005).
+(Sommese and Wampler, 2005).  The reflected images of a d = 1 fiber are not
+polished: one evaluation checks each against that same bound.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from ._common import (
 from ._linalg import matvec
 from .polyring import Polynomial, jacobian_det
 from .restrict import Restriction, rank_d
-from .rootsys import RootSystem, fundamental_degrees, weyl_order
+from .rootsys import RootSystem, fundamental_degrees, simple_reflections, weyl_order
 
 
 _CLUSTER_RADIUS = 1e-6
@@ -187,11 +189,12 @@ class _Numeric:
 
     Every monomial of f and of df/dx is collected once, with the columns 1,
     x_i^m_i and x_i^(m_i - 1) of the start system for the x degrees m_i, so
-    a batch of points X (P, r) costs one power table (`monomials`) and one
-    product with the block C = [f | J]: `mono @ C` gives f (P, r) and the
-    Jacobian (P, r, r) side by side.  Terms are read sorted by exponent and
-    each coefficient is rounded once, as in `Polynomial.eval`, so f, J and
-    the column layout depend on the polynomials' values alone.
+    a batch of points X (P, r) costs one power table and one product with a
+    block over those columns (`evaluate`): with C = [f | J], `mono @ C`
+    gives f (P, r) and the Jacobian (P, r, r) side by side.  Terms are read
+    sorted by exponent and each coefficient is rounded once, as in
+    `Polynomial.eval`, so f, J and the column layout depend on the
+    polynomials' values alone.
     """
 
     def __init__(self, system: DeformedSystem):
@@ -236,13 +239,23 @@ class _Numeric:
         self.poly_scale = np.array(scales)
         self.coeff_scale = float(np.max(self.poly_scale))
 
-    def monomials(self, X: np.ndarray) -> np.ndarray:
-        """(P, columns) the monomials at the points X (P, r): one power table and one gather."""
-        table = np.empty((len(X), self.r, self.depth), dtype=np.complex128)
-        table[:, :, 0] = 1
-        table[:, :, 1:] = X[:, :, None]
-        np.cumprod(table, axis=2, out=table)
-        return table.reshape(len(X), self.r * self.depth)[:, self.flat].prod(axis=2)
+    def evaluate(self, X: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The monomials (P, columns) at the points X (P, r), by one power table and one gather,
+        and their product with `block`.  A point so far out that a power overflows gives a row
+        of inf or nan and no warning: the tracker and `_newton` reject rows that are not finite."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = np.empty((len(X), self.r, self.depth), dtype=np.complex128)
+            table[:, :, 0] = 1
+            table[:, :, 1:] = X[:, :, None]
+            np.cumprod(table, axis=2, out=table)
+            mono = table.reshape(len(X), self.r * self.depth)[:, self.flat].prod(axis=2)
+            return mono, mono @ block
+
+    def shifted(self, a: np.ndarray) -> np.ndarray:
+        """The block C with a taken from f's column of 1: a product with it gives f - a and J."""
+        K = self.C.copy()
+        K[self.one, : self.r] -= a
+        return K
 
     def split(self, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The blocks (P, r) and (P, r, r) of a product with C."""
@@ -250,11 +263,14 @@ class _Numeric:
 
     def __call__(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """f (P, r) and the Jacobian (P, r, r) at the points X (P, r)."""
-        return self.split(self.monomials(X) @ self.C)
+        return self.split(self.evaluate(X, self.C)[1])
 
-    def term_size(self, mono: np.ndarray) -> np.ndarray:
-        """(P,) the largest sum of |term| over the equations: the scale of rounding in f."""
-        return (np.abs(mono) @ self.abs_f).max(axis=1)
+    def bound(self, mono: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """(P,) the residual |f - a| an accepted point may have: 1e-12 max(1, |a|, term size),
+        the term size the largest sum of |term| over the equations at the monomials `mono`, so
+        the bound stays above the float floor of f where large terms cancel to a small target."""
+        size = (np.abs(mono) @ self.abs_f).max(axis=1)
+        return 1e-12 * np.maximum(max(1.0, float(np.max(np.abs(a)))), size)
 
 
 def _unit_circle(rng: np.random.Generator) -> complex:
@@ -321,24 +337,20 @@ def _merged(X: np.ndarray) -> int:
 def _newton(num: _Numeric, X: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Newton on f(x) = a from every row of X (P, r), each row on its own.
 
-    A row stops once its residual is within 1e-12 max(1, |a|, term size),
-    its Jacobian is singular, its step is not finite, or it has taken 30
-    steps; the term size keeps the bound above the float floor of f where
-    large terms cancel to a small target.  Returns the final rows and, per
-    row, the outcome code it stopped with.
+    A row stops once its residual is within `_Numeric.bound`, its Jacobian
+    is singular, its step is not finite, or it has taken 30 steps.  Returns
+    the final rows and, per row, the outcome code it stopped with.
     """
     X = X.copy()
-    floor = max(1.0, float(np.max(np.abs(a))))
     outcome = np.full(len(X), _STEP_CAP)
     for _ in range(_NEWTON_STEPS):
         k = np.flatnonzero(outcome == _STEP_CAP)
         if not k.size:
             break
-        mono = num.monomials(X[k])
-        F, J = num.split(mono @ num.C)
+        mono, Y = num.evaluate(X[k], num.C)
+        F, J = num.split(Y)
         res = F - a
-        tol = 1e-12 * np.maximum(floor, num.term_size(mono))
-        near = np.abs(res).max(axis=1) <= tol
+        near = np.abs(res).max(axis=1) <= num.bound(mono, a)
         outcome[k[near]] = _CONVERGED
         k, res, J = k[~near], res[~near], J[~near]
         delta, solved = _solve_rows(J, -res)
@@ -350,42 +362,36 @@ def _newton(num: _Numeric, X: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np
     return X, outcome
 
 
-def _homotopy(num: _Numeric, a: np.ndarray, gamma: complex, cs: np.ndarray):
-    """The kernel (X, s) -> (H, H_x, dH/ds) of H = (1 - s) gamma g + s (f - a).
+def _start_system(num: _Numeric, gamma: complex, cs: np.ndarray) -> np.ndarray:
+    """The total-degree start block g = gamma kappa (x^m - c) and g_x over the columns of `num`,
+    kappa matching its size to the target equations' so neither end dominates."""
+    r = num.r
+    g = gamma * num.poly_scale
+    G = np.zeros_like(num.C)
+    G[num.top, np.arange(r)] = g
+    G[num.one, :r] -= g * cs
+    G[num.below, r + np.arange(r) * (r + 1)] = g * np.array(num.degrees)
+    return G
 
-    g = kappa (x^m - c) is the start system, kappa matching its size to the
-    target equations' so neither end dominates.  K = [f - a | J | gamma g |
-    gamma g_x] over the columns of `num` is built once; with B = mono K_f and
-    A = mono K_g, (H, H_x) = s B + (1 - s) A and dH/ds = B - A on the first
-    r columns, so a batch costs one power table and one product.
+
+def _homotopy(num: _Numeric, a: np.ndarray, start: np.ndarray):
+    """The kernel (X, s) -> (H, H_x, dH/ds) of H = (1 - s) g + s (f - a).
+
+    The start system g and g_x are the block `start` over the columns of
+    `num`, as f - a and J are `num.shifted(a)`.  K = [f - a | J | g | g_x]
+    is built once; with B = mono K_f and A = mono K_g, (H, H_x) =
+    s B + (1 - s) A and dH/ds = B - A on the first r columns, so a batch
+    costs one power table and one product.
     """
     r = num.r
     width = r + r * r
-    K = np.zeros((len(num.C), 2 * width), dtype=np.complex128)
-    K[:, :width] = num.C
-    K[num.one, :r] -= a
-    g = gamma * num.poly_scale
-    K[num.top, width + np.arange(r)] = g
-    K[num.one, width : width + r] -= g * cs
-    K[num.below, width + r + np.arange(r) * (r + 1)] = g * np.array(num.degrees)
+    K = np.hstack([num.shifted(a), start])
 
     def kernel(X: np.ndarray, s: np.ndarray):
-        Y = num.monomials(X) @ K
+        Y = num.evaluate(X, K)[1]
         B, A = Y[:, :width], Y[:, width:]
         H, Hx = num.split(s[:, None] * B + (1 - s)[:, None] * A)
         return H, Hx, B[:, :r] - A[:, :r]
-
-    return kernel
-
-
-def _segment(num: _Numeric, a0: np.ndarray, a: np.ndarray, gamma: complex):
-    """The kernel (X, s) -> (H, J, -tau'(s) (a - a0)) of H = f - (1 - tau) a0 - tau a, with
-    tau = gamma s / (1 + (gamma - 1) s): the gamma trick on the complex line through a0 and a.
-    A batch costs one power table and one product."""
-    def kernel(X: np.ndarray, s: np.ndarray):
-        den = (1 + (gamma - 1) * s)[:, None]
-        F, J = num(X)
-        return F - a0 - gamma * s[:, None] / den * (a - a0), J, -gamma / den**2 * (a - a0)
 
     return kernel
 
@@ -544,7 +550,8 @@ def _total_degree(num: _Numeric, a: np.ndarray, rng: np.random.Generator):
     gamma = _unit_circle(rng)
     cs = np.array([_unit_circle(rng) for _ in degrees], dtype=np.complex128)
     roots = [c ** (1.0 / m) * np.exp(2j * np.pi * k / m) for m, c, k in zip(degrees, cs, digits)]
-    X, residual, ok = _track_paths(num, a, _homotopy(num, a, gamma, cs), np.stack(roots, axis=1))
+    kernel = _homotopy(num, a, _start_system(num, gamma, cs))
+    X, residual, ok = _track_paths(num, a, kernel, np.stack(roots, axis=1))
     failed = total - int(ok.sum())
     if failed:
         return None, f"{failed} of {total} paths failed"
@@ -556,41 +563,43 @@ def _orbit(num: _Numeric, a: np.ndarray, little: RootSystem, order: int, rng: np
     """One attempt at a d = 1 fiber: one path, closed under W(little) into `order` points.
 
     A complex normal x0 times mu = exp(mean_i log(|a_i| / |f_i(x0)|) / m_i) over the nonzero
-    a_i, so that a0 = f(x0) has the size of a, is tracked from a0 to a.  Finds None, and no
-    failure, if the polish moves a reflected point a grid step: U is then not W-invariant.
+    a_i, so that a0 = f(x0) has the size of a, is tracked from g = conj(gamma) (f - a0): H
+    vanishes where f = (1 - tau) a0 + tau a, tau = gamma s / (1 + (gamma - 1) s), the gamma
+    trick on the line through a0 and a.  The closure of the polished endpoint is the fiber, and
+    one evaluation checks every image against `_Numeric.bound`.  An image off it means U is not
+    W-invariant, and the attempt finds None and no failure.
     """
     x0, gamma = rng.standard_normal(num.r) + 1j * rng.standard_normal(num.r), _unit_circle(rng)
     a0 = num(x0[None])[0][0]
     logs = [math.log(abs(ai) / abs(bi)) / m for ai, bi, m in zip(a, a0, num.degrees) if ai and bi]
     x0 *= math.exp(sum(logs) / len(logs)) if logs else 1.0
     a0 = num(x0[None])[0][0]
-    x, _, ok = _track_paths(num, a, _segment(num, a0, a, gamma), x0[None])
+    kernel = _homotopy(num, a, np.conj(gamma) * num.shifted(a0))
+    x, _, ok = _track_paths(num, a, kernel, x0[None])
     if not ok[0]:
         return None, "1 of 1 paths failed"
-    X = _orbit_points(x[0], _reflections(little), order)
+    X = _orbit_points(x[0], little, order)
     if len(X) != order:
         return None, f"the orbit closure has {len(X)} of {order} points"
-    polished, outcome = _newton(num, X, a)
-    if (np.abs(polished - X).max(axis=1) >= _CLUSTER_RADIUS / 1024).any():
+    mono, F = num.evaluate(X, num.C[:, : num.r])
+    residual = np.abs(F - a)
+    if not (residual.max(axis=1) <= num.bound(mono, a)).all():
         return None, None
-    failed = int((outcome != _CONVERGED).sum())
-    if failed:
-        return None, f"{failed} of {order} orbit points failed their polish"
-    merged = _merged(polished)
-    found = polished, np.abs(num(polished)[0] - a)
-    return found, f"{merged} endpoints merged" if merged else None
+    merged = _merged(X)
+    return (X, residual), f"{merged} endpoints merged" if merged else None
 
 
 def solve_fiber(system: DeformedSystem, seed: int = 0) -> FiberResult:
     """Return the complete, sorted fiber.
 
     With a little group and d = 1 one path is tracked and reflected onto its orbit, one class
-    (`_orbit`); otherwise, or if U is not W-invariant, all prod(m_i) total-degree paths are,
-    and `orbit_partition` splits them.  `path_stats["tracked"]` counts the paths.  Points are
-    checked, sorted and classed at unit scale (`_unit_scale`).  An attempt with a lost path, a
-    failed polish or two points within the merge radius (a path jump, or a target off the
-    generic locus) is made again from the same generator stream; after three retries the
-    solve raises FiberSolveError.
+    (`_orbit`); otherwise, or if a reflected image misses the residual bound (U is not
+    W-invariant), all prod(m_i) total-degree paths are, and `orbit_partition` splits them.
+    `path_stats["tracked"]` counts the paths.  Points are checked, sorted and classed at unit
+    scale (`_unit_scale`).  An attempt with a lost path, a failed polish of a tracked
+    endpoint, an orbit closure of the wrong size or two points within the merge radius (a path
+    jump, or a target off the generic locus) is made again from the same generator stream;
+    after three retries the solve raises FiberSolveError.
     """
     _check_seed(seed)
     lam, powers, unit = _unit_scale(system)
@@ -628,31 +637,18 @@ def solve_fiber(system: DeformedSystem, seed: int = 0) -> FiberResult:
     )
 
 
-def _form_rows(little: RootSystem, vectors: Sequence) -> np.ndarray:
-    """The rows B v of the little form, as floats: X @ rows.T pairs X with each v."""
-    return np.array([[float(c) for c in matvec(little.form, v)] for v in vectors])
-
-
-def _reflections(little: RootSystem) -> tuple[np.ndarray, np.ndarray]:
-    """The simple roots and coroot rows: x - (x @ coroots[j]) alphas[j] reflects x in alphas[j]."""
-    alphas = np.array(little.simple_roots, dtype=float)
-    rows = _form_rows(little, little.simple_roots)
-    return alphas, 2 * rows / (alphas * rows).sum(axis=1)[:, None]
-
-
-def _orbit_points(
-    x: np.ndarray, reflections: tuple[np.ndarray, np.ndarray], order: int
-) -> np.ndarray:
-    """The orbit of x (r,) under the `_reflections` arrays, x first, or more than `order` points:
-    each round keeps the images whose coordinates, rounded to the sort grid (1024 cells per merge
-    radius), no earlier point has, and reflects them in every simple root."""
-    alphas, coroots = reflections
+def _orbit_points(x: np.ndarray, little: RootSystem, order: int) -> np.ndarray:
+    """The orbit of x (r,) under the simple reflections of `little`, x first, or more than
+    `order` points: each round keeps the images whose coordinates, rounded to the sort grid
+    (1024 cells per merge radius), no earlier point has, and reflects them in every simple root."""
+    # every S^T side by side, S a simple reflection's matrix: row x @ side lists x's images
+    side = np.array(simple_reflections(little), dtype=float).transpose(2, 0, 1).reshape(len(x), -1)
     X, images, seen = np.empty((0, len(x)), dtype=np.complex128), x[None], set()
     while len(images) and len(X) <= order:
         cells = np.round(np.hstack([images.real, images.imag]) / (_CLUSTER_RADIUS / 1024))
         new = images[[c not in seen and not seen.add(c) for c in map(tuple, cells.tolist())]]
         X = np.concatenate([X, new])
-        images = (new[:, None, :] - (new @ coroots.T)[:, :, None] * alphas).reshape(-1, len(x))
+        images = (new @ side).reshape(-1, len(x))
     return X
 
 
@@ -677,12 +673,12 @@ def orbit_partition(
     if near:
         i, j = min(near)
         raise InconsistentClusteringError(f"points {i} and {j} lie within {_CLUSTER_RADIUS}")
-    order, reflections = weyl_order(little.type_name, little.rank), _reflections(little)
+    order = weyl_order(little.type_name, little.rank)
     label = np.full(len(pts), -1)
     for i in range(len(pts)):
         if label[i] >= 0:
             continue
-        images = _orbit_points(pts[i], reflections, order)
+        images = _orbit_points(pts[i], little, order)
         n = len(images)
         if n > order:
             raise InconsistentClusteringError(f"the orbit of point {i} has over {order} points")
@@ -713,9 +709,11 @@ def _unramified(system: DeformedSystem, num: _Numeric, X: np.ndarray) -> np.ndar
 
 def _generic(system: DeformedSystem, X: np.ndarray) -> np.ndarray:
     """Mask of the points X (P, r) that are unramified and pair integrally with no root."""
-    if system.little is None:
+    little = system.little
+    if little is None:
         raise ValueError("genericity needs a little root system")
-    pairing = X @ _form_rows(system.little, system.little.roots).T
+    # X times the rows B v of the little form pairs X with each root v
+    pairing = X @ np.array([[float(c) for c in matvec(little.form, v)] for v in little.roots]).T
     integral = (np.abs(pairing.imag) <= _INT_TOL) & (
         np.abs(pairing.real - np.round(pairing.real)) <= _INT_TOL
     )

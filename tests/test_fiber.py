@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import time
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -657,10 +658,10 @@ def test_a3_fiber_takes_few_homotopy_evaluations(draw, monkeypatch):
     # corrector and no cap on ds, 262, 306 and 265 with a 1e-10 corrector
     # and ds capped at 0.1, and over 1100 with an Euler predictor
     calls = []
-    segment = fiber._segment
+    homotopy = fiber._homotopy
 
     def counted(*args):
-        kernel = segment(*args)
+        kernel = homotopy(*args)
 
         def evaluate(X, s):
             calls.append(len(X))
@@ -668,7 +669,7 @@ def test_a3_fiber_takes_few_homotopy_evaluations(draw, monkeypatch):
 
         return evaluate
 
-    monkeypatch.setattr(fiber, "_segment", counted)
+    monkeypatch.setattr(fiber, "_homotopy", counted)
     out = solve_fiber(_a3_pushed_forward(draw), seed=draw)
     assert out.count == 24
     assert calls == [1] * len(calls)
@@ -718,6 +719,69 @@ def test_f4_split_fiber_is_one_orbit_from_one_path(draw):
     assert out.orbit_classes == (tuple(range(1152)),)
     assert out.path_stats["tracked"] == 1
     assert np.abs(np.array(out.solutions) - x0).max(axis=1).min() < 1e-6
+
+
+@pytest.mark.parametrize("draw", [0, 1, 7])
+def test_f4_far_predictions_warn_nothing(draw):
+    # RK4 stages at far-off predicted points overflow the power table; the
+    # evaluator computes those rows quietly and the tracker rejects them
+    res = _f4_split()[0]
+    rng = np.random.default_rng(draw)
+    x0 = [complex(*rng.standard_normal(2)) for _ in range(4)]
+    system = DeformedSystem.from_restriction(res, (), [p.eval(x0) for p in res.adapted])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = solve_fiber(system, seed=0)
+    assert out.count == 1152
+
+
+@pytest.mark.parametrize(
+    "kind, rank", [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("D", 4), ("F", 4)]
+)
+def test_reflected_images_meet_the_bound_unpolished(kind, rank, monkeypatch):
+    # the closure of the one polished endpoint is returned as reflected: each
+    # image's residual at unit scale is within the bound `_newton` accepts,
+    # 1e-12 max(1, |a|, term size), whatever the scale of the fiber
+    res = _f4_split()[0] if kind == "F" else _split(kind, rank)
+    found = []
+    orbit = fiber._orbit
+
+    def recorded(num, a, *args):
+        out = orbit(num, a, *args)
+        found.append((num, a, out[0]))
+        return out
+
+    monkeypatch.setattr(fiber, "_orbit", recorded)
+    for lam in (1e-3, 1.0, 1e3):
+        rng = np.random.default_rng(0)
+        x0 = lam * (rng.standard_normal(rank) + 1j * rng.standard_normal(rank))
+        system = DeformedSystem.from_restriction(res, (), [p.eval(list(x0)) for p in res.adapted])
+        out = solve_fiber(system, seed=0)
+        assert out.path_stats["tracked"] == 1
+        assert out.count == system.expected_count()
+        num, a, (X, residual) = found[-1]
+        mono, F = num.evaluate(X, num.C[:, : num.r])
+        assert np.array_equal(residual, np.abs(F - a))
+        size = (np.abs(mono) @ num.abs_f).max(axis=1)
+        bound = 1e-12 * np.maximum(max(1.0, np.abs(a).max()), size)
+        assert (residual.max(axis=1) <= bound).all(), lam
+
+
+def test_reflected_image_off_the_bound_takes_total_degree(monkeypatch):
+    # an image moved by 1e-7 is no root, as under a reflection that does not
+    # fix U: the orbit is refused and the solve tracks every total-degree path
+    closure = fiber._orbit_points
+
+    def moved(*args):
+        X = closure(*args).copy()
+        X[1, 0] += 1e-7
+        return X
+
+    monkeypatch.setattr(fiber, "_orbit_points", moved)
+    system = _a3_pushed_forward(0)
+    out = solve_fiber(system, seed=0)
+    assert out.path_stats["tracked"] == math.prod(system.x_degrees()) == 24
+    assert out.count == 24
 
 
 def test_system_that_is_not_invariant_takes_total_degree():

@@ -166,8 +166,9 @@ def _scalar_tracker(system):
     """A stand-in for `fiber._track_paths` that tracks one path at a time.
 
     `solve_fiber` tracks the system at unit scale, so the evaluator is built
-    at that system's zeta, as the batched one is.  It takes the place of the
-    total-degree kernel, which `_scalar_homotopy` stands in for.
+    at that system's zeta, as the batched one is.  It evaluates the system on
+    its own, so the kernel it is passed is the start system's gamma and c
+    (`_scalar_start`), which `_homotopy` hands through unchanged.
     """
     scalar = _ScalarNumeric(fiber._unit_scale(system)[2])
     degrees = system.x_degrees()
@@ -185,7 +186,7 @@ def _scalar_tracker(system):
     return track
 
 
-def _scalar_homotopy(num, a, gamma, cs):
+def _scalar_start(num, gamma, cs):
     # the start system's gamma and c, read by `_scalar_tracker`
     return gamma, cs
 
@@ -224,8 +225,9 @@ def _inhomogeneous_system(rng):
 @pytest.mark.parametrize("name", ["toy", "quartic", "A2", "G2", "A3", "inhomogeneous"])
 def test_homotopy_kernel_matches_per_entry_reference(name):
     # the fused kernel's H, H_x and dH/ds against each equation, each
-    # Jacobian entry and the start system g = kappa (x^m - c) evaluated on
-    # their own, at points with one coordinate exactly 0
+    # Jacobian entry and the start system evaluated on their own, at points
+    # with one coordinate exactly 0, for both start blocks: the total-degree
+    # g = kappa (x^m - c) times gamma, and the pushed-forward conj(gamma) (f - a0)
     rng = np.random.default_rng(3)
     if name == "inhomogeneous":
         system = _inhomogeneous_system(rng)
@@ -240,22 +242,63 @@ def test_homotopy_kernel_matches_per_entry_reference(name):
     X = np.array([_complex_normal(rng, r) for _ in range(8)])
     X[np.arange(8), rng.integers(r, size=8)] = 0
     s = rng.random(8)
-    H, Hx, Hs = fiber._homotopy(fiber._Numeric(system), a, gamma, cs)(X, s)
+    a0 = np.array(_complex_normal(rng, r))
+    num = fiber._Numeric(system)
+    starts = (fiber._start_system(num, gamma, cs), np.conj(gamma) * num.shifted(a0))
+    outputs = [fiber._homotopy(num, a, start)(X, s) for start in starts]
 
     scalar = _ScalarNumeric(system)
     d = np.array(system.x_degrees())
     kappa = scalar.poly_scale
     for p, x in enumerate(X):
-        g = gamma * kappa * (x**d - cs)
-        gx = gamma * np.diag(kappa * d * x ** (d - 1))
-        f = scalar.f(x) - a
-        expected = (
-            (H[p], (1 - s[p]) * g + s[p] * f),
-            (Hx[p], (1 - s[p]) * gx + s[p] * scalar.jac(x)),
-            (Hs[p], f - g),
+        f, J = scalar.f(x) - a, scalar.jac(x)
+        references = (
+            (gamma * kappa * (x**d - cs), gamma * np.diag(kappa * d * x ** (d - 1))),
+            (np.conj(gamma) * (f + a - a0), np.conj(gamma) * J),
         )
-        for got, want in expected:
-            assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max()), (p, want)
+        for (H, Hx, Hs), (g, gx) in zip(outputs, references):
+            expected = (
+                (H[p], (1 - s[p]) * g + s[p] * f),
+                (Hx[p], (1 - s[p]) * gx + s[p] * J),
+                (Hs[p], f - g),
+            )
+            for got, want in expected:
+                assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max()), (p, want)
+
+
+@pytest.mark.parametrize("name", ["B2", "A3"])
+def test_orbit_kernel_keeps_the_parameter_path(name, monkeypatch):
+    # the kernel of the orbit path, H = (1 - s) conj(gamma) (f - a0) + s (f - a)
+    # with a0 = f(x0), is ((1 - s) conj(gamma) + s) (f - (1 - tau) a0 - tau a),
+    # tau = gamma s / (1 + (gamma - 1) s): it vanishes on the gamma trick's
+    # path from a0 to a along their complex line
+    res = _restriction(name)
+    rng = np.random.default_rng(11)
+    zeta = _complex_normal(rng, len(res.t_vars))
+    x0 = _complex_normal(rng, len(res.x_vars))
+    system = DeformedSystem.from_restriction(
+        res, zeta, tuple(p.eval(list(zeta + x0)) for p in res.adapted)
+    )
+    calls = []
+    homotopy, track = fiber._homotopy, fiber._track_paths
+    monkeypatch.setattr(fiber, "_homotopy", lambda *args: calls.append(args) or homotopy(*args))
+    monkeypatch.setattr(fiber, "_track_paths", lambda *args: calls.append(args[3]) or track(*args))
+    assert solve_fiber(system, seed=5).path_stats["tracked"] == 1
+    (num, a, start), starts = calls
+    # the attempt draws x0's real and imaginary parts, then gamma
+    draws = np.random.default_rng(5)
+    draws.standard_normal(num.r), draws.standard_normal(num.r)
+    gamma = fiber._unit_circle(draws)
+    a0 = num(starts)[0][0]
+
+    X = np.array([_complex_normal(rng, num.r) for _ in range(8)])
+    s = rng.random(8)
+    H = homotopy(num, a, start)(X, s)[0]
+    scalar = _ScalarNumeric(fiber._unit_scale(system)[2])
+    for p, x in enumerate(X):
+        tau = gamma * s[p] / (1 + (gamma - 1) * s[p])
+        want = ((1 - s[p]) * np.conj(gamma) + s[p]) * (scalar.f(x) - (1 - tau) * a0 - tau * a)
+        assert np.abs(H[p] - want).max() <= 1e-12 * max(1.0, np.abs(want).max()), (p, want)
 
 
 @pytest.mark.parametrize("name", ["toy", "quartic", "A2", "B2", "C2", "BC2", "A3"])
@@ -277,7 +320,8 @@ def test_batched_tracker_matches_scalar_oracle(name, monkeypatch):
         batched = solve_fiber(system, seed=seed)
         with monkeypatch.context() as m:
             m.setattr(fiber, "_track_paths", _scalar_tracker(system))
-            m.setattr(fiber, "_homotopy", _scalar_homotopy)
+            m.setattr(fiber, "_start_system", _scalar_start)
+            m.setattr(fiber, "_homotopy", lambda num, a, start: start)
             scalar = solve_fiber(system if system.d > 1 else replace(system, little=None), seed=seed)
         assert scalar.path_stats["tracked"] == system.expected_count()
         if system.d > 1:
