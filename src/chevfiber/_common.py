@@ -2,7 +2,8 @@
 
 The error classes `cli.main` maps to exit codes (ConstructionError and the
 fiber errors to 3, RestrictionError and IntegrityError to 2), the reader of
-`key: value` config lines that `restrict` and `pairdb` both use, and the
+`key: value` config lines that `restrict` and `pairdb` both use, the parser
+of root system labels like "BC2" that `pairdb` and `cli` both use, and the
 JSON every payload is printed in.  The modules that raise an error class
 re-export it, so `rootsys.ConstructionError` is this module's class.  Only
 this module and `cli` load with `import chevfiber.cli`; each command then
@@ -11,6 +12,7 @@ loads the layers it runs.
 
 from __future__ import annotations
 
+import re
 from typing import Iterator
 
 
@@ -53,6 +55,13 @@ def _config_lines(text: str) -> Iterator[tuple[int, str]]:
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line
+
+
+def parse_sigma(text: str) -> tuple[str, int]:
+    m = re.fullmatch(r"(BC|[A-G])(\d+)", text.strip())
+    if not m:
+        raise ValueError(f"bad root system label {text!r}")
+    return (m.group(1), int(m.group(2)))
 
 
 def _fmt_float(v: float) -> str:

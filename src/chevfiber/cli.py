@@ -35,6 +35,7 @@ from ._common import (
     _config_lines,
     _fmt_float,
     _to_json,
+    parse_sigma,
 )
 
 
@@ -182,8 +183,6 @@ def _selection(args):
 
 
 def _parse_type_token(token: str):
-    from .pairdb import parse_sigma
-
     try:
         return parse_sigma(token)
     except ValueError:

@@ -13,7 +13,7 @@ tracked.  Each step predicts with RK4 and corrects with Newton, an
 update accepted within 1e-8 max(1, |x|); ds doubles with no cap short of
 s = 1 and halves on a failed correction, a path lost below 1e-7.  All paths
 move as one numpy batch, each with its own s and step, as each would alone;
-each evaluation of H, H_x and dH/ds is one power table and one matrix product.
+H, H_x and dH/ds are one power table and one product with [g | (f - a) - g].
 
 A system whose equations are all homogeneous is solved at unit scale: with
 U_i(lam t, lam x) = lam^m_i U_i(t, x), the paths are tracked at zeta / lam
@@ -37,7 +37,7 @@ point under the simple reflections, with no element of W(little) built, and
 distances are checked by a sweep over sorted keys.
 
 No tolerance is an option: merge and orbit radius 1e-6 (max norm), singular
-|det J| <= 1e-10 relative to the coefficients and height, integrality 1e-8.
+|det J| <= 1e-10 relative to coefficients and height (in logs), integrality 1e-8.
 One batched Newton routine of at most 30 steps polishes tracked endpoints and
 serves `local_inverse_psi`; an endpoint is accepted when its polish converges,
 to a residual within 1e-12 max(1, |a|, the size of the terms summed into f)
@@ -185,7 +185,7 @@ def jacobian_J(system: DeformedSystem) -> Polynomial:
 
 
 class _Numeric:
-    """The specialized system as one batched evaluator.
+    """The system at t = zeta, by default its own, as one batched evaluator.
 
     Every monomial of f and of df/dx is collected once, with the columns 1,
     x_i^m_i and x_i^(m_i - 1) of the start system for the x degrees m_i, so
@@ -197,7 +197,8 @@ class _Numeric:
     polynomials' values alone.
     """
 
-    def __init__(self, system: DeformedSystem):
+    def __init__(self, system: DeformedSystem, zeta: Sequence[complex] | None = None):
+        zeta = system.zeta if zeta is None else zeta
         k = len(system.t_vars)
         r = len(system.x_vars)
         self.r = r
@@ -210,7 +211,7 @@ class _Numeric:
                 z = complex(c.numerator / c.denominator)
                 for j in range(k):
                     if e[j]:
-                        z *= system.zeta[j] ** e[j]
+                        z *= zeta[j] ** e[j]
                 ex = e[k:]
                 acc[ex] = acc.get(ex, 0j) + z
             for ex, z in acc.items():
@@ -241,15 +242,14 @@ class _Numeric:
 
     def evaluate(self, X: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The monomials (P, columns) at the points X (P, r), by one power table and one gather,
-        and their product with `block`.  A point so far out that a power overflows gives a row
-        of inf or nan and no warning: the tracker and `_newton` reject rows that are not finite."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            table = np.empty((len(X), self.r, self.depth), dtype=np.complex128)
-            table[:, :, 0] = 1
-            table[:, :, 1:] = X[:, :, None]
-            np.cumprod(table, axis=2, out=table)
-            mono = table.reshape(len(X), self.r * self.depth)[:, self.flat].prod(axis=2)
-            return mono, mono @ block
+        and their product with `block`.  A power that overflows gives a row of inf or nan, which
+        the tracker and `_newton` reject, and the caller's np.errstate keeps it from warning."""
+        table = np.empty((len(X), self.r, self.depth), dtype=np.complex128)
+        table[:, :, 0] = 1
+        table[:, :, 1:] = X[:, :, None]
+        np.cumprod(table, axis=2, out=table)
+        mono = table.reshape(len(X), self.r * self.depth)[:, self.flat].prod(axis=2)
+        return mono, mono @ block
 
     def shifted(self, a: np.ndarray) -> np.ndarray:
         """The block C with a taken from f's column of 1: a product with it gives f - a and J."""
@@ -277,22 +277,19 @@ def _unit_circle(rng: np.random.Generator) -> complex:
     return complex(np.exp(2j * np.pi * rng.random()))
 
 
-def _solve_rows(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve A[p] y[p] = b[p] for every p, and flag the rows that solved.
-
-    A singular member makes the batched call raise, so the batch is then
-    solved member by member and only that member is flagged.
-    """
+def _solve_rows(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Solve A[p] y[p] = b[p] for every p; where A[p] is singular, y[p] is nan and p is listed
+    (the batched call raises, so the batch is then solved member by member)."""
     try:
-        return np.linalg.solve(A, b[..., None])[..., 0], np.ones(len(A), dtype=bool)
+        return np.linalg.solve(A, b[..., None])[..., 0], []
     except np.linalg.LinAlgError:
-        y, ok = np.zeros_like(b), np.ones(len(A), dtype=bool)
+        y, singular = np.full_like(b, np.nan), []
         for p in range(len(A)):
             try:
                 y[p] = np.linalg.solve(A[p], b[p])
             except np.linalg.LinAlgError:
-                ok[p] = False
-        return y, ok
+                singular.append(p)
+        return y, singular
 
 
 def _points(name: str, points, r: int) -> np.ndarray:
@@ -334,6 +331,7 @@ def _merged(X: np.ndarray) -> int:
     return len(set().union(*(j.tolist() for _, j in _near_pairs(X))))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _newton(num: _Numeric, X: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Newton on f(x) = a from every row of X (P, r), each row on its own.
 
@@ -341,10 +339,9 @@ def _newton(num: _Numeric, X: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np
     is singular, its step is not finite, or it has taken 30 steps.  Returns
     the final rows and, per row, the outcome code it stopped with.
     """
-    X = X.copy()
+    X, k = X.copy(), np.arange(len(X))
     outcome = np.full(len(X), _STEP_CAP)
     for _ in range(_NEWTON_STEPS):
-        k = np.flatnonzero(outcome == _STEP_CAP)
         if not k.size:
             break
         mono, Y = num.evaluate(X[k], num.C)
@@ -353,12 +350,12 @@ def _newton(num: _Numeric, X: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np
         near = np.abs(res).max(axis=1) <= num.bound(mono, a)
         outcome[k[near]] = _CONVERGED
         k, res, J = k[~near], res[~near], J[~near]
-        delta, solved = _solve_rows(J, -res)
+        delta, singular = _solve_rows(J, -res)
         finite = np.isfinite(delta).all(axis=1)
-        outcome[k[~solved]] = _SINGULAR
-        outcome[k[solved & ~finite]] = _NOT_FINITE
-        step = k[solved & finite]
-        X[step] = X[step] + delta[solved & finite]
+        outcome[k[~finite]] = _NOT_FINITE
+        outcome[k[singular]] = _SINGULAR
+        k = k[finite]
+        X[k] += delta[finite]
     return X, outcome
 
 
@@ -378,20 +375,17 @@ def _homotopy(num: _Numeric, a: np.ndarray, start: np.ndarray):
     """The kernel (X, s) -> (H, H_x, dH/ds) of H = (1 - s) g + s (f - a).
 
     The start system g and g_x are the block `start` over the columns of
-    `num`, as f - a and J are `num.shifted(a)`.  K = [f - a | J | g | g_x]
-    is built once; with B = mono K_f and A = mono K_g, (H, H_x) =
-    s B + (1 - s) A and dH/ds = B - A on the first r columns, so a batch
-    costs one power table and one product.
+    `num`, as f - a and J are `num.shifted(a)`.  With K = [g | (f - a) - g]
+    built once and Y = mono K = [Y_g | Y_d], (H, H_x) = Y_g + s Y_d and
+    dH/ds is Y_d's first r columns: a batch is one power table and product.
     """
-    r = num.r
-    width = r + r * r
-    K = np.hstack([num.shifted(a), start])
+    width = num.r + num.r * num.r
+    K = np.hstack([start, num.shifted(a) - start])
 
     def kernel(X: np.ndarray, s: np.ndarray):
         Y = num.evaluate(X, K)[1]
-        B, A = Y[:, :width], Y[:, width:]
-        H, Hx = num.split(s[:, None] * B + (1 - s)[:, None] * A)
-        return H, Hx, B[:, :r] - A[:, :r]
+        H, Hx = num.split(Y[:, :width] + s[:, None] * Y[:, width:])
+        return H, Hx, Y[:, width : width + num.r]
 
     return kernel
 
@@ -410,7 +404,8 @@ def _track_paths(
     the accuracy of every returned point.  Returns the endpoints, the
     residuals |f_i(x) - a_i| (P, r) of each equation (inf on a lost path),
     and the mask of paths that reached the target and whose polish
-    converged.  `solve_fiber` calls it on the system at unit scale.
+    converged.  `solve_fiber` calls it at unit scale, and its np.errstate keeps a
+    row that overflows from warning: like a singular H_x's nan row, it fails as not finite.
     """
     x = starts.astype(np.complex128)
     s = np.zeros(len(x))
@@ -421,45 +416,40 @@ def _track_paths(
         if not idx.size:
             break
         step = np.minimum(ds[idx], 1.0 - s[idx])
-        # classical RK4 on dx/ds = -Hx^-1 dH/ds; a row whose stage solve
-        # fails or whose prediction is not finite is predicted at x itself
+        # classical RK4 on dx/ds = -Hx^-1 dH/ds, each stage at x0 + c step k of the
+        # last; a row whose prediction is not finite is predicted at x itself
         x0, s0 = x[idx], s[idx]
-        k, slope = np.zeros_like(x0), np.zeros_like(x0)
-        good = np.ones(len(idx), dtype=bool)
-        for c, weight in ((0.0, 1), (0.5, 2), (0.5, 2), (1.0, 1)):
-            _, Hx, hs = homotopy(x0 + (c * step)[:, None] * k, s0 + c * step)
-            k, ok = _solve_rows(Hx, -hs)
-            slope += weight * k
-            good &= ok
+        xs, ss, slope = x0, s0, 0
+        for weight, c in ((1, 0.5), (2, 0.5), (2, 1.0), (1, 0.0)):
+            _, Hx, hs = homotopy(xs, ss)
+            k = _solve_rows(Hx, -hs)[0]
+            slope = slope + weight * k
+            if c:
+                xs, ss = x0 + (c * step)[:, None] * k, s0 + c * step
         xn = x0 + (step / 6)[:, None] * slope
-        good &= np.isfinite(xn).all(axis=1)
-        xn[~good] = x0[~good]
+        bad = ~np.isfinite(xn).all(axis=1)
+        xn[bad] = x0[bad]
         s_next = s0 + step
-        iterations = np.zeros(len(idx), dtype=np.int64)
-        converged = np.zeros(len(idx), dtype=bool)
-        running = np.ones(len(idx), dtype=bool)
-        for it in range(4):
-            k = np.flatnonzero(running)
+        # the corrections (at most 4) each row converged in, 5 where it did not
+        took = np.full(len(idx), 5)
+        k = np.arange(len(idx))
+        for it in range(1, 5):
+            H, Hx, _ = homotopy(xn[k], s_next[k])
+            delta = _solve_rows(Hx, -H)[0]
+            xk = xn[k] + delta
+            finite = np.isfinite(xk).all(axis=1)
+            k, delta, xk = k[finite], delta[finite], xk[finite]
+            xn[k] = xk
+            done = np.abs(delta).max(axis=1) <= 1e-8 * np.maximum(1.0, np.abs(xk).max(axis=1))
+            took[k[done]] = it
+            k = k[~done]
             if not k.size:
                 break
-            iterations[k] = it + 1
-            H, Hx, _ = homotopy(xn[k], s_next[k])
-            delta, ok = _solve_rows(Hx, -H)
-            running[k[~ok]] = False
-            k, delta = k[ok], delta[ok]
-            xn[k] = xn[k] + delta
-            finite = np.isfinite(xn[k]).all(axis=1)
-            running[k[~finite]] = False
-            k, delta = k[finite], delta[finite]
-            size = np.maximum(1.0, np.abs(xn[k]).max(axis=1))
-            done = k[np.abs(delta).max(axis=1) <= 1e-8 * size]
-            converged[done] = True
-            running[done] = False
+        converged = took <= 4
         moved = idx[converged]
         x[moved] = xn[converged]
         s[moved] = s_next[converged]
-        grow = idx[converged & (iterations <= 2)]
-        ds[grow] *= 2
+        ds[idx[took <= 2]] *= 2
         shrink = idx[~converged]
         ds[shrink] /= 2
         lost[shrink[ds[shrink] < 1e-7]] = True
@@ -496,8 +486,8 @@ def _check_seed(seed) -> None:
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
 
 
-def _unit_scale(system: DeformedSystem) -> tuple[float, np.ndarray, DeformedSystem]:
-    """The weight lam, the powers lam^m_i, and the system at unit scale.
+def _unit_scale(system: DeformedSystem) -> tuple[float, np.ndarray, tuple, np.ndarray]:
+    """The weight lam, the powers lam^m_i, and zeta and the target at unit scale.
 
     When every equation is homogeneous, U_i(lam t, lam x) = lam^m_i U_i(t, x)
     with m_i its total degree, so x solves the system at (zeta, a) exactly
@@ -510,8 +500,9 @@ def _unit_scale(system: DeformedSystem) -> tuple[float, np.ndarray, DeformedSyst
     non-generic.  A system with an inhomogeneous equation keeps lam = 1.
     """
     m = [p.homogeneous_degree() for p in system.polys]
+    a = np.array(system.target)
     if None in m:
-        return 1.0, np.ones(len(m)), system
+        return 1.0, np.ones(len(m)), system.zeta, a
     logs = [
         math.log(abs(a) / float(max(map(abs, p.terms.values())))) / m_i
         for p, m_i, a in zip(system.polys, m, system.target)
@@ -525,12 +516,7 @@ def _unit_scale(system: DeformedSystem) -> tuple[float, np.ndarray, DeformedSyst
         )
     lam = math.exp(sum(logs) / len(logs))
     powers = np.array([lam**m_i for m_i in m])
-    unit = replace(
-        system,
-        zeta=tuple(z / lam for z in system.zeta),
-        target=tuple(a / w for a, w in zip(system.target, powers)),
-    )
-    return lam, powers, unit
+    return lam, powers, tuple(z / lam for z in system.zeta), a / powers
 
 
 def _attempts(attempt):
@@ -589,6 +575,7 @@ def _orbit(num: _Numeric, a: np.ndarray, little: RootSystem, order: int, rng: np
     return (X, residual), f"{merged} endpoints merged" if merged else None
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_fiber(system: DeformedSystem, seed: int = 0) -> FiberResult:
     """Return the complete, sorted fiber.
 
@@ -602,9 +589,8 @@ def solve_fiber(system: DeformedSystem, seed: int = 0) -> FiberResult:
     after three retries the solve raises FiberSolveError.
     """
     _check_seed(seed)
-    lam, powers, unit = _unit_scale(system)
-    num = _Numeric(unit)
-    a = np.array(unit.target, dtype=np.complex128)
+    lam, powers, zeta, a = _unit_scale(system)
+    num = _Numeric(system, zeta)
     rng = np.random.default_rng(seed)
     found = None
     if system.d == 1:
@@ -699,12 +685,18 @@ def orbit_partition(
     return tuple(tuple(np.flatnonzero(label == i).tolist()) for i in sorted(set(label.tolist())))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _unramified(system: DeformedSystem, num: _Numeric, X: np.ndarray) -> np.ndarray:
-    """Mask of the points X (P, r) where det J at (zeta; x) is numerically nonzero."""
-    detval = np.abs(np.linalg.det(num(X)[1]))
-    deg_j = sum(d - 1 for d in system.x_degrees())
+    """Mask of the points X (P, r) where |det J| at (zeta; x) > 1e-10 coeff_scale height^deg_J,
+    in logs so neither side overflows; ValueError names a point where J is not finite."""
+    J = num(X)[1]
+    bad = ~np.isfinite(J).all(axis=(1, 2))
+    if bad.any():
+        raise ValueError(f"the Jacobian at {tuple(map(complex, X[bad][0]))} is not finite")
+    deg_j = sum(d - 1 for d in num.degrees)
     height = np.maximum(max([1.0] + [abs(z) for z in system.zeta]), np.abs(X).max(axis=1))
-    return detval > _SINGULAR_TOL * (num.coeff_scale * height**deg_j)
+    bound = math.log(_SINGULAR_TOL * num.coeff_scale) + deg_j * np.log(height)
+    return np.linalg.slogdet(J)[1] > bound
 
 
 def _generic(system: DeformedSystem, X: np.ndarray) -> np.ndarray:

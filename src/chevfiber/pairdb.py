@@ -14,12 +14,11 @@ never mix the two silently: the provenance travels with each record.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable
 
-from ._common import IntegrityError, _config_lines
+from ._common import IntegrityError, _config_lines, parse_sigma
 
 Sigma = tuple[str, int]
 
@@ -47,13 +46,6 @@ REMOVED_PAIRS = (
     ("e7(C)", "e7(-25)"),
     ("e8(C)", "e8(-24)"),
 )
-
-
-def parse_sigma(text: str) -> Sigma:
-    m = re.fullmatch(r"(BC|[A-G])(\d+)", text.strip())
-    if not m:
-        raise ValueError(f"bad root system label {text!r}")
-    return (m.group(1), int(m.group(2)))
 
 
 def format_sigma(sigma: Sigma | None) -> str:

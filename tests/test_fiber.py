@@ -302,6 +302,31 @@ def test_genericity():
     assert is_generic_fiber(generic, out)
 
 
+@pytest.mark.parametrize("scale", [1e20, 1e60, 1e80])
+def test_far_points_are_judged_without_overflow(scale):
+    # at 1e60 det J and the bound 1e-10 coeff_scale height^deg_J overflow,
+    # but log |det J| = 860.1 > 819.6, so the point is unramified; at 1e80
+    # the x^4 column overflows and J is nan, which is no verdict at all
+    res = restrict_family(invariant_family(build_root_system("A", 3)), split_config("A", 3))
+    x0 = [0.3 + 0.1j, -0.2 + 0.5j, 0.7 - 0.4j]
+    system = DeformedSystem.from_restriction(res, (), [p.eval(x0) for p in res.adapted])
+    p = (scale, -scale / 2, 0.3 * scale + 1j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if scale == 1e80:
+            for call in (is_unramified, is_generic):
+                with pytest.raises(ValueError, match="Jacobian at"):
+                    call(system, p)
+            with pytest.raises(ValueError, match="Jacobian at"):
+                local_inverse_psi(system, system.target, p)
+            return
+        assert is_unramified(system, p)
+        # the real parts are float integers, so p pairs integrally with a root
+        assert not is_generic(system, p)
+        with pytest.raises(NewtonDivergenceError, match="no convergence"):
+            local_inverse_psi(system, system.target, p)
+
+
 def test_generic_needs_little_group():
     p = parse_polynomial("x1^2", ("x1",))
     system = DeformedSystem(
@@ -786,8 +811,8 @@ def test_reflected_image_off_the_bound_takes_total_degree(monkeypatch):
 
 def test_system_that_is_not_invariant_takes_total_degree():
     # x^2 + t x is homogeneous with d = 1 over A1, but x -> -x does not fix
-    # it at zeta != 0: the reflected endpoint is no root, and its polish
-    # moves it far, so the solve tracks both total-degree paths instead
+    # it at zeta != 0: the reflected endpoint is no root, so its residual
+    # misses the bound and the solve tracks both total-degree paths instead
     p = parse_polynomial("x1^2 + t1*x1", ("t1", "x1"))
     zeta, a = 0.7 + 0.2j, 1.3 - 0.4j
     system = DeformedSystem(

@@ -103,8 +103,8 @@ def test_cli_import_adds_only_cli_and_common():
 @pytest.mark.parametrize(
     "argv, layers",
     [
-        (["roots", "A2"], {"pairdb", "_linalg", "polyring", "rootsys"}),
-        (["invariants", "B2"], {"pairdb", "_linalg", "polyring", "rootsys"}),
+        (["roots", "A2"], {"_linalg", "polyring", "rootsys"}),
+        (["invariants", "B2"], {"_linalg", "polyring", "rootsys"}),
         (["restrict", "--config", str(TOY)], {"_linalg", "polyring", "rootsys", "restrict"}),
         (["classify"], {"pairdb", "data"}),
     ],
@@ -112,8 +112,8 @@ def test_cli_import_adds_only_cli_and_common():
 )
 def test_exact_commands_never_load_numpy(argv, layers):
     # each exact command loads only its own layers: none loads the fiber
-    # layer or numpy, classify loads no algebra, and roots and invariants do
-    # not load restrict
+    # layer or numpy, classify loads no algebra, and roots and invariants
+    # load neither restrict nor pairdb
     loaded = _modules_loaded("", argv)
     assert loaded == CLI_MODULES | {f"chevfiber.{name}" for name in layers}
 
@@ -160,6 +160,14 @@ def test_moved_error_classes_are_the_common_ones():
     assert restrict.RestrictionError is _common.RestrictionError
     assert pairdb.IntegrityError is _common.IntegrityError
     assert chevfiber.ConstructionError is _common.ConstructionError
+
+
+def test_root_system_labels_parse_in_common():
+    # cli parses "A2" without loading pairdb, and pairdb re-exports the parser
+    from chevfiber import _common, pairdb
+
+    assert pairdb.parse_sigma is _common.parse_sigma
+    assert _common.parse_sigma(" BC3 ") == ("BC", 3)
 
 
 def test_fiber_error_hierarchy():

@@ -170,7 +170,7 @@ def _scalar_tracker(system):
     its own, so the kernel it is passed is the start system's gamma and c
     (`_scalar_start`), which `_homotopy` hands through unchanged.
     """
-    scalar = _ScalarNumeric(fiber._unit_scale(system)[2])
+    scalar = _ScalarNumeric(replace(system, zeta=fiber._unit_scale(system)[2]))
     degrees = system.x_degrees()
 
     def track(num, a, kernel, starts):
@@ -294,7 +294,7 @@ def test_orbit_kernel_keeps_the_parameter_path(name, monkeypatch):
     X = np.array([_complex_normal(rng, num.r) for _ in range(8)])
     s = rng.random(8)
     H = homotopy(num, a, start)(X, s)[0]
-    scalar = _ScalarNumeric(fiber._unit_scale(system)[2])
+    scalar = _ScalarNumeric(replace(system, zeta=fiber._unit_scale(system)[2]))
     for p, x in enumerate(X):
         tau = gamma * s[p] / (1 + (gamma - 1) * s[p])
         want = ((1 - s[p]) * np.conj(gamma) + s[p]) * (scalar.f(x) - (1 - tau) * a0 - tau * a)
