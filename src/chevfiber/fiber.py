@@ -21,7 +21,7 @@ and target a_i / lam^m_i for one weight lam set from |a| and the coefficient
 sizes, and the solutions are multiplied by lam at the end.  So the count law
 holds from lam = 1e-6 to 1e6 whatever the coefficients, and the radii below
 apply at unit scale.  A system with an inhomogeneous equation is tracked as
-given.  Endpoints are polished and sorted by their coordinates rounded to a
+given.  Points are sorted by their coordinates rounded to a
 grid 1024 times finer than the merge radius, so float noise in a coordinate
 that points share cannot reorder them and a fixed seed reproduces results
 byte for byte, whatever order the terms of the equations are written in.
@@ -38,11 +38,12 @@ distances are checked by a sweep over sorted keys.
 
 No tolerance is an option: merge and orbit radius 1e-6 (max norm), singular
 |det J| <= 1e-10 relative to coefficients and height (in logs), integrality 1e-8.
-One batched Newton routine of at most 30 steps polishes tracked endpoints and
-serves `local_inverse_psi`; an endpoint is accepted when its polish converges,
-to a residual within 1e-12 max(1, |a|, the size of the terms summed into f)
-(Sommese and Wampler, 2005).  The reflected images of a d = 1 fiber are not
-polished: one evaluation checks each against that same bound.
+Every returned point meets one rule, as it stands: its residual is within
+1e-12 max(1, |a|, the size of the terms summed into f), checked by one
+evaluation of f (`_Numeric.accept`) at the tracked endpoints and at the
+reflected images of a d = 1 fiber alike.  No endpoint is polished: the last
+corrector at s = 1 is already Newton on f = a (Sommese and Wampler, 2005,
+ch. 2).  `local_inverse_psi` runs Newton, at most 30 steps, to that bound.
 """
 
 from __future__ import annotations
@@ -64,16 +65,14 @@ from ._common import (
 )
 from ._linalg import matvec
 from .polyring import Polynomial, jacobian_det
-from .restrict import Restriction, rank_d
-from .rootsys import RootSystem, fundamental_degrees, simple_reflections, weyl_order
+from .restrict import Restriction
+from .rootsys import RootSystem, simple_reflections, weyl_order
 
 
 _CLUSTER_RADIUS = 1e-6
 _SINGULAR_TOL = 1e-10
 _INT_TOL = 1e-8
 _NEWTON_STEPS = 30
-# how `_newton` stopped a row; _STEP_CAP doubles as "still running"
-_CONVERGED, _SINGULAR, _NOT_FINITE, _STEP_CAP = range(4)
 _MAX_RETRIES = 3
 
 
@@ -84,7 +83,8 @@ class DeformedSystem:
     `little`, whose rank must be the number of x variables, gives the
     expected fiber structure: a generic fiber has |W(little)| * d points.
     d is never declared: with `little` it is the degree quotient
-    prod(x degrees) / prod(little degrees), so |W(little)| * d is the number
+    prod(x degrees) / prod(little degrees), ValueError where that is no
+    integer, so |W(little)| * d is the number
     of total-degree start paths (a d = 1 fiber tracks one); without `little` it is None.
     """
 
@@ -139,10 +139,15 @@ class DeformedSystem:
             raise ValueError(f"equation {degs.index(0) + 1} has no x term")
         d = None
         if self.little is not None:
-            rank = self.little.rank
+            name, rank = self.little.type_name, self.little.rank
             if rank != len(self.x_vars):
                 raise ValueError(f"little rank {rank} does not match {len(self.x_vars)} x variables")
-            d = rank_d(degs, fundamental_degrees(self.little.type_name, rank))
+            d, rem = divmod(math.prod(degs), weyl_order(name, rank))
+            if rem:
+                raise ValueError(
+                    f"x degrees {', '.join(map(str, degs))} multiply to {math.prod(degs)},"
+                    f" which |W({name}{rank})| = {weyl_order(name, rank)} does not divide"
+                )
         object.__setattr__(self, "d", d)
 
     @classmethod
@@ -243,7 +248,7 @@ class _Numeric:
     def evaluate(self, X: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The monomials (P, columns) at the points X (P, r), by one power table and one gather,
         and their product with `block`.  A power that overflows gives a row of inf or nan, which
-        the tracker and `_newton` reject, and the caller's np.errstate keeps it from warning."""
+        the tracker and `accept` reject, and the caller's np.errstate keeps it from warning."""
         table = np.empty((len(X), self.r, self.depth), dtype=np.complex128)
         table[:, :, 0] = 1
         table[:, :, 1:] = X[:, :, None]
@@ -271,6 +276,13 @@ class _Numeric:
         the bound stays above the float floor of f where large terms cancel to a small target."""
         size = (np.abs(mono) @ self.abs_f).max(axis=1)
         return 1e-12 * np.maximum(max(1.0, float(np.max(np.abs(a)))), size)
+
+    def accept(self, X: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The residuals |f_i - a_i| (P, r) at the points X (P, r), by one evaluation of f alone,
+        and the mask of the points within `bound`: the rule every returned point meets."""
+        mono, F = self.evaluate(X, self.C[:, : self.r])
+        residual = np.abs(F - a)
+        return residual, residual.max(axis=1) <= self.bound(mono, a)
 
 
 def _unit_circle(rng: np.random.Generator) -> complex:
@@ -331,34 +343,6 @@ def _merged(X: np.ndarray) -> int:
     return len(set().union(*(j.tolist() for _, j in _near_pairs(X))))
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _newton(num: _Numeric, X: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Newton on f(x) = a from every row of X (P, r), each row on its own.
-
-    A row stops once its residual is within `_Numeric.bound`, its Jacobian
-    is singular, its step is not finite, or it has taken 30 steps.  Returns
-    the final rows and, per row, the outcome code it stopped with.
-    """
-    X, k = X.copy(), np.arange(len(X))
-    outcome = np.full(len(X), _STEP_CAP)
-    for _ in range(_NEWTON_STEPS):
-        if not k.size:
-            break
-        mono, Y = num.evaluate(X[k], num.C)
-        F, J = num.split(Y)
-        res = F - a
-        near = np.abs(res).max(axis=1) <= num.bound(mono, a)
-        outcome[k[near]] = _CONVERGED
-        k, res, J = k[~near], res[~near], J[~near]
-        delta, singular = _solve_rows(J, -res)
-        finite = np.isfinite(delta).all(axis=1)
-        outcome[k[~finite]] = _NOT_FINITE
-        outcome[k[singular]] = _SINGULAR
-        k = k[finite]
-        X[k] += delta[finite]
-    return X, outcome
-
-
 def _start_system(num: _Numeric, gamma: complex, cs: np.ndarray) -> np.ndarray:
     """The total-degree start block g = gamma kappa (x^m - c) and g_x over the columns of `num`,
     kappa matching its size to the target equations' so neither end dominates."""
@@ -399,12 +383,12 @@ def _track_paths(
     would take alone: an RK4 predictor, at most 4 Newton corrections, each
     step accepted once its update is within 1e-8 max(1, |x|), ds doubled
     after a correction in at most 2 iterations and halved after a failed
-    one, the path lost below ds = 1e-7.  A step never passes s = 1.
-    `_newton` polishes the endpoints against f(x) = a to 1e-12, which sets
-    the accuracy of every returned point.  Returns the endpoints, the
-    residuals |f_i(x) - a_i| (P, r) of each equation (inf on a lost path),
-    and the mask of paths that reached the target and whose polish
-    converged.  `solve_fiber` calls it at unit scale, and its np.errstate keeps a
+    one, the path lost below ds = 1e-7.  A step never passes s = 1, and no
+    Newton runs after it: an endpoint is accepted as it stands when its
+    residual is within `_Numeric.bound` (`_Numeric.accept`).  Returns the
+    endpoints, the residuals |f_i(x) - a_i| (P, r) of each equation (inf on
+    a lost path), and the mask of paths that reached the target within the
+    bound.  `solve_fiber` calls it at unit scale, and its np.errstate keeps a
     row that overflows from warning: like a singular H_x's nan row, it fails as not finite.
     """
     x = starts.astype(np.complex128)
@@ -454,10 +438,8 @@ def _track_paths(
         ds[shrink] /= 2
         lost[shrink[ds[shrink] < 1e-7]] = True
     ok = ~lost
-    x[ok], outcome = _newton(num, x[ok], a)
     residual = np.full(x.shape, np.inf)
-    residual[ok] = np.abs(num(x[ok])[0] - a)
-    ok[ok] = outcome == _CONVERGED
+    residual[ok], ok[ok] = num.accept(x[ok], a)
     return x, residual, ok
 
 
@@ -551,9 +533,9 @@ def _orbit(num: _Numeric, a: np.ndarray, little: RootSystem, order: int, rng: np
     A complex normal x0 times mu = exp(mean_i log(|a_i| / |f_i(x0)|) / m_i) over the nonzero
     a_i, so that a0 = f(x0) has the size of a, is tracked from g = conj(gamma) (f - a0): H
     vanishes where f = (1 - tau) a0 + tau a, tau = gamma s / (1 + (gamma - 1) s), the gamma
-    trick on the line through a0 and a.  The closure of the polished endpoint is the fiber, and
-    one evaluation checks every image against `_Numeric.bound`.  An image off it means U is not
-    W-invariant, and the attempt finds None and no failure.
+    trick on the line through a0 and a.  The closure of the accepted endpoint is the fiber, and
+    each image must meet the endpoint's rule, `_Numeric.accept`.  An image off the bound means U
+    is not W-invariant, and the attempt finds None and no failure.
     """
     x0, gamma = rng.standard_normal(num.r) + 1j * rng.standard_normal(num.r), _unit_circle(rng)
     a0 = num(x0[None])[0][0]
@@ -567,9 +549,8 @@ def _orbit(num: _Numeric, a: np.ndarray, little: RootSystem, order: int, rng: np
     X = _orbit_points(x[0], little, order)
     if len(X) != order:
         return None, f"the orbit closure has {len(X)} of {order} points"
-    mono, F = num.evaluate(X, num.C[:, : num.r])
-    residual = np.abs(F - a)
-    if not (residual.max(axis=1) <= num.bound(mono, a)).all():
+    residual, ok = num.accept(X, a)
+    if not ok.all():
         return None, None
     merged = _merged(X)
     return (X, residual), f"{merged} endpoints merged" if merged else None
@@ -583,10 +564,10 @@ def solve_fiber(system: DeformedSystem, seed: int = 0) -> FiberResult:
     (`_orbit`); otherwise, or if a reflected image misses the residual bound (U is not
     W-invariant), all prod(m_i) total-degree paths are, and `orbit_partition` splits them.
     `path_stats["tracked"]` counts the paths.  Points are checked, sorted and classed at unit
-    scale (`_unit_scale`).  An attempt with a lost path, a failed polish of a tracked
-    endpoint, an orbit closure of the wrong size or two points within the merge radius (a path
-    jump, or a target off the generic locus) is made again from the same generator stream;
-    after three retries the solve raises FiberSolveError.
+    scale (`_unit_scale`), and each meets `_Numeric.accept`'s bound as it stands.  An attempt
+    with a lost path, a tracked endpoint off the bound, an orbit closure of the wrong size or two
+    points within the merge radius (a path jump, or a target off the generic locus) is made
+    again from the same generator stream; after three retries the solve raises FiberSolveError.
     """
     _check_seed(seed)
     lam, powers, zeta, a = _unit_scale(system)
@@ -744,6 +725,7 @@ def solve_lambda_xi(system: DeformedSystem, xi: Sequence[complex], seed: int = 0
     return solve_fiber(base, seed=seed)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def local_inverse_psi(
     system: DeformedSystem,
     target: Sequence[complex],
@@ -751,9 +733,11 @@ def local_inverse_psi(
 ) -> tuple[complex, ...]:
     """Newton-invert the specialized map near an unramified start point.
 
-    Raises RamifiedPointError if the start sits on the ramification divisor,
-    SingularJacobianError if the iteration hits a numerically singular
-    Jacobian, and NewtonDivergenceError if it fails to converge.
+    Newton stops at the first iterate within `_Numeric.bound`, the rule a
+    fiber point meets.  Raises RamifiedPointError if the start sits on the
+    ramification divisor, SingularJacobianError if the iteration hits a
+    numerically singular Jacobian, and NewtonDivergenceError if a step is
+    not finite or 30 steps do not converge.
     """
     r = len(system.x_vars)
     x = _points("start", [start], r)
@@ -761,11 +745,16 @@ def local_inverse_psi(
     num = _Numeric(system)
     if not _unramified(system, num, x)[0]:
         raise RamifiedPointError("start point lies on the ramification divisor")
-    x, outcome = _newton(num, x, a)
-    if outcome[0] == _SINGULAR:
-        raise SingularJacobianError("the Jacobian became singular")
-    if outcome[0] == _NOT_FINITE:
-        raise NewtonDivergenceError("iterates left the finite plane")
-    if outcome[0] == _STEP_CAP:
-        raise NewtonDivergenceError(f"no convergence in {_NEWTON_STEPS} iterations")
-    return tuple(complex(z) for z in x[0])
+    for _ in range(_NEWTON_STEPS):
+        mono, Y = num.evaluate(x, num.C)
+        F, J = num.split(Y)
+        res = F - a
+        if np.abs(res).max() <= num.bound(mono, a)[0]:
+            return tuple(complex(z) for z in x[0])
+        delta, singular = _solve_rows(J, -res)
+        if singular:
+            raise SingularJacobianError("the Jacobian became singular")
+        if not np.isfinite(delta).all():
+            raise NewtonDivergenceError("iterates left the finite plane")
+        x += delta
+    raise NewtonDivergenceError(f"no convergence in {_NEWTON_STEPS} iterations")

@@ -275,7 +275,7 @@ def test_lambda_quartic_has_two_orbit_classes(capsys):
 @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
 @pytest.mark.parametrize("command", ["fiber", "lambda"])
 def test_tol_is_an_unknown_argument(capsys, command, before):
-    # an endpoint is accepted when its polish converges; no tolerance is settable
+    # a point is accepted when its residual meets the fixed bound; no tolerance is settable
     point = ["--target", "5"] if command == "fiber" else ["--xi", "2"]
     argv = [command, "--config", TOY, "--zeta", "1", *point]
     argv = ["--tol", "1e-6", *argv] if before else [*argv, "--tol", "1e-6"]
@@ -485,6 +485,16 @@ def test_little_rank_mismatch_config_exits_1(tmp_path, monkeypatch, capsys, text
     monkeypatch.setattr(fiber, "solve_fiber", None)  # rejected before any tracking
     assert main(["fiber", "--config", str(cfg), "--target", point]) == 1
     assert f"little rank {rank} does not match" in capsys.readouterr().err
+
+
+def test_degrees_not_a_multiple_of_the_group_order_exit_1(tmp_path, monkeypatch, capsys):
+    # a system config has no pair, so the message names its degrees and little group
+    cfg = tmp_path / "cubic.cfg"
+    cfg.write_text("xvars: x1\npoly: x1^3\nlittle_type: A\nlittle_rank: 1\n")
+    monkeypatch.setattr(fiber, "solve_fiber", None)  # rejected before any tracking
+    assert main(["fiber", "--config", str(cfg), "--target", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: x degrees 3 multiply to 3, which |W(A1)| = 2 does not divide\n"
 
 
 def test_no_x_term_config_exits_1(tmp_path, capsys):

@@ -380,6 +380,17 @@ def test_local_inverse_singular_mid_iteration():
         local_inverse_psi(system, (-1.0,), (1.0,))
 
 
+def test_local_inverse_leaves_the_finite_plane():
+    # 1e-200 x^2 = 1 from x = 1e-5: the first step lands near 5e204, whose
+    # square overflows, so the next step is not finite
+    p = parse_polynomial("1e-200*x1^2", ("x1",))
+    system = DeformedSystem(polys=(p,), t_vars=(), x_vars=("x1",), zeta=(), target=(1.0,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NewtonDivergenceError, match="^iterates left the finite plane$"):
+            local_inverse_psi(system, (1.0,), (1e-5,))
+
+
 def test_orbit_partition_inconsistency():
     a1 = build_root_system("A", 1)
     with pytest.raises(InconsistentClusteringError, match="points 0 and 1 lie within 1e-06"):
@@ -454,7 +465,7 @@ def _nudged(X, ulps):
 def test_order_ignores_last_bit_noise(monkeypatch):
     # the six points of this A2 fiber share first coordinates in pairs, so a
     # sort on raw floats lets the last bits decide the order of each pair;
-    # the noise goes into the orbit closure, which the polish leaves alone
+    # the noise goes into the orbit closure, whose images are returned as they stand
     system = a2_system()
     base = solve_fiber(system, seed=3)
     closure = fiber._orbit_points
@@ -594,16 +605,18 @@ def test_merged_endpoints_on_every_attempt_raise(monkeypatch):
     assert len(attempts) == 4
 
 
-def test_unconverged_polish_is_not_accepted(monkeypatch):
-    # a path counts only when its polish converges, however small its residual
-    newton = fiber._newton
+def test_endpoint_off_the_bound_fails_its_path(monkeypatch):
+    # no Newton runs after the last step: an endpoint whose residual misses
+    # the acceptance bound fails its path, however near the target it came
+    bound = fiber._Numeric.bound
 
-    def stalled(num, X, a):
-        X, outcome = newton(num, X, a)
-        outcome[3] = fiber._STEP_CAP
-        return X, outcome
+    def tight(self, mono, a):
+        out = bound(self, mono, a)
+        if len(out) == 4:
+            out[3] = 0.0
+        return out
 
-    monkeypatch.setattr(fiber, "_newton", stalled)
+    monkeypatch.setattr(fiber._Numeric, "bound", tight)
     with pytest.raises(FiberSolveError, match="^1 of 4 paths failed after 4 attempts$"):
         solve_fiber(quartic_system(), seed=0)
 
@@ -760,12 +773,21 @@ def test_f4_far_predictions_warn_nothing(draw):
     assert out.count == 1152
 
 
+def _assert_within_bound(num, a, X, residual):
+    """Each point's residual at unit scale is f's at it, within 1e-12 max(1, |a|, term size)."""
+    mono, F = num.evaluate(X, num.C[:, : num.r])
+    assert np.array_equal(residual, np.abs(F - a))
+    size = (np.abs(mono) @ num.abs_f).max(axis=1)
+    bound = 1e-12 * np.maximum(max(1.0, np.abs(a).max()), size)
+    assert (residual.max(axis=1) <= bound).all()
+
+
 @pytest.mark.parametrize(
     "kind, rank", [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("D", 4), ("F", 4)]
 )
 def test_reflected_images_meet_the_bound_unpolished(kind, rank, monkeypatch):
-    # the closure of the one polished endpoint is returned as reflected: each
-    # image's residual at unit scale is within the bound `_newton` accepts,
+    # the closure of the one tracked endpoint is returned as reflected: each
+    # image's residual at unit scale is within the bound the endpoint met,
     # 1e-12 max(1, |a|, term size), whatever the scale of the fiber
     res = _f4_split()[0] if kind == "F" else _split(kind, rank)
     found = []
@@ -785,11 +807,47 @@ def test_reflected_images_meet_the_bound_unpolished(kind, rank, monkeypatch):
         assert out.path_stats["tracked"] == 1
         assert out.count == system.expected_count()
         num, a, (X, residual) = found[-1]
-        mono, F = num.evaluate(X, num.C[:, : num.r])
-        assert np.array_equal(residual, np.abs(F - a))
-        size = (np.abs(mono) @ num.abs_f).max(axis=1)
-        bound = 1e-12 * np.maximum(max(1.0, np.abs(a).max()), size)
-        assert (residual.max(axis=1) <= bound).all(), lam
+        _assert_within_bound(num, a, X, residual)
+
+
+def _no_little_system():
+    t = ("t1", "x1", "x2")
+    polys = (parse_polynomial("x1^3 + t1*x2", t), parse_polynomial("x2^2 + x1*x2", t))
+    return DeformedSystem(
+        polys=polys, t_vars=("t1",), x_vars=("x1", "x2"), zeta=(0.4 + 0.3j,),
+        target=(1.2, -0.7j),
+    )
+
+
+def _not_invariant_system():
+    p = parse_polynomial("x1^2 + t1*x1", ("t1", "x1"))
+    return DeformedSystem(
+        polys=(p,), t_vars=("t1",), x_vars=("x1",), zeta=(0.7 + 0.2j,), target=(1.3 - 0.4j,),
+        little=build_root_system("A", 1),
+    )
+
+
+@pytest.mark.parametrize(
+    "make, paths",
+    [(quartic_system, 4), (_not_invariant_system, 2), (_no_little_system, 6)],
+    ids=["quartic", "not-invariant", "no-little-group"],
+)
+def test_tracked_endpoints_meet_the_bound(make, paths, monkeypatch):
+    # no Newton runs after the last step: every total-degree endpoint is
+    # returned as tracked, within the same bound as a reflected image
+    found = []
+    total_degree = fiber._total_degree
+
+    def recorded(num, a, rng):
+        out = total_degree(num, a, rng)
+        found.append((num, a, out[0]))
+        return out
+
+    monkeypatch.setattr(fiber, "_total_degree", recorded)
+    out = solve_fiber(make(), seed=0)
+    assert out.path_stats["tracked"] == out.count == paths
+    num, a, (X, residual) = found[-1]
+    _assert_within_bound(num, a, X, residual)
 
 
 def test_reflected_image_off_the_bound_takes_total_degree(monkeypatch):
@@ -813,12 +871,8 @@ def test_system_that_is_not_invariant_takes_total_degree():
     # x^2 + t x is homogeneous with d = 1 over A1, but x -> -x does not fix
     # it at zeta != 0: the reflected endpoint is no root, so its residual
     # misses the bound and the solve tracks both total-degree paths instead
-    p = parse_polynomial("x1^2 + t1*x1", ("t1", "x1"))
-    zeta, a = 0.7 + 0.2j, 1.3 - 0.4j
-    system = DeformedSystem(
-        polys=(p,), t_vars=("t1",), x_vars=("x1",), zeta=(zeta,), target=(a,),
-        little=build_root_system("A", 1),
-    )
+    system = _not_invariant_system()
+    (zeta,), (a,) = system.zeta, system.target
     assert system.d == 1
     out = solve_fiber(system, seed=0)
     assert out.path_stats["tracked"] == 2
@@ -841,9 +895,9 @@ def test_orbit_solve_bytes_repeat_for_one_seed(kind, rank):
 
 @pytest.mark.parametrize("draw", [2, 3, 4, 6])
 def test_a3_fiber_at_the_rounding_floor_is_returned(draw):
-    # |a| reaches 1e6 here, so polished residuals end near 1e-8 and an
+    # |a| reaches 1e6 here, so endpoint residuals end near 1e-8 and an
     # absolute residual gate let rounding reject paths; an endpoint is
-    # accepted when its polish converges relative to max(1, |a|)
+    # accepted when its residual is within 1e-12 max(1, |a|, term size)
     rng = np.random.default_rng(draw)
     x0 = np.array([complex(re, im) for re, im in rng.standard_normal((3, 2))])
     system = _a3_system_at(x0)
@@ -858,7 +912,7 @@ def test_a3_fiber_at_the_rounding_floor_is_returned(draw):
 def test_polish_converges_where_large_terms_cancel(zeta, target):
     # near x = +-i zeta both terms of x^4 + t^2 x^2 reach zeta^4 and cancel
     # to the small target, so the float floor of f lies far above
-    # 1e-12 max(1, |a|); the polish bound also scales with the term size
+    # 1e-12 max(1, |a|); the acceptance bound also scales with the term size
     p = parse_polynomial("x1^4 + t1^2*x1^2", ("t1", "x1"))
     system = DeformedSystem(
         polys=(p,),

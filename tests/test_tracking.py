@@ -304,11 +304,12 @@ def test_orbit_kernel_keeps_the_parameter_path(name, monkeypatch):
 @pytest.mark.parametrize("name", ["toy", "quartic", "A2", "B2", "C2", "BC2", "A3"])
 def test_batched_tracker_matches_scalar_oracle(name, monkeypatch):
     # A3 draws 1 and 4 end near the residual rounding floor (|a| reaches
-    # 1e6); both trackers accept a path when its polish converges relative
-    # to max(1, |a|, term size), so they agree there too.  Only the quartic
-    # has d = 2 and tracks total-degree paths itself; every other system is
-    # one orbit path and its closure, and the oracle tracks all prod(m_i)
-    # paths of it without its little group.
+    # 1e6); the batched tracker accepts an endpoint as it stands once its
+    # residual is within 1e-12 max(1, |a|, term size), the oracle once its
+    # polish converges to that bound, so they agree there too.  Only the
+    # quartic has d = 2 and tracks total-degree paths itself; every other
+    # system is one orbit path and its closure, and the oracle tracks all
+    # prod(m_i) paths of it without its little group.
     res = _restriction(name)
     for draw in (0, 1, 4, 7, 9) if name == "A3" else (0, 7):
         rng = np.random.default_rng(draw)
