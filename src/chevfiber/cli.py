@@ -158,7 +158,7 @@ def _load_config(args, zeta=(), target=None, xi=None):
         res = restrict_family(fam, cfg, selection=selection)
         if args.command == "restrict":
             return res
-        polys, t_vars, x_vars, little = res.adapted, res.t_vars, res.x_vars, res.little
+        polys, t_vars, x_vars, little = res.adapted, res.t_vars, res.x_vars, res.restricted.group
     from .fiber import DeformedSystem  # numpy loads here, for fiber and lambda only
 
     if target is None:

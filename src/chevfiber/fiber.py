@@ -4,12 +4,12 @@ A DeformedSystem holds square polynomial equations U_i(t; x) over deformation
 variables t and fiber variables x.  Fixing t = zeta and a target vector a,
 `solve_fiber` finds every solution of U_i(zeta; x) = a_i along the linear
 homotopy H = (1 - s) g(x) + s (f(x) - a).  With a little group and d = 1
-the fiber is one free W-orbit of the W-invariant U: one path from
+the fiber of a W-invariant U(zeta; .) is one free W-orbit: one path from
 g = conj(gamma) (f - a0), a0 = f(x0), on which f = (1 - tau) a0 + tau a (a
 parameter homotopy; Sommese and Wampler, 2005, ch. 7), closed under the
-simple reflections, gives it all.  Otherwise, or when a reflected point is
-no root, g = gamma kappa (x^m - c) and every root of x_i^{m_i} = c_i is
-tracked.  Each step predicts with RK4 and corrects with Newton, an
+simple reflections, gives it all.  restrict_family proves invariance at t = 0
+only; otherwise, or when a reflected point is no root, g = gamma kappa
+(x^m - c) and every root of x_i^{m_i} = c_i is tracked.  Each step predicts with RK4 and corrects with Newton, an
 update accepted within 1e-8 max(1, |x|); ds doubles with no cap short of
 s = 1 and halves on a failed correction, a path lost below 1e-7.  All paths
 move as one numpy batch, each with its own s and step, as each would alone;
@@ -160,7 +160,7 @@ class DeformedSystem:
             x_vars=res.x_vars,
             zeta=tuple(zeta),
             target=tuple(target),
-            little=res.little,
+            little=res.restricted.group,
         )
 
     def x_degrees(self) -> tuple[int, ...]:

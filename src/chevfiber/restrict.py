@@ -31,13 +31,11 @@ from ._linalg import (
 from .polyring import Polynomial, parse_rational
 from .rootsys import (
     InvariantFamily,
-    RootSystem,
     _identity_form,
     _jacobian_certificate,
     _product_exponents,
     build_root_system,
     fundamental_degrees,
-    simple_reflections,
 )
 
 
@@ -179,16 +177,13 @@ def adapt_coordinates(
     return t_vars, x_vars, change
 
 
-def _require_invariant(polys: Sequence[Polynomial], little: RootSystem) -> None:
-    """Raise RestrictionError unless the simple reflections of `little` fix each poly."""
-    reflections = simple_reflections(little)
-    for w in polys:
-        for s in reflections:
-            if w.linear_change(s) != w:
-                raise RestrictionError(
-                    "restricted invariant is not little-group invariant; "
-                    "the embedding does not respect the little root system"
-                )
+def _require_invariant(family: InvariantFamily) -> None:
+    """Raise RestrictionError unless `family.invariant` holds."""
+    if not family.invariant:
+        raise RestrictionError(
+            "restricted invariant is not little-group invariant; "
+            "the embedding does not respect the little root system"
+        )
 
 
 def rank_d(selected_degrees: Sequence[int], little_degrees: Sequence[int]) -> int:
@@ -204,12 +199,13 @@ def rank_d(selected_degrees: Sequence[int], little_degrees: Sequence[int]) -> in
 
 @dataclass(frozen=True)
 class Restriction:
+    """The ambient members `selected`, in adapted coordinates (t; x), and
+    their restrictions to t = 0, a family of the little group
+    `restricted.group`; d is the generic fiber degree."""
+
     config: PairConfig
-    ambient: InvariantFamily
-    little: RootSystem
     t_vars: tuple[str, ...]
     x_vars: tuple[str, ...]
-    change: Matrix
     selected: tuple[int, ...]
     adapted: tuple[Polynomial, ...]
     restricted: InvariantFamily
@@ -229,6 +225,8 @@ def restrict_family(
     restriction is nonzero and independent of those kept; it stops at
     little-rank many, so later members are never expanded.  Keeping fewer
     raises RestrictionError ("restricted invariants are zero or dependent").
+    The restricted family must be little-group invariant (RestrictionError
+    otherwise), which proves invariance at t = 0, not of the adapted members.
     """
     if family.group is None:
         raise RestrictionError("restriction needs a family with a root system attached")
@@ -276,26 +274,12 @@ def restrict_family(
             "vanishes identically on the subspace"
         )
 
-    degrees = tuple(family.degrees[i] for i in selected)
-    _require_invariant(w_polys, little)
-    d = rank_d(degrees, fundamental_degrees(config.little_type, config.little_rank))
-    restricted = InvariantFamily(
-        polys=tuple(w_polys), degrees=degrees, group=little, certificate=certificate
-    )
-    # the frozen family records that its group fixes it, so that
-    # surjectivity_check does not test the same reflections again
-    object.__setattr__(restricted, "_invariance_checked", True)
+    restricted = InvariantFamily(polys=tuple(w_polys), group=little, certificate=certificate)
+    _require_invariant(restricted)
+    d = rank_d(restricted.degrees, fundamental_degrees(config.little_type, config.little_rank))
     return Restriction(
-        config=config,
-        ambient=family,
-        little=little,
-        t_vars=t_vars,
-        x_vars=x_vars,
-        change=change,
-        selected=tuple(selected),
-        adapted=tuple(adapted),
-        restricted=restricted,
-        d=d,
+        config=config, t_vars=t_vars, x_vars=x_vars, selected=tuple(selected),
+        adapted=tuple(adapted), restricted=restricted, d=d,
     )
 
 
@@ -312,9 +296,9 @@ def surjectivity_check(
 ) -> SurjectivityReport:
     """Decide whether the family generates all little-group invariants.
 
-    Each member must be homogeneous of its listed degree (ValueError
-    otherwise) and invariant under the little group (RestrictionError
-    otherwise; a family from restrict_family has passed that test), so the
+    Each member must be homogeneous (ValueError otherwise) and invariant
+    under the little group (RestrictionError otherwise; `family.invariant`
+    is cached, so a family from restrict_family is not tested again), so the
     degree-k products lie in the space Inv_k of degree-k invariants.  They
     span it exactly when their rank equals dim Inv_k, which Chevalley's
     theorem gives as the number of ways to write k as a sum of the little
@@ -336,10 +320,8 @@ def surjectivity_check(
     variables = family.variables
     if len(variables) != little.rank:
         raise ValueError("family variable count does not match the little rank")
-    if any(p.homogeneous_degree() != m for p, m in zip(family.polys, family.degrees)):
-        raise ValueError("a family member is not homogeneous of its listed degree")
-    if not getattr(family, "_invariance_checked", False):
-        _require_invariant(family.polys, little)
+    degrees = family.degrees
+    _require_invariant(family)
     little_degrees = fundamental_degrees(little.type_name, little.rank)
 
     @cache
@@ -348,7 +330,7 @@ def surjectivity_check(
 
     for k in range(1, min(degree_bound, max(little_degrees)) + 1):
         products = []
-        for a in _product_exponents(family.degrees, k):
+        for a in _product_exponents(degrees, k):
             prod = Polynomial.constant(variables, 1)
             for i, ai in enumerate(a):
                 if ai:

@@ -44,16 +44,27 @@ _MAX_CANDIDATES = 25
 
 @dataclass(frozen=True)
 class RootSystem:
+    """A root system's inputs; the roots and the integer data every closure
+    reads are cached properties, computed once per object on first use (the
+    frozen dataclass keeps a __dict__, where cached_property stores them)."""
+
     type_name: str
     rank: int
-    variables: tuple[str, ...]
     simple_roots: Matrix
-    roots: tuple[Vector, ...]
     form: Matrix
 
-    # Integer data that every closure and Weyl enumeration reads, computed
-    # once per object on first use; the dataclass is frozen but keeps a
-    # __dict__, which is where cached_property stores them.
+    @cached_property
+    def variables(self) -> tuple[str, ...]:
+        return tuple(f"x{i + 1}" for i in range(self.rank))
+
+    @cached_property
+    def roots(self) -> tuple[Vector, ...]:
+        """The sorted closure of the simple roots, with BC's doubled short roots."""
+        vectors, den = _reflection_closure(self, self.simple_roots)
+        if self.type_name == "BC":
+            # BC has the identity form, so the short roots are the unit vectors
+            vectors += [tuple(2 * x for x in v) for v in vectors if sum(map(mul, v, v)) == den * den]
+        return _sorted_vectors(vectors, den)
 
     @cached_property
     def _sinv(self) -> tuple[list[list[int]], int]:
@@ -185,24 +196,11 @@ def _simple_roots_and_form(type_name: str, rank: int) -> tuple[Matrix, Matrix]:
 
 
 def build_root_system(type_name: str, rank: int) -> RootSystem:
-    """Construct the full root set by reflection closure of the simple roots."""
+    """Construct the root system and its full root set, by reflection
+    closure of the simple roots."""
     _validate(type_name, rank)
-    simples, form = _simple_roots_and_form(type_name, rank)
-    rs = RootSystem(
-        type_name=type_name,
-        rank=rank,
-        variables=tuple(f"x{i + 1}" for i in range(rank)),
-        simple_roots=simples,
-        roots=(),
-        form=form,
-    )
-    vectors, den = _reflection_closure(rs, simples)
-    if type_name == "BC":
-        # BC has the identity form, so the short roots are the unit vectors
-        vectors += [tuple(2 * x for x in v) for v in vectors if sum(map(mul, v, v)) == den * den]
-    # the cached integer data read the simple roots and the form alone, so
-    # the object that ran the closure is completed in place
-    object.__setattr__(rs, "roots", _sorted_vectors(vectors, den))
+    rs = RootSystem(type_name, rank, *_simple_roots_and_form(type_name, rank))
+    rs.roots  # the closure runs here, once per system
     return rs
 
 
@@ -365,17 +363,35 @@ class InvariantFamily:
     `certificate` records a rational point together with the exact nonzero
     Jacobian determinant value there, which proves independence.  `group`
     is the root system the polynomials are invariant under, or None for
-    hand-built families.
+    hand-built families.  `degrees` and `invariant` are read off the
+    members, once per object.
     """
 
     polys: tuple[Polynomial, ...]
-    degrees: tuple[int, ...]
     group: RootSystem | None
     certificate: tuple[Vector, Fraction] | None = None
 
     @property
     def variables(self) -> tuple[str, ...]:
         return self.polys[0].variables
+
+    @cached_property
+    def degrees(self) -> tuple[int, ...]:
+        """The degree of each member; ValueError if one is not homogeneous."""
+        degrees = tuple(p.homogeneous_degree() for p in self.polys)
+        if None in degrees:
+            raise ValueError(f"family member {degrees.index(None) + 1} is not homogeneous")
+        return degrees
+
+    @cached_property
+    def invariant(self) -> bool:
+        """Whether each simple reflection of `group` fixes each member, tested
+        exactly.  A restricted family is invariant at t = 0 only: the adapted
+        members it came from need not be fixed."""
+        if self.group is None:
+            raise ValueError("no root system attached")
+        reflections = simple_reflections(self.group)
+        return all(w.linear_change(s) == w for w in self.polys for s in reflections)
 
     def jacobian(self) -> Polynomial:
         """Exact symbolic Jacobian determinant of the family."""
@@ -453,6 +469,4 @@ def invariant_family(rs: RootSystem) -> InvariantFamily:
                 f"no independent degree-{k} invariant found for "
                 f"{rs.type_name}{rs.rank}"
             )
-    return InvariantFamily(
-        polys=tuple(polys), degrees=degrees, group=rs, certificate=certificate
-    )
+    return InvariantFamily(polys=tuple(polys), group=rs, certificate=certificate)

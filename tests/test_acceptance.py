@@ -178,7 +178,7 @@ def test_criterion_2_surjectivity_dichotomy(
         notes.append("quartic selection dichotomy wrong")
     for res, want in ((toy_restriction, 1), (quartic_restriction, 2)):
         w_degs = res.restricted.degrees
-        e_degs = fundamental_degrees(res.little.type_name, res.little.rank)
+        e_degs = fundamental_degrees(res.restricted.group.type_name, res.restricted.group.rank)
         coeffs = _series_quotient(w_degs, e_degs, 12)
         if any(c < 0 for c in coeffs) or sum(coeffs) != want or res.d != want:
             ok = False

@@ -585,6 +585,40 @@ def test_system_config_without_poly_is_named(tmp_path, capsys):
     assert "system config; restrict needs a pair config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("tvars: t1\npoly: x1\n", "missing config key 'xvars'"),
+        ("xvars: x1\npoly: x1^2\nlittle_type: A\n",
+         "little_type and little_rank must be given together"),
+        ("xvars: x1\npoly: x1^2\nlittle_rank: 1\n",
+         "little_type and little_rank must be given together"),
+    ],
+    ids=["no-xvars", "no-little-rank", "no-little-type"],
+)
+def test_system_config_key_errors_exit_1(tmp_path, capsys, text, message):
+    cfg = tmp_path / "system.cfg"
+    cfg.write_text(text)
+    assert main(["fiber", "--config", str(cfg), "--target", "1"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_classify_reports_integrity_problems_and_exits_2(tmp_path, capsys):
+    # the shipped table without its corrected so(10,C)+C row and the group
+    # case that links to it
+    db = tmp_path / "pairs.txt"
+    lines = Path(data_path("exceptional_pairs.txt")).read_text(encoding="utf-8").splitlines()
+    db.write_text("".join(f"{line}\n" for line in lines if "so(10,C)+C" not in line))
+    assert main(["classify", "--db", str(db)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "integrity: expected 35 records, found 33\n"
+        "integrity: expected 10 b-exceptional records, found 9\n"
+        "integrity: expected 4 erratum-confirmed records, found 3\n"
+    )
+
+
 def test_invariants_f4_prints_the_family(capsys):
     assert main(["invariants", "F4"]) == 0
     out = capsys.readouterr().out.splitlines()

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from chevfiber.pairdb import (
@@ -187,3 +189,61 @@ def test_group_cases_marked(db):
     group_rows = [r for r in db if r.is_group_case]
     assert len(group_rows) == 4
     assert all("x" in r.name_g and r.name_h.startswith("d(") for r in group_rows)
+
+
+def _edit(db, name, **changes):
+    """The table with the record (name_g, name_h) = name replaced."""
+    return [dataclasses.replace(r, **changes) if (r.name_g, r.name_h) == name else r for r in db]
+
+
+@pytest.mark.parametrize(
+    "name, changes, check, message",
+    [
+        (("e6(C)", "so(10,C)+C"), {"name_h": "so(10,C)"}, corrected_prop31,
+         "missing corrected entry ('e6(C)', 'so(10,C)+C')"),
+        (("e6(-14)", "f4(-20)"), {"name_g": "e6(C)", "name_h": "e6(-14)"}, corrected_prop31,
+         "withdrawn entry ('e6(C)', 'e6(-14)') is present"),
+        (("e6(6)", "sp(2,2)"), {"sigma_aq": ("B", 2)}, corrected_prop31,
+         "non-exceptional record (e6(6), sp(2,2))"),
+        (("e6(-14)", "sp(2,2)"), {"sigma_b": None}, b_exceptional_list,
+         "expected 10 b-exceptional records, found 9"),
+        (("e6(-14)", "sp(2,2)"), {"name_h": "sp(2,2)'"}, b_exceptional_list,
+         "missing b-exceptional entry ('e6(-14)', 'sp(2,2)')"),
+        (("e6(-14)xe6(-14)", "d(e6(-14))"), {"is_group_case": False}, b_exceptional_list,
+         "missing group case for e6(-14)"),
+    ],
+    ids=["corrected", "withdrawn", "non-exceptional", "b-count", "b-named", "b-group"],
+)
+def test_table_checks_name_what_breaks(db, name, changes, check, message):
+    broken = _edit(db, name, **changes)
+    with pytest.raises(IntegrityError) as exc:
+        check(broken)
+    assert str(exc.value) == message
+    assert message in verify_database(broken)
+
+
+def test_broken_dual_links_are_reported(db):
+    complex_row = ("e7(C)", "e6(C)+C")
+    broken = _edit(db, complex_row, dual_name="e7(-25)/nothing")
+    rec = next(r for r in broken if (r.name_g, r.name_h) == complex_row)
+    with pytest.raises(IntegrityError, match=r"^dual link 'e7\(-25\)/nothing' resolves to 0 records$"):
+        dual_of(rec, broken)
+    # the group case still links back to the complex row, which no longer
+    # links to it
+    assert verify_database(broken) == [
+        "dual link 'e7(-25)/nothing' resolves to 0 records",
+        "dual link of e7(-25)xe7(-25)/d(e7(-25)) is not an involution",
+    ]
+    # a dual with another signature is refused
+    shifted = _edit(db, ("e6(-26)", "f4"), sigma_c=("E", 7), dual_name="e6(-26)/f4(-20)")
+    rec = next(r for r in shifted if (r.name_g, r.name_h) == ("e6(-26)", "f4"))
+    with pytest.raises(IntegrityError, match=r"^dual of \(e6\(-26\), f4\) changes the signature$"):
+        dual_of(rec, shifted)
+
+
+def test_b_exceptional_row_that_is_not_exceptional_is_reported(db):
+    broken = _edit(db, ("e6(-14)", "sp(2,2)"), sigma_c=("E", 7))
+    problems = verify_database(broken)
+    assert "non-exceptional record (e6(-14), sp(2,2))" in problems
+    assert problems[-1] == "b-exceptional e6(-14)/sp(2,2) is not exceptional"
+

@@ -26,6 +26,7 @@ from chevfiber.rootsys import (
     build_root_system,
     fundamental_degrees,
     invariant_family,
+    simple_reflections,
     weyl_group,
 )
 
@@ -224,7 +225,7 @@ def test_member_restricting_to_zero_is_never_kept():
     # x1^2*x2^2 is B2-invariant and vanishes on the e2 axis of the toy pair
     fam = invariant_family(build_root_system("B", 2))
     vanishing = parse_polynomial("x1^2*x2^2", ("x1", "x2"))
-    hand = InvariantFamily(polys=(vanishing, fam.polys[0]), degrees=(4, 2), group=fam.group)
+    hand = InvariantFamily(polys=(vanishing, fam.polys[0]), group=fam.group)
     with pytest.raises(RestrictionError, match=ZERO_OR_DEPENDENT):
         restrict_family(hand, toy_config(), selection=(0,))
     res = restrict_family(hand, toy_config())
@@ -248,9 +249,7 @@ def test_members_after_the_last_kept_are_never_expanded():
     # a member over three variables cannot be adapted to a rank-2 change
     fam = invariant_family(build_root_system("B", 2))
     stray = parse_polynomial("y1 + y2 + y3", ("y1", "y2", "y3"))
-    hand = InvariantFamily(
-        polys=fam.polys + (stray,), degrees=fam.degrees + (1,), group=fam.group
-    )
+    hand = InvariantFamily(polys=fam.polys + (stray,), group=fam.group)
     assert restrict_family(hand, toy_config()).selected == (0,)
     with pytest.raises(ValueError):
         restrict_family(hand, toy_config(), selection=(2,))
@@ -267,9 +266,7 @@ def test_surjectivity_holds_for_splits(key):
 def test_surjectivity_fails_for_quartic_only():
     # x^4 alone cannot produce the degree-2 invariant of the sign group
     rs = build_root_system("A", 1)
-    fam = InvariantFamily(
-        polys=(parse_polynomial("x1^4", ("x1",)),), degrees=(4,), group=rs
-    )
+    fam = InvariantFamily(polys=(parse_polynomial("x1^4", ("x1",)),), group=rs)
     report = surjectivity_check(fam, degree_bound=12)
     assert not report.ok
     assert report.failing_degree == 2
@@ -337,9 +334,7 @@ def _reference_family(name):
         return restrict_family(fam, toy_config(), selection=selection).restricted
     if name == "x1^4":
         return InvariantFamily(
-            polys=(parse_polynomial("x1^4", ("x1",)),),
-            degrees=(4,),
-            group=build_root_system("A", 1),
+            polys=(parse_polynomial("x1^4", ("x1",)),), group=build_root_system("A", 1)
         )
     key = (name[:-1], int(name[-1]))
     fam = invariant_family(build_root_system(*key))
@@ -432,42 +427,69 @@ def test_surjectivity_rejects_degree_bound_below_one(bound):
 def test_surjectivity_rejects_non_invariant_family():
     # x1^3 changes sign under the reflection of A1; no verdict on it is sound
     fam = InvariantFamily(
-        polys=(parse_polynomial("x1^3", ("x1",)),),
-        degrees=(3,),
-        group=build_root_system("A", 1),
+        polys=(parse_polynomial("x1^3", ("x1",)),), group=build_root_system("A", 1)
     )
     with pytest.raises(RestrictionError, match="not little-group invariant"):
         surjectivity_check(fam, degree_bound=12)
 
 
 def test_surjectivity_tests_invariance_unless_restrict_family_did(monkeypatch):
-    # restrict_family tests its restricted family and records that on it, so
-    # surjectivity_check does not test it again; a copy with a member
-    # swapped for a non-invariant one is tested, and rejected
-    calls = []
-    require = restrict._require_invariant
+    # restrict_family tests its restricted family once, and the family keeps
+    # the verdict, so surjectivity_check does not test it again; a copy with
+    # a member swapped for a non-invariant one is tested afresh, and rejected
+    changes = []
+    linear_change = Polynomial.linear_change
     monkeypatch.setattr(
-        restrict, "_require_invariant",
-        lambda polys, little: calls.append(polys) or require(polys, little),
+        Polynomial, "linear_change",
+        lambda p, *args: changes.append(p) or linear_change(p, *args),
     )
-    res = restrict_family(invariant_family(build_root_system("B", 2)), toy_config())
-    assert calls == [list(res.restricted.polys)]
+    fam = invariant_family(build_root_system("B", 2))
+    changes.clear()
+    res = restrict_family(fam, toy_config())
+    # one member adapted, and its restriction tested against the one simple
+    # reflection of A1
+    assert changes == [fam.polys[0], res.restricted.polys[0]]
+    assert res.restricted.invariant
     assert surjectivity_check(res.restricted).ok
-    assert len(calls) == 1
-    odd = dataclasses.replace(
-        res.restricted, polys=(parse_polynomial("x1^3", ("x1",)),), degrees=(3,)
-    )
+    assert len(changes) == 2
+    odd = dataclasses.replace(res.restricted, polys=(parse_polynomial("x1^3", ("x1",)),))
     with pytest.raises(RestrictionError, match="not little-group invariant"):
         surjectivity_check(odd)
-    assert len(calls) == 2
+    assert changes[2:] == list(odd.polys)
 
 
-def test_surjectivity_rejects_misstated_degree():
-    # listed as degree 2, x1^4 would fill the degree-2 count with a quartic
+def test_surjectivity_rejects_inhomogeneous_member():
+    # x1^4 + x1^2 is A1-invariant but has no degree, so the degree-k
+    # products it would enter are not defined
     fam = InvariantFamily(
-        polys=(parse_polynomial("x1^4", ("x1",)),),
-        degrees=(2,),
-        group=build_root_system("A", 1),
+        polys=(parse_polynomial("x1^4 + x1^2", ("x1",)),), group=build_root_system("A", 1)
     )
-    with pytest.raises(ValueError, match="not homogeneous of its listed degree"):
+    with pytest.raises(ValueError, match="family member 1 is not homogeneous"):
         surjectivity_check(fam, degree_bound=12)
+
+
+def test_family_without_a_group_has_degrees_but_no_invariance_verdict():
+    fam = InvariantFamily(polys=(parse_polynomial("x1^2", ("x1",)),), group=None)
+    assert fam.degrees == (2,)
+    with pytest.raises(ValueError, match="no root system attached"):
+        fam.invariant
+
+
+def test_invariance_is_proved_at_t_zero_only():
+    # B2 on the line through (1, 2), keeping the quartic: its restriction is
+    # fixed by the reflection x1 -> -x1 of A1, but the adapted member is not
+    # fixed by (t1, x1) -> (t1, -x1), so `invariant` says nothing off t = 0
+    cfg = parse_pair_config(
+        "ambient_type: B\nambient_rank: 2\nlittle_type: A\nlittle_rank: 1\nembedding: 1; 2\n"
+    )
+    res = restrict_family(invariant_family(build_root_system("B", 2)), cfg, selection=(1,))
+    (w,), (u,) = res.restricted.polys, res.adapted
+    assert w == parse_polynomial("1924*x1^4", ("x1",))
+    (s,) = simple_reflections(res.restricted.group)
+    assert w.linear_change(s) == w
+    assert res.restricted.invariant
+    assert u == parse_polynomial(
+        "1924*t1^4 - 672*t1^3*x1 + 3456*t1^2*x1^2 + 672*t1*x1^3 + 1924*x1^4", ("t1", "x1")
+    )
+    flip = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(-1)))
+    assert u.linear_change(flip) != u

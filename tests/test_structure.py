@@ -238,6 +238,43 @@ def test_exact_modules_make_no_floats():
         assert _float_calls(tree) == set(), name
 
 
+def _setattr_owners(tree):
+    """(class, method) for each object.__setattr__ call, inner defs named by
+    the method that holds them; (None, f) at module level."""
+
+    def walk(node, cls, method):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from walk(child, child.name, None)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from walk(child, cls, method or child.name)
+            else:
+                func = getattr(child, "func", None)
+                if (
+                    isinstance(func, ast.Attribute)
+                    and func.attr == "__setattr__"
+                    and getattr(func.value, "id", None) == "object"
+                ):
+                    yield cls, method
+                yield from walk(child, cls, method)
+
+    return walk(tree, None, None)
+
+
+def test_records_are_written_only_while_built():
+    # a frozen record is completed in its __post_init__ and Polynomial in its
+    # two constructors; a fact derived later is a cached_property
+    package = Path(chevfiber.__file__).parent
+    owners = {
+        (path.stem, cls, method)
+        for path in sorted(package.glob("*.py"))
+        for cls, method in _setattr_owners(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    allowed = {("polyring", "Polynomial", "__init__"), ("polyring", "Polynomial", "_trusted")}
+    assert {o for o in owners if o[2] != "__post_init__"} <= allowed
+    assert allowed <= owners
+
+
 def _uses(path):
     """(module, name) pairs for the functions one file can reach by name.
 
