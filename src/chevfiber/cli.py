@@ -352,11 +352,9 @@ def cmd_lambda(args) -> int:
         print("distinct orbit classes: UNKNOWN (no little group)")
     else:
         print(f"distinct orbit classes: {len(result.orbit_classes)}")
-    if result.count > 0:
-        print(f"lambda exists : PASS ({result.count} solutions)")
-        return 0
-    print("lambda exists : FAIL (empty fiber)")
-    return 2
+    # solve_fiber raises FiberSolveError rather than return an empty fiber
+    print(f"lambda exists : PASS ({result.count} solutions)")
+    return 0
 
 
 # one text line per record, with the flags as yes, no or ? (undefined)

@@ -9,11 +9,13 @@ g = conj(gamma) (f - a0), a0 = f(x0), on which f = (1 - tau) a0 + tau a (a
 parameter homotopy; Sommese and Wampler, 2005, ch. 7), closed under the
 simple reflections, gives it all.  restrict_family proves invariance at t = 0
 only; otherwise, or when a reflected point is no root, g = gamma kappa
-(x^m - c) and every root of x_i^{m_i} = c_i is tracked.  Each step predicts with RK4 and corrects with Newton, an
-update accepted within 1e-8 max(1, |x|); ds doubles with no cap short of
-s = 1 and halves on a failed correction, a path lost below 1e-7.  All paths
-move as one numpy batch, each with its own s and step, as each would alone;
-H, H_x and dH/ds are one power table and one product with [g | (f - a) - g].
+(x^m - c) and every root of x_i^{m_i} = c_i is tracked.  Each step predicts
+with RK4 and corrects with Newton, an update accepted within 1e-8 max(1, |x|);
+ds doubles with no cap short of s = 1 and halves on a failed correction, a
+path lost below 1e-7.  All paths move as one numpy batch, each with its own s
+and step, as each would alone; H, H_x and dH/ds are one power table and one
+product with [g | (f - a) - g], and each linear solve is one LAPACK call for
+the batch (numpy's gufunc `solve1`, called with no wrapper).
 
 A system whose equations are all homogeneous is solved at unit scale: with
 U_i(lam t, lam x) = lam^m_i U_i(t, x), the paths are tracked at zeta / lam
@@ -54,6 +56,7 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve1
 
 from ._common import (
     FiberSolveError,
@@ -252,8 +255,8 @@ class _Numeric:
         table = np.empty((len(X), self.r, self.depth), dtype=np.complex128)
         table[:, :, 0] = 1
         table[:, :, 1:] = X[:, :, None]
-        np.cumprod(table, axis=2, out=table)
-        mono = table.reshape(len(X), self.r * self.depth)[:, self.flat].prod(axis=2)
+        np.multiply.accumulate(table, axis=2, out=table)
+        mono = np.multiply.reduce(table.reshape(len(X), self.r * self.depth)[:, self.flat], axis=2)
         return mono, mono @ block
 
     def shifted(self, a: np.ndarray) -> np.ndarray:
@@ -287,21 +290,6 @@ class _Numeric:
 
 def _unit_circle(rng: np.random.Generator) -> complex:
     return complex(np.exp(2j * np.pi * rng.random()))
-
-
-def _solve_rows(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Solve A[p] y[p] = b[p] for every p; where A[p] is singular, y[p] is nan and p is listed
-    (the batched call raises, so the batch is then solved member by member)."""
-    try:
-        return np.linalg.solve(A, b[..., None])[..., 0], []
-    except np.linalg.LinAlgError:
-        y, singular = np.full_like(b, np.nan), []
-        for p in range(len(A)):
-            try:
-                y[p] = np.linalg.solve(A[p], b[p])
-            except np.linalg.LinAlgError:
-                singular.append(p)
-        return y, singular
 
 
 def _points(name: str, points, r: int) -> np.ndarray:
@@ -388,8 +376,12 @@ def _track_paths(
     residual is within `_Numeric.bound` (`_Numeric.accept`).  Returns the
     endpoints, the residuals |f_i(x) - a_i| (P, r) of each equation (inf on
     a lost path), and the mask of paths that reached the target within the
-    bound.  `solve_fiber` calls it at unit scale, and its np.errstate keeps a
-    row that overflows from warning: like a singular H_x's nan row, it fails as not finite.
+    bound.  Each RK4 stage and correction solves the whole batch by one call
+    of `solve1`, which returns nan for a row whose H_x is singular and raises
+    numpy's invalid flag.  `solve_fiber` calls it at unit scale, and its
+    np.errstate(over="ignore", invalid="ignore") is the caller's part: under
+    it neither that row nor one whose powers overflow warns, and both fail as
+    not finite.
     """
     x = starts.astype(np.complex128)
     s = np.zeros(len(x))
@@ -406,7 +398,7 @@ def _track_paths(
         xs, ss, slope = x0, s0, 0
         for weight, c in ((1, 0.5), (2, 0.5), (2, 1.0), (1, 0.0)):
             _, Hx, hs = homotopy(xs, ss)
-            k = _solve_rows(Hx, -hs)[0]
+            k = solve1(Hx, -hs)
             slope = slope + weight * k
             if c:
                 xs, ss = x0 + (c * step)[:, None] * k, s0 + c * step
@@ -419,7 +411,7 @@ def _track_paths(
         k = np.arange(len(idx))
         for it in range(1, 5):
             H, Hx, _ = homotopy(xn[k], s_next[k])
-            delta = _solve_rows(Hx, -H)[0]
+            delta = solve1(Hx, -H)
             xk = xn[k] + delta
             finite = np.isfinite(xk).all(axis=1)
             k, delta, xk = k[finite], delta[finite], xk[finite]
@@ -736,8 +728,10 @@ def local_inverse_psi(
     Newton stops at the first iterate within `_Numeric.bound`, the rule a
     fiber point meets.  Raises RamifiedPointError if the start sits on the
     ramification divisor, SingularJacobianError if the iteration hits a
-    numerically singular Jacobian, and NewtonDivergenceError if a step is
-    not finite or 30 steps do not converge.
+    Jacobian LAPACK finds singular (`solve1` raises numpy's invalid flag for
+    that alone, so each step runs under np.errstate(invalid="raise")), and
+    NewtonDivergenceError if a step is not finite or 30 steps do not
+    converge.
     """
     r = len(system.x_vars)
     x = _points("start", [start], r)
@@ -751,9 +745,11 @@ def local_inverse_psi(
         res = F - a
         if np.abs(res).max() <= num.bound(mono, a)[0]:
             return tuple(complex(z) for z in x[0])
-        delta, singular = _solve_rows(J, -res)
-        if singular:
-            raise SingularJacobianError("the Jacobian became singular")
+        try:
+            with np.errstate(invalid="raise"):
+                delta = solve1(J, -res)
+        except FloatingPointError:
+            raise SingularJacobianError("the Jacobian became singular") from None
         if not np.isfinite(delta).all():
             raise NewtonDivergenceError("iterates left the finite plane")
         x += delta

@@ -688,6 +688,19 @@ def test_a3_fiber_is_complete_or_an_error(draw):
     assert np.abs(np.array(out.solutions) - x0).max(axis=1).min() < 1e-6
 
 
+def test_fiber_solve_bypasses_the_numpy_solve_wrapper(monkeypatch):
+    # every linear solve of the tracker is one call of the LAPACK gufunc; the
+    # np.linalg.solve wrapper costs several times the solve on a batch of one
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.solve was called")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    x0 = _a3_draw(0)
+    out = solve_fiber(_a3_system_at(x0), seed=0)
+    assert out.count == 24
+    assert np.abs(np.array(out.solutions) - x0).max(axis=1).min() < 1e-6
+
+
 @pytest.mark.parametrize("draw", range(3))
 def test_a3_fiber_takes_few_homotopy_evaluations(draw, monkeypatch):
     # the tracker evaluates its homotopy kernel once per RK4 stage and once

@@ -6,9 +6,10 @@ within 1e-8 max(1, |x|), and ds doubled with no cap short of the path's
 end) one path at a time, evaluating each equation and each Jacobian entry
 on its own.
 Batched BLAS sums in another order, so the two agree to a tolerance, not bit
-for bit.  A d = 1 fiber is solved by one path and its orbit closure, which
-the oracle checks against all total-degree paths of the same system.  A sweep
-over scales checks the count law from lam = 1e-6 to 1e6.
+for bit; the batched LAPACK solve the tracker calls is np.linalg.solve's
+own, bit for bit.  A d = 1 fiber is solved by one path and its orbit
+closure, which the oracle checks against all total-degree paths of the same
+system.  A sweep over scales checks the count law from lam = 1e-6 to 1e6.
 """
 
 from __future__ import annotations
@@ -264,6 +265,40 @@ def test_homotopy_kernel_matches_per_entry_reference(name):
             )
             for got, want in expected:
                 assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max()), (p, want)
+
+
+def _complex_batch(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("P", [1, 7, 64])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_batched_solve_is_numpys_solve_bit_for_bit(P, r):
+    # the tracker calls the LAPACK gufunc behind np.linalg.solve directly
+    rng = np.random.default_rng(100 * P + r)
+    A, b = _complex_batch(rng, (P, r, r)), _complex_batch(rng, (P, r))
+    assert np.array_equal(fiber.solve1(A, b), np.linalg.solve(A, b[..., None])[..., 0])
+
+
+def test_batched_solve_gives_singular_rows_nan():
+    # a zero matrix and one with a repeated row are exactly singular; the
+    # other rows keep np.linalg.solve's answer, and only a singular row
+    # raises numpy's invalid flag, which local_inverse_psi turns into an error
+    rng = np.random.default_rng(5)
+    A, b = _complex_batch(rng, (7, 3, 3)), _complex_batch(rng, (7, 3))
+    A[1] = 0
+    A[4, 2] = A[4, 0]
+    singular = np.isin(np.arange(7), [1, 4])
+    with np.errstate(invalid="ignore"):
+        y = fiber.solve1(A, b)
+    assert np.isnan(y[singular]).all()
+    assert np.isfinite(y[~singular]).all()
+    want = np.linalg.solve(A[~singular], b[~singular][..., None])[..., 0]
+    assert np.array_equal(y[~singular], want)
+    with np.errstate(invalid="raise"):
+        with pytest.raises(FloatingPointError):
+            fiber.solve1(A, b)
+        assert np.array_equal(fiber.solve1(A[~singular], b[~singular]), want)
 
 
 @pytest.mark.parametrize("name", ["B2", "A3"])
