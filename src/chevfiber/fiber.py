@@ -10,12 +10,11 @@ parameter homotopy; Sommese and Wampler, 2005, ch. 7), closed under the
 simple reflections, gives it all.  restrict_family proves invariance at t = 0
 only; otherwise, or when a reflected point is no root, g = gamma kappa
 (x^m - c) and every root of x_i^{m_i} = c_i is tracked.  Each step predicts
-with RK4 and corrects with Newton, an update accepted within 1e-8 max(1, |x|);
-ds doubles with no cap short of s = 1 and halves on a failed correction, a
-path lost below 1e-7.  All paths move as one numpy batch, each with its own s
-and step, as each would alone; H, H_x and dH/ds are one power table and one
-product with [g | (f - a) - g], and each linear solve is one LAPACK call for
-the batch (numpy's gufunc `solve1`, called with no wrapper).
+with RK4, its first stage the tangent at the last correction, and corrects
+with Newton; ds doubles with no cap short of s = 1 (`_track_paths`).  All
+paths move as one numpy batch, each with its own s and step, as each would
+alone; H, H_x and dH/ds are one power table and one product with
+[g | (f - a) - g], and each linear solve is one LAPACK call for the batch.
 
 A system whose equations are all homogeneous is solved at unit scale: with
 U_i(lam t, lam x) = lam^m_i U_i(t, x), the paths are tracked at zeta / lam
@@ -371,68 +370,63 @@ def _track_paths(
     would take alone: an RK4 predictor, at most 4 Newton corrections, each
     step accepted once its update is within 1e-8 max(1, |x|), ds doubled
     after a correction in at most 2 iterations and halved after a failed
-    one, the path lost below ds = 1e-7.  A step never passes s = 1, and no
-    Newton runs after it: an endpoint is accepted as it stands when its
-    residual is within `_Numeric.bound` (`_Numeric.accept`).  Returns the
+    one, the path lost below ds = 1e-7.  The first RK4 stage is the tangent
+    H_x^-1 dH/ds, solved for all starts at once, then from the H_x and dH/ds
+    of each accepted step's last correction, within 1e-8 max(1, |x|) of the
+    point: 3 kernel calls a step, 1 a correction.  A step never passes s = 1,
+    and no Newton runs after it: an endpoint is accepted as it stands when
+    its residual is within `_Numeric.bound` (`_Numeric.accept`).  Returns the
     endpoints, the residuals |f_i(x) - a_i| (P, r) of each equation (inf on
     a lost path), and the mask of paths that reached the target within the
-    bound.  Each RK4 stage and correction solves the whole batch by one call
-    of `solve1`, which returns nan for a row whose H_x is singular and raises
-    numpy's invalid flag.  `solve_fiber` calls it at unit scale, and its
-    np.errstate(over="ignore", invalid="ignore") is the caller's part: under
-    it neither that row nor one whose powers overflow warns, and both fail as
-    not finite.
+    bound.  Each linear solve is one `solve1` call for the batch, nan for a
+    row whose H_x is singular.  `solve_fiber` calls it at unit scale under
+    np.errstate(over="ignore", invalid="ignore"), so neither that row nor one
+    whose powers overflow warns, and both fail as not finite.
     """
     x = starts.astype(np.complex128)
-    s = np.zeros(len(x))
-    ds = np.full(len(x), 0.05)
-    lost = np.zeros(len(x), dtype=bool)
-    while True:
-        idx = np.flatnonzero(~lost & (s < 1.0))
-        if not idx.size:
-            break
-        step = np.minimum(ds[idx], 1.0 - s[idx])
-        # classical RK4 on dx/ds = -Hx^-1 dH/ds, each stage at x0 + c step k of the
-        # last; a row whose prediction is not finite is predicted at x itself
-        x0, s0 = x[idx], s[idx]
-        xs, ss, slope = x0, s0, 0
-        for weight, c in ((1, 0.5), (2, 0.5), (2, 1.0), (1, 0.0)):
-            _, Hx, hs = homotopy(xs, ss)
-            k = solve1(Hx, -hs)
-            slope = slope + weight * k
-            if c:
-                xs, ss = x0 + (c * step)[:, None] * k, s0 + c * step
-        xn = x0 + (step / 6)[:, None] * slope
-        bad = ~np.isfinite(xn).all(axis=1)
-        xn[bad] = x0[bad]
-        s_next = s0 + step
-        # the corrections (at most 4) each row converged in, 5 where it did not
-        took = np.full(len(idx), 5)
-        k = np.arange(len(idx))
-        for it in range(1, 5):
-            H, Hx, _ = homotopy(xn[k], s_next[k])
-            delta = solve1(Hx, -H)
-            xk = xn[k] + delta
-            finite = np.isfinite(xk).all(axis=1)
-            k, delta, xk = k[finite], delta[finite], xk[finite]
-            xn[k] = xk
-            done = np.abs(delta).max(axis=1) <= 1e-8 * np.maximum(1.0, np.abs(xk).max(axis=1))
-            took[k[done]] = it
-            k = k[~done]
-            if not k.size:
+    end, lost = np.empty_like(x), np.zeros(len(x), dtype=bool)
+    # the moving paths: their rows of `starts`, s, ds and tangent H_x^-1 dH/ds = -dx/ds
+    idx, s, ds = np.arange(len(x)), np.zeros(len(x)), np.full(len(x), 0.05)
+    tangent = solve1(*homotopy(x, s)[1:])
+    while idx.size:
+        step = np.minimum(ds, 1.0 - s)
+        half, s_next = step / 2, s + step
+        s_half = s + half
+        # RK4 on dx/ds = -tangent; a row whose prediction is not finite stays at x
+        k2 = solve1(*homotopy(x - half[:, None] * tangent, s_half)[1:])
+        k3 = solve1(*homotopy(x - half[:, None] * k2, s_half)[1:])
+        k4 = solve1(*homotopy(x - step[:, None] * k3, s_next)[1:])
+        xn = x - (step / 6)[:, None] * (tangent + 2 * k2 + 2 * k3 + k4)
+        xn = np.where(np.logical_and.reduce(np.isfinite(xn), axis=1)[:, None], xn, x)
+        # each row's ds factor, 1/2 unless a correction converges
+        grow = np.full(len(idx), 0.5)
+        rows, xk, sk = np.arange(len(idx)), xn, s_next
+        for factor in (2.0, 2.0, 1.0, 1.0):
+            H, Hx, hs = homotopy(xk, sk)
+            delta = solve1(Hx, H)
+            xk = xk - delta
+            finite = np.logical_and.reduce(np.isfinite(xk), axis=1)
+            if not np.logical_and.reduce(finite):
+                rows, sk, delta, xk, Hx, hs = (v[finite] for v in (rows, sk, delta, xk, Hx, hs))
+            size = np.maximum(1.0, np.maximum.reduce(abs(xk), 1))
+            done = np.maximum.reduce(abs(delta), 1) <= 1e-8 * size
+            if np.logical_and.reduce(done):
+                xn[rows], grow[rows], tangent[rows] = xk, factor, solve1(Hx, hs)
                 break
-        converged = took <= 4
-        moved = idx[converged]
-        x[moved] = xn[converged]
-        s[moved] = s_next[converged]
-        ds[idx[took <= 2]] *= 2
-        shrink = idx[~converged]
-        ds[shrink] /= 2
-        lost[shrink[ds[shrink] < 1e-7]] = True
+            if np.logical_or.reduce(done):
+                xn[rows[done]], grow[rows[done]] = xk[done], factor
+                tangent[rows[done]] = solve1(Hx[done], hs[done])
+                rows, xk, sk = rows[~done], xk[~done], sk[~done]
+        moved = grow > 0.5
+        x, s, ds = np.where(moved[:, None], xn, x), np.where(moved, s_next, s), ds * grow
+        keep = (s < 1.0) & (ds >= 1e-7)
+        if not np.logical_and.reduce(keep):
+            end[idx[~keep]], lost[idx[~keep]] = x[~keep], ds[~keep] < 1e-7
+            idx, x, s, ds, tangent = (v[keep] for v in (idx, x, s, ds, tangent))
     ok = ~lost
-    residual = np.full(x.shape, np.inf)
-    residual[ok], ok[ok] = num.accept(x[ok], a)
-    return x, residual, ok
+    residual = np.full(end.shape, np.inf)
+    residual[ok], ok[ok] = num.accept(end[ok], a)
+    return end, residual, ok
 
 
 @dataclass(frozen=True)
@@ -530,10 +524,11 @@ def _orbit(num: _Numeric, a: np.ndarray, little: RootSystem, order: int, rng: np
     is not W-invariant, and the attempt finds None and no failure.
     """
     x0, gamma = rng.standard_normal(num.r) + 1j * rng.standard_normal(num.r), _unit_circle(rng)
-    a0 = num(x0[None])[0][0]
+    f = num.C[:, : num.r]
+    a0 = num.evaluate(x0[None], f)[1][0]
     logs = [math.log(abs(ai) / abs(bi)) / m for ai, bi, m in zip(a, a0, num.degrees) if ai and bi]
     x0 *= math.exp(sum(logs) / len(logs)) if logs else 1.0
-    a0 = num(x0[None])[0][0]
+    a0 = num.evaluate(x0[None], f)[1][0]
     kernel = _homotopy(num, a, np.conj(gamma) * num.shifted(a0))
     x, _, ok = _track_paths(num, a, kernel, x0[None])
     if not ok[0]:

@@ -373,6 +373,54 @@ def test_batched_tracker_matches_scalar_oracle(name, monkeypatch):
         assert sorted(map(len, batched.orbit_classes)) == [order] * system.d
 
 
+@pytest.mark.parametrize("draw", [0, 1])
+def test_orbit_path_takes_three_stage_rows_a_step(draw, monkeypatch):
+    # the C2 orbit path of these draws rejects 1 and 5 steps.  Its kernel rows
+    # are one at s = 0 for the first tangent, then per attempted step from s
+    # 3 RK4 stages, at s + step / 2 twice and at s + step, and 1 per
+    # correction at s + step.  The point a step starts from is never
+    # evaluated again: an accepted step takes its tangent from its last
+    # correction, and a rejected one keeps the tangent it had
+    res = _restriction("C2")
+    rng = np.random.default_rng(draw)
+    zeta = _complex_normal(rng, len(res.t_vars))
+    x0 = _complex_normal(rng, len(res.x_vars))
+    system = DeformedSystem.from_restriction(
+        res, zeta, tuple(p.eval(list(zeta + x0)) for p in res.adapted)
+    )
+    calls = []
+    homotopy = fiber._homotopy
+
+    def counted(*args):
+        kernel = homotopy(*args)
+
+        def evaluate(X, s):
+            calls.append((len(X), float(s[0])))
+            return kernel(X, s)
+
+        return evaluate
+
+    monkeypatch.setattr(fiber, "_homotopy", counted)
+    assert solve_fiber(system, seed=int(rng.integers(2**31))).path_stats["tracked"] == 1
+    rows, at = zip(*calls)
+    assert set(rows) == {1} and at[0] == 0.0
+    s, i, rejected = 0.0, 1, 0
+    while i < len(at):
+        half, again, end = at[i : i + 3]
+        assert half == again and s < half < end
+        assert abs(2 * (half - s) - (end - s)) <= 1e-15
+        n = next((j for j in range(i + 3, len(at)) if at[j] != end), len(at)) - i - 3
+        assert 1 <= n <= 4
+        i += 3 + n
+        # the next step's half stage lies past `end` once this step is accepted
+        if i < len(at) and at[i] < end:
+            rejected += 1
+        else:
+            s = end
+    assert s == 1.0
+    assert rejected == (1, 5)[draw]
+
+
 @pytest.mark.parametrize(
     "name", ["toy", "quartic", "A2", "B2", "C2", "BC2", "G2", "A3", "B3", "C3"]
 )
