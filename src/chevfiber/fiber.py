@@ -11,10 +11,11 @@ simple reflections, gives it all.  restrict_family proves invariance at t = 0
 only; otherwise, or when a reflected point is no root, g = gamma kappa
 (x^m - c) and every root of x_i^{m_i} = c_i is tracked.  Each step predicts
 with RK4, its first stage the tangent at the last correction, and corrects
-with Newton; ds doubles with no cap short of s = 1 (`_track_paths`).  All
-paths move as one numpy batch, each with its own s and step, as each would
-alone; H, H_x and dH/ds are one power table and one product with
-[g | (f - a) - g], and each linear solve is one LAPACK call for the batch.
+with Newton to an update within 1e-8 max(1, |x|), or, before s = 1, to one
+whose contraction bounds the next within that; ds doubles with no cap short
+of s = 1 (`_track_paths`).  All paths move as one numpy batch, each with its
+own s and step, as each would alone; H, H_x and dH/ds are one power table and
+one product with [g | (f - a) - g], and each linear solve is one LAPACK call.
 
 A system whose equations are all homogeneous is solved at unit scale: with
 U_i(lam t, lam x) = lam^m_i U_i(t, x), the paths are tracked at zeta / lam
@@ -241,18 +242,22 @@ class _Numeric:
         self.depth = int(M.max()) + 1
         self.flat = np.arange(r) * self.depth + M
         self.C = np.zeros((len(column), r + r * r), dtype=np.complex128)
-        for row, col, z in terms:
-            self.C[row, col] = z
+        rows, cols, zs = zip(*terms)
+        self.C[rows, cols] = zs
         self.abs_f = np.abs(self.C[:, :r])
         self.poly_scale = np.array(scales)
         self.coeff_scale = float(np.max(self.poly_scale))
+        self.table = np.empty((0, r, self.depth), dtype=np.complex128)
 
     def evaluate(self, X: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The monomials (P, columns) at the points X (P, r), by one power table and one gather,
-        and their product with `block`.  A power that overflows gives a row of inf or nan, which
-        the tracker and `accept` reject, and the caller's np.errstate keeps it from warning."""
-        table = np.empty((len(X), self.r, self.depth), dtype=np.complex128)
-        table[:, :, 0] = 1
+        """The monomials (P, columns) at the points X (P, r), by one power table (its first P
+        rows, kept for the largest batch yet) and one gather, and their product with `block`.  A
+        power that overflows gives a row of inf or nan, which the tracker and `accept` reject, and
+        the caller's np.errstate keeps it from warning."""
+        if len(self.table) < len(X):
+            self.table = np.empty((len(X), self.r, self.depth), dtype=np.complex128)
+            self.table[:, :, 0] = 1
+        table = self.table[: len(X)]
         table[:, :, 1:] = X[:, :, None]
         np.multiply.accumulate(table, axis=2, out=table)
         mono = np.multiply.reduce(table.reshape(len(X), self.r * self.depth)[:, self.flat], axis=2)
@@ -264,13 +269,10 @@ class _Numeric:
         K[self.one, : self.r] -= a
         return K
 
-    def split(self, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The blocks (P, r) and (P, r, r) of a product with C."""
-        return Y[:, : self.r], Y[:, self.r :].reshape(len(Y), self.r, self.r)
-
     def __call__(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """f (P, r) and the Jacobian (P, r, r) at the points X (P, r)."""
-        return self.split(self.evaluate(X, self.C)[1])
+        Y = self.evaluate(X, self.C)[1]
+        return Y[:, : self.r], Y[:, self.r :].reshape(len(X), self.r, self.r)
 
     def bound(self, mono: np.ndarray, a: np.ndarray) -> np.ndarray:
         """(P,) the residual |f - a| an accepted point may have: 1e-12 max(1, |a|, term size),
@@ -350,13 +352,13 @@ def _homotopy(num: _Numeric, a: np.ndarray, start: np.ndarray):
     built once and Y = mono K = [Y_g | Y_d], (H, H_x) = Y_g + s Y_d and
     dH/ds is Y_d's first r columns: a batch is one power table and product.
     """
-    width = num.r + num.r * num.r
+    r, width = num.r, num.r + num.r * num.r
     K = np.hstack([start, num.shifted(a) - start])
 
     def kernel(X: np.ndarray, s: np.ndarray):
         Y = num.evaluate(X, K)[1]
-        H, Hx = num.split(Y[:, :width] + s[:, None] * Y[:, width:])
-        return H, Hx, Y[:, width : width + num.r]
+        HH = Y[:, :width] + s[:, None] * Y[:, width:]
+        return HH[:, :r], HH[:, r:].reshape(len(X), r, r), Y[:, width : width + r]
 
     return kernel
 
@@ -368,20 +370,23 @@ def _track_paths(
 
     Every path keeps its own s, step ds and fate, and takes the steps it
     would take alone: an RK4 predictor, at most 4 Newton corrections, each
-    step accepted once its update is within 1e-8 max(1, |x|), ds doubled
-    after a correction in at most 2 iterations and halved after a failed
-    one, the path lost below ds = 1e-7.  The first RK4 stage is the tangent
-    H_x^-1 dH/ds, solved for all starts at once, then from the H_x and dH/ds
-    of each accepted step's last correction, within 1e-8 max(1, |x|) of the
-    point: 3 kernel calls a step, 1 a correction.  A step never passes s = 1,
-    and no Newton runs after it: an endpoint is accepted as it stands when
-    its residual is within `_Numeric.bound` (`_Numeric.accept`).  Returns the
+    step accepted once its update d_k is within tol = 1e-8 max(1, |x|), ds
+    doubled after a correction in at most 2 iterations and halved after a
+    failed one, the path lost below ds = 1e-7.  Before s = 1 a 2nd or 3rd
+    update is also accepted, keeping ds, once the contraction rate bounds
+    the next one within tol: max|d_k|^2 <= tol max|d_k-1| (Timme,
+    arXiv:1902.02968).  The first RK4 stage is the tangent H_x^-1 dH/ds,
+    solved for all starts at once, then from the H_x and dH/ds of each
+    accepted step's last correction, taken one update before the accepted
+    point: 3 kernel calls a step, 1 a correction.  A step never passes s = 1, and no
+    Newton runs after it: an endpoint is accepted as it stands when its
+    residual is within `_Numeric.bound` (`_Numeric.accept`).  Returns the
     endpoints, the residuals |f_i(x) - a_i| (P, r) of each equation (inf on
     a lost path), and the mask of paths that reached the target within the
     bound.  Each linear solve is one `solve1` call for the batch, nan for a
     row whose H_x is singular.  `solve_fiber` calls it at unit scale under
     np.errstate(over="ignore", invalid="ignore"), so neither that row nor one
-    whose powers overflow warns, and both fail as not finite.
+    whose powers overflow warns; a nan row passes neither test, so its step fails.
     """
     x = starts.astype(np.complex128)
     end, lost = np.empty_like(x), np.zeros(len(x), dtype=bool)
@@ -398,25 +403,27 @@ def _track_paths(
         k4 = solve1(*homotopy(x - step[:, None] * k3, s_next)[1:])
         xn = x - (step / 6)[:, None] * (tangent + 2 * k2 + 2 * k3 + k4)
         xn = np.where(np.logical_and.reduce(np.isfinite(xn), axis=1)[:, None], xn, x)
-        # each row's ds factor, 1/2 unless a correction converges
-        grow = np.full(len(idx), 0.5)
-        rows, xk, sk = np.arange(len(idx)), xn, s_next
-        for factor in (2.0, 2.0, 1.0, 1.0):
+        # each row's ds factor, 1/2 unless a correction converges; a nan row never does
+        grow, rows, xk, sk = np.full(len(idx), 0.5), np.arange(len(idx)), xn, s_next
+        for k, factor in enumerate((2.0, 2.0, 1.0, 1.0)):
             H, Hx, hs = homotopy(xk, sk)
             delta = solve1(Hx, H)
             xk = xk - delta
-            finite = np.logical_and.reduce(np.isfinite(xk), axis=1)
-            if not np.logical_and.reduce(finite):
-                rows, sk, delta, xk, Hx, hs = (v[finite] for v in (rows, sk, delta, xk, Hx, hs))
-            size = np.maximum(1.0, np.maximum.reduce(abs(xk), 1))
-            done = np.maximum.reduce(abs(delta), 1) <= 1e-8 * size
-            if np.logical_and.reduce(done):
+            tol = 1e-8 * np.maximum(1.0, np.maximum.reduce(abs(xk), 1))
+            norm = np.maximum.reduce(abs(delta), 1)
+            done = accept = norm <= tol
+            if (k == 1 or k == 2) and not np.logical_and.reduce(done):
+                # contraction bounds the next update within tol: accept it, and keep ds
+                accept = done | ((norm * norm <= tol * last) & (sk < 1.0))
+                factor = np.where(done, factor, 1.0)
+            if np.logical_and.reduce(accept):
                 xn[rows], grow[rows], tangent[rows] = xk, factor, solve1(Hx, hs)
                 break
-            if np.logical_or.reduce(done):
-                xn[rows[done]], grow[rows[done]] = xk[done], factor
-                tangent[rows[done]] = solve1(Hx[done], hs[done])
-                rows, xk, sk = rows[~done], xk[~done], sk[~done]
+            if np.logical_or.reduce(accept):
+                xn[rows[accept]], grow[rows[accept]] = xk[accept], np.where(done, factor, 1.0)[accept]
+                tangent[rows[accept]] = solve1(Hx[accept], hs[accept])
+                rows, xk, sk, norm = rows[~accept], xk[~accept], sk[~accept], norm[~accept]
+            last = norm
         moved = grow > 0.5
         x, s, ds = np.where(moved[:, None], xn, x), np.where(moved, s_next, s), ds * grow
         keep = (s < 1.0) & (ds >= 1e-7)
@@ -568,11 +575,11 @@ def solve_fiber(system: DeformedSystem, seed: int = 0) -> FiberResult:
     # Distinct points differ by at least the merge radius, so keys on a grid
     # 1024 times finer still tell them apart, while float noise in a shared
     # coordinate can no longer decide the order.
-    keys = np.round(np.stack([X.real, X.imag], axis=2) / (_CLUSTER_RADIUS / 1024))
-    order = sorted(range(len(X)), key=lambda i: tuple(keys[i].ravel()))
-    solutions = tuple(tuple(complex(z) for z in lam * X[i]) for i in order)
+    keys = np.round(X.view(np.float64) / (_CLUSTER_RADIUS / 1024))
+    order = np.lexsort(keys.T[::-1])
+    solutions = tuple(map(tuple, (lam * X[order]).tolist()))
     # equation i's residual grows by lam^m_i on the way back to the caller's frame
-    residuals = tuple(float(r) for r in (residual[order] * powers).max(axis=1))
+    residuals = tuple((residual[order] * powers).max(axis=1).tolist())
 
     orbit_classes = None
     if found:
@@ -599,7 +606,7 @@ def _orbit_points(x: np.ndarray, little: RootSystem, order: int) -> np.ndarray:
     side = np.array(simple_reflections(little), dtype=float).transpose(2, 0, 1).reshape(len(x), -1)
     X, images, seen = np.empty((0, len(x)), dtype=np.complex128), x[None], set()
     while len(images) and len(X) <= order:
-        cells = np.round(np.hstack([images.real, images.imag]) / (_CLUSTER_RADIUS / 1024))
+        cells = np.round(images.view(np.float64) / (_CLUSTER_RADIUS / 1024))
         new = images[[c not in seen and not seen.add(c) for c in map(tuple, cells.tolist())]]
         X = np.concatenate([X, new])
         images = (new @ side).reshape(-1, len(x))
@@ -736,13 +743,12 @@ def local_inverse_psi(
         raise RamifiedPointError("start point lies on the ramification divisor")
     for _ in range(_NEWTON_STEPS):
         mono, Y = num.evaluate(x, num.C)
-        F, J = num.split(Y)
-        res = F - a
+        res = Y[:, :r] - a
         if np.abs(res).max() <= num.bound(mono, a)[0]:
             return tuple(complex(z) for z in x[0])
         try:
             with np.errstate(invalid="raise"):
-                delta = solve1(J, -res)
+                delta = solve1(Y[:, r:].reshape(1, r, r), -res)
         except FloatingPointError:
             raise SingularJacobianError("the Jacobian became singular") from None
         if not np.isfinite(delta).all():

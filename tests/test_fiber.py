@@ -262,7 +262,8 @@ def _split(kind, rank):
 @pytest.mark.parametrize("draw", range(3))
 @pytest.mark.parametrize("kind, rank", [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3)])
 def test_fiber_bytes_do_not_depend_on_term_order(kind, rank, draw):
-    # the same system with every equation's terms stored in reverse order
+    # the same system with every equation's terms stored in reverse order;
+    # at seed = draw the orbit path starts at x0 itself, at draw + 100 it moves
     res = _split(kind, rank)
     rng = np.random.default_rng(draw)
     x0 = rng.standard_normal(rank) + 1j * rng.standard_normal(rank)
@@ -272,7 +273,8 @@ def test_fiber_bytes_do_not_depend_on_term_order(kind, rank, draw):
     ))
     assert flipped.polys == system.polys
     assert [list(p.terms) for p in flipped.polys] != [list(p.terms) for p in system.polys]
-    assert solve_fiber(flipped, seed=draw).to_json() == solve_fiber(system, seed=draw).to_json()
+    for seed in (draw, draw + 100):
+        assert solve_fiber(flipped, seed=seed).to_json() == solve_fiber(system, seed=seed).to_json()
 
 
 def test_json_differs_for_different_seed_only_in_stats():
@@ -679,13 +681,15 @@ def test_spoiled_orbit_closure_on_every_attempt_raises(monkeypatch, spoil, failu
 @pytest.mark.parametrize("draw", range(12))
 def test_a3_fiber_is_complete_or_an_error(draw):
     # a lost path is never accepted, and every one of these draws is solved
-    # completely on its first attempt, the pushed-forward point among them
+    # completely on its first attempt, the pushed-forward point among them,
+    # from a path that starts at x0 (seed = draw) and from one that moves
     x0 = _a3_draw(draw)
     system = _a3_system_at(x0)
-    out = solve_fiber(system, seed=draw)
-    assert out.count == system.expected_count() == 24
-    assert out.path_stats == {"tracked": 1, "failed": 0, "merged": 0}
-    assert np.abs(np.array(out.solutions) - x0).max(axis=1).min() < 1e-6
+    for seed in (draw, draw + 100):
+        out = solve_fiber(system, seed=seed)
+        assert out.count == system.expected_count() == 24
+        assert out.path_stats == {"tracked": 1, "failed": 0, "merged": 0}
+        assert np.abs(np.array(out.solutions) - x0).max(axis=1).min() < 1e-6
 
 
 def test_fiber_solve_bypasses_the_numpy_solve_wrapper(monkeypatch):
@@ -701,15 +705,8 @@ def test_fiber_solve_bypasses_the_numpy_solve_wrapper(monkeypatch):
     assert np.abs(np.array(out.solutions) - x0).max(axis=1).min() < 1e-6
 
 
-@pytest.mark.parametrize("draw", range(3))
-def test_a3_fiber_takes_few_homotopy_evaluations(draw, monkeypatch):
-    # the tracker evaluates its homotopy kernel once for the first tangent,
-    # then 3 times per RK4 step (the first stage reuses the tangent of the
-    # last correction) and once per correction.  The one orbit path takes
-    # 21 calls of one row here, 25 with a fresh first stage each step;
-    # the 24 total-degree paths took 223, 249 and 189 with the 1e-8
-    # corrector and no cap on ds, 262, 306 and 265 with a 1e-10 corrector
-    # and ds capped at 0.1, and over 1100 with an Euler predictor
+def _counted_kernel_calls(monkeypatch) -> list[int]:
+    """The row count of every homotopy kernel call the solves after this make."""
     calls = []
     homotopy = fiber._homotopy
 
@@ -723,10 +720,41 @@ def test_a3_fiber_takes_few_homotopy_evaluations(draw, monkeypatch):
         return evaluate
 
     monkeypatch.setattr(fiber, "_homotopy", counted)
+    return calls
+
+
+@pytest.mark.parametrize("draw", range(3))
+def test_a3_fiber_takes_few_homotopy_evaluations(draw, monkeypatch):
+    # the tracker evaluates its homotopy kernel once for the first tangent,
+    # then 3 times per RK4 step (the first stage reuses the tangent of the
+    # last correction) and once per correction.  The one orbit path takes
+    # 21 calls of one row here, 25 with a fresh first stage each step; at
+    # seed = draw it starts at x0 itself and only runs the ds schedule
+    # (test_a3_moving_path_takes_few_homotopy_evaluations moves);
+    # the 24 total-degree paths took 223, 249 and 189 with the 1e-8
+    # corrector and no cap on ds, 262, 306 and 265 with a 1e-10 corrector
+    # and ds capped at 0.1, and over 1100 with an Euler predictor
+    calls = _counted_kernel_calls(monkeypatch)
     out = solve_fiber(_a3_pushed_forward(draw), seed=draw)
     assert out.count == 24
     assert calls == [1] * len(calls)
     assert len(calls) <= 21
+
+
+@pytest.mark.parametrize("draw", range(3))
+def test_a3_moving_path_takes_few_homotopy_evaluations(draw, monkeypatch):
+    # seed = draw + 100 draws a start off the fiber, so the orbit path moves.
+    # The bounds are the counts of the corrector that stopped only once an
+    # update was within 1e-8 max(1, |x|); stopping on contraction as well
+    # takes 40, 56 and 108
+    calls = _counted_kernel_calls(monkeypatch)
+    x0 = _a3_draw(draw)
+    out = solve_fiber(_a3_system_at(x0), seed=draw + 100)
+    assert out.count == 24
+    assert out.path_stats == {"tracked": 1, "failed": 0, "merged": 0}
+    assert np.abs(np.array(out.solutions) - x0).max(axis=1).min() < 1e-6
+    assert calls == [1] * len(calls)
+    assert len(calls) <= (43, 61, 111)[draw]
 
 
 @pytest.mark.parametrize("draw", range(3))
@@ -736,13 +764,14 @@ def test_d4_split_fiber_is_one_orbit_from_one_path(draw):
     rng = np.random.default_rng(draw)
     x0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     system = DeformedSystem.from_restriction(res, (), [p.eval(list(x0)) for p in res.adapted])
-    start = time.perf_counter()
-    out = solve_fiber(system, seed=draw)
-    assert time.perf_counter() - start < 1.0
-    assert out.count == system.expected_count() == 192
-    assert out.orbit_classes == (tuple(range(192)),)
-    assert out.path_stats["tracked"] == 1
-    assert np.abs(np.array(out.solutions) - x0).max(axis=1).min() < 1e-6
+    for seed in (draw, draw + 100):
+        start = time.perf_counter()
+        out = solve_fiber(system, seed=seed)
+        assert time.perf_counter() - start < 1.0
+        assert out.count == system.expected_count() == 192
+        assert out.orbit_classes == (tuple(range(192)),)
+        assert out.path_stats["tracked"] == 1
+        assert np.abs(np.array(out.solutions) - x0).max(axis=1).min() < 1e-6
 
 
 @functools.cache
@@ -767,11 +796,12 @@ def test_f4_split_fiber_is_one_orbit_from_one_path(draw):
     rng = np.random.default_rng(draw)
     x0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     system = DeformedSystem.from_restriction(res, (), [p.eval(list(x0)) for p in res.adapted])
-    out = solve_fiber(system, seed=draw)
-    assert out.count == system.expected_count() == 1152
-    assert out.orbit_classes == (tuple(range(1152)),)
-    assert out.path_stats["tracked"] == 1
-    assert np.abs(np.array(out.solutions) - x0).max(axis=1).min() < 1e-6
+    for seed in (draw, draw + 100):
+        out = solve_fiber(system, seed=seed)
+        assert out.count == system.expected_count() == 1152
+        assert out.orbit_classes == (tuple(range(1152)),)
+        assert out.path_stats["tracked"] == 1
+        assert np.abs(np.array(out.solutions) - x0).max(axis=1).min() < 1e-6
 
 
 @pytest.mark.parametrize("draw", [0, 1, 7])

@@ -2,9 +2,10 @@
 
 `_track_one` below is a scalar path tracker that takes the batched
 tracker's steps (an RK4 predictor, a corrector that accepts an update
-within 1e-8 max(1, |x|), and ds doubled with no cap short of the path's
-end) one path at a time, evaluating each equation and each Jacobian entry
-on its own.
+within 1e-8 max(1, |x|), or before s = 1 a 2nd or 3rd update that
+contraction bounds, and ds doubled with no cap short of the path's end)
+one path at a time, evaluating each equation and each Jacobian entry on
+its own.
 Batched BLAS sums in another order, so the two agree to a tolerance, not bit
 for bit; the batched LAPACK solve the tracker calls is np.linalg.solve's
 own, bit for bit.  A d = 1 fiber is solved by one path and its orbit
@@ -14,6 +15,7 @@ system.  A sweep over scales checks the count law from lam = 1e-6 to 1e6.
 
 from __future__ import annotations
 
+import itertools
 import time
 import tracemalloc
 from dataclasses import replace
@@ -123,10 +125,8 @@ def _track_one(num, a, gamma, degrees, cs, start):
             xp = x
         s_next = s + step
         xn = xp
-        converged = False
-        iterations = 0
+        converged = grow = False
         for it in range(4):
-            iterations = it + 1
             try:
                 delta = np.linalg.solve(Hx(xn, s_next), -H(xn, s_next))
             except np.linalg.LinAlgError:
@@ -134,13 +134,21 @@ def _track_one(num, a, gamma, degrees, cs, start):
             xn = xn + delta
             if not np.all(np.isfinite(xn)):
                 break
-            if np.max(np.abs(delta)) <= 1e-8 * max(1.0, float(np.max(np.abs(xn)))):
+            tol = 1e-8 * max(1.0, float(np.max(np.abs(xn))))
+            norm = float(np.max(np.abs(delta)))
+            if norm <= tol:
+                converged, grow = True, it < 2
+                break
+            # before s = 1, the 2nd or 3rd update is accepted, keeping ds,
+            # once contraction bounds the next one within tol
+            if it in (1, 2) and s_next < 1.0 and norm * norm <= tol * last:
                 converged = True
                 break
+            last = norm
         if converged:
             x = xn
             s = s_next
-            if iterations <= 2:
+            if grow:
                 ds *= 2
         else:
             ds /= 2
@@ -419,6 +427,97 @@ def test_orbit_path_takes_three_stage_rows_a_step(draw, monkeypatch):
             s = end
     assert s == 1.0
     assert rejected == (1, 5)[draw]
+
+
+def _pushed_forward(name, draw):
+    """The system pushed forward from the draw's zeta and x0, and the draw's solve seed."""
+    res = _restriction(name)
+    rng = np.random.default_rng(draw)
+    zeta = _complex_normal(rng, len(res.t_vars))
+    x0 = _complex_normal(rng, len(res.x_vars))
+    target = tuple(p.eval(list(zeta + x0)) for p in res.adapted)
+    return DeformedSystem.from_restriction(res, zeta, target), int(rng.integers(2**31))
+
+
+@pytest.mark.parametrize("name, draw", [("C2", 0), ("C2", 1), ("quartic", 0)])
+def test_paths_end_on_an_update_within_the_tolerance(name, draw, monkeypatch):
+    # before s = 1 a 2nd or 3rd correction stops once contraction bounds the
+    # next update, but at s = 1 only an update within 1e-8 max(1, |x|) ends
+    # a run of corrections: each endpoint is the iterate of such an update.
+    # The C2 draws are one orbit path each, the quartic 4 total-degree paths
+    system, seed = _pushed_forward(name, draw)
+    updates, ends = [], []
+    homotopy, track = fiber._homotopy, fiber._track_paths
+
+    def wrapped(*args):
+        kernel = homotopy(*args)
+
+        def evaluate(X, s):
+            H, Hx, hs = kernel(X, s)
+            end = s == 1.0
+            delta = fiber.solve1(Hx[end], H[end])
+            updates.extend(zip((X[end] - delta).tolist(), delta))
+            return H, Hx, hs
+
+        return evaluate
+
+    monkeypatch.setattr(fiber, "_homotopy", wrapped)
+    monkeypatch.setattr(fiber, "_track_paths", lambda *args: ends.append(track(*args)) or ends[-1])
+    out = solve_fiber(system, seed=seed)
+    (X, _, ok), = ends
+    assert ok.all() and len(X) == out.path_stats["tracked"] == (1, 4)[name == "quartic"]
+    for x in X:
+        (delta,) = [d for y, d in updates if y == x.tolist()]
+        assert np.abs(delta).max() <= 1e-8 * max(1.0, np.abs(x).max())
+
+
+def test_overflowing_prediction_fails_its_row_alone(monkeypatch):
+    # the quartic's 4 total-degree paths move as one batch.  Row 1's last RK4
+    # stage of the first step is scaled by 1e250, so its prediction is finite
+    # but its powers overflow: its corrections are nan, none is accepted, and
+    # the row tries again from s = 0 with ds halved, 0.025.  The other rows
+    # end where each ends when tracked alone, up to the order BLAS sums in
+    system, seed = _pushed_forward("quartic", 0)
+    calls, kernels = [], []
+    homotopy, track = fiber._homotopy, fiber._track_paths
+
+    def spoiled(*args):
+        kernel = homotopy(*args)
+        kernels.append(args)
+
+        def evaluate(X, s):
+            H, Hx, hs = kernel(X, s)
+            if len(calls) == 3:
+                hs = hs.copy()
+                hs[1] *= 1e250
+            calls.append((X.copy(), s))
+            return H, Hx, hs
+
+        return evaluate
+
+    tracked = []
+    monkeypatch.setattr(fiber, "_homotopy", spoiled)
+    monkeypatch.setattr(
+        fiber, "_track_paths", lambda *args: tracked.append((args, track(*args))) or tracked[-1][1]
+    )
+    out = solve_fiber(system, seed=seed)
+    assert out.count == 4 and len(kernels) == len(tracked) == 1
+    # calls 0 to 3: the first tangent, then the first step's stages at 0.025, 0.025 and 0.05
+    assert [len(X) for X, _ in calls[:4]] == [4] * 4
+    assert [float(s[0]) for _, s in calls[:4]] == [0.0, 0.025, 0.025, 0.05]
+    corrections = list(itertools.takewhile(lambda c: np.all(c[1] == 0.05), calls[4:]))
+    assert len(corrections) == 4
+    assert np.abs(corrections[0][0][1]).min() > 1e200
+    assert all(np.isnan(X).all(axis=1).sum() == 1 for X, _ in corrections[1:])
+    X, s = calls[4 + len(corrections)]
+    assert len(X) == 4 and s[1] == 0.0125 and np.all(np.delete(s, 1) > 0.05)
+
+    (num, a, _, starts), (ends, _, ok) = tracked[0]
+    assert ok.all()
+    for p in (0, 2, 3):
+        alone = track(num, a, homotopy(*kernels[0]), starts[[p]])
+        assert alone[2].all()
+        assert np.abs(alone[0][0] - ends[p]).max() <= 1e-12 * max(1.0, np.abs(ends[p]).max())
 
 
 @pytest.mark.parametrize(
