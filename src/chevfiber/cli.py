@@ -13,9 +13,9 @@ digits.
 
 Exit codes: 0 success, 1 usage or parse failure, 2 integrity or verdict
 failure, 3 numerical failure or exact construction failure
-(ConstructionError: the Weyl enumeration cap, a Weyl group whose order is
-not the product of its degrees, or no independent invariant with a nonzero
-Jacobian certificate).
+(ConstructionError: a group over the Weyl cap, an orbit count of |W| that
+is not the product of the degrees, or no independent invariant with a
+nonzero Jacobian certificate).
 """
 
 from __future__ import annotations
@@ -195,18 +195,21 @@ def _parse_type_token(token: str):
 
 
 def cmd_roots(args) -> int:
-    from .rootsys import build_root_system, fundamental_degrees, weyl_group
+    from .rootsys import build_root_system, stabilizer_chain_order
 
     t, n = _parse_type_token(args.system)
     rs = build_root_system(t, n)
-    # weyl_group raises ConstructionError (exit 3) unless |W| is the product
-    # of the degrees, so the check below can only print PASS
+    # two derivations of |W|, from the fundamental-weight orbits and from the
+    # root heights; a mismatch is a ConstructionError (exit 3)
+    order = stabilizer_chain_order(rs)
+    if order != rs.order:
+        raise ConstructionError(f"the orbit count gives |W| = {order}, the degrees {rs.order}")
     record = {
         "seed": args.seed,
         "system": args.system,
         "roots": len(rs.roots),
-        "order": len(weyl_group(rs)),
-        "degrees": fundamental_degrees(t, n),
+        "order": order,
+        "degrees": rs.degrees,
         "order_check": "PASS",
     }
     lines = [

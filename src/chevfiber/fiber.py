@@ -69,7 +69,7 @@ from ._common import (
 from ._linalg import matvec
 from .polyring import Polynomial, jacobian_det
 from .restrict import Restriction
-from .rootsys import RootSystem, simple_reflections, weyl_order
+from .rootsys import WEYL_CAP, RootSystem, simple_reflections
 
 
 _CLUSTER_RADIUS = 1e-6
@@ -142,14 +142,16 @@ class DeformedSystem:
             raise ValueError(f"equation {degs.index(0) + 1} has no x term")
         d = None
         if self.little is not None:
-            name, rank = self.little.type_name, self.little.rank
+            name, rank, order = self.little.type_name, self.little.rank, self.little.order
             if rank != len(self.x_vars):
                 raise ValueError(f"little rank {rank} does not match {len(self.x_vars)} x variables")
-            d, rem = divmod(math.prod(degs), weyl_order(name, rank))
+            if order > WEYL_CAP:  # each orbit `_orbit_points` closes would have |W| points
+                raise ValueError(f"|W({name}{rank})| = {order} is over the cap {WEYL_CAP}")
+            d, rem = divmod(math.prod(degs), order)
             if rem:
                 raise ValueError(
                     f"x degrees {', '.join(map(str, degs))} multiply to {math.prod(degs)},"
-                    f" which |W({name}{rank})| = {weyl_order(name, rank)} does not divide"
+                    f" which |W({name}{rank})| = {order} does not divide"
                 )
         object.__setattr__(self, "d", d)
 
@@ -177,7 +179,7 @@ class DeformedSystem:
     def expected_count(self) -> int | None:
         if self.d is None:
             return None
-        return weyl_order(self.little.type_name, self.little.rank) * self.d
+        return self.little.order * self.d
 
     def restricted_polys(self) -> tuple[Polynomial, ...]:
         return tuple(p.restrict_zero(self.t_vars) for p in self.polys)
@@ -634,7 +636,7 @@ def orbit_partition(
     if near:
         i, j = min(near)
         raise InconsistentClusteringError(f"points {i} and {j} lie within {_CLUSTER_RADIUS}")
-    order = weyl_order(little.type_name, little.rank)
+    order = little.order
     label = np.full(len(pts), -1)
     for i in range(len(pts)):
         if label[i] >= 0:

@@ -34,8 +34,8 @@ from .rootsys import (
     _identity_form,
     _jacobian_certificate,
     _product_exponents,
+    _validate,
     build_root_system,
-    fundamental_degrees,
 )
 
 
@@ -49,8 +49,8 @@ class PairConfig:
     name: str = ""
 
     def __post_init__(self):
-        fundamental_degrees(self.ambient_type, self.ambient_rank)
-        fundamental_degrees(self.little_type, self.little_rank)
+        _validate(self.ambient_type, self.ambient_rank)
+        _validate(self.little_type, self.little_rank)
         if self.little_rank > self.ambient_rank:
             raise ValueError("little rank exceeds ambient rank")
         emb = tuple(map(tuple, to_fraction_rows(self.embedding)))
@@ -276,7 +276,7 @@ def restrict_family(
 
     restricted = InvariantFamily(polys=tuple(w_polys), group=little, certificate=certificate)
     _require_invariant(restricted)
-    d = rank_d(restricted.degrees, fundamental_degrees(config.little_type, config.little_rank))
+    d = rank_d(restricted.degrees, little.degrees)
     return Restriction(
         config=config, t_vars=t_vars, x_vars=x_vars, selected=tuple(selected),
         adapted=tuple(adapted), restricted=restricted, d=d,
@@ -322,7 +322,7 @@ def surjectivity_check(
         raise ValueError("family variable count does not match the little rank")
     degrees = family.degrees
     _require_invariant(family)
-    little_degrees = fundamental_degrees(little.type_name, little.rank)
+    little_degrees = little.degrees
 
     @cache
     def family_power(i: int, a: int) -> Polynomial:

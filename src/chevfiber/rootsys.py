@@ -5,23 +5,26 @@ invariant families are square and Jacobians are well defined:
 
 * B, C, D, BC, F4 live in orthonormal coordinates with the identity form.
 * A1 is the pair {+-e1} with the identity form.
-* A_n (n >= 2), G2, and E6 use simple-root coordinates, where the invariant
-  form is the Gram matrix of the simple roots.  An orthonormal realization
-  in rank-many rational coordinates does not exist for these types, but
-  every quantity here only ever consults the form.
+* A_n (n >= 2), G2, and E6 to E8 use simple-root coordinates, where the
+  invariant form is the Gram matrix of the simple roots (E_n in Bourbaki's
+  numbering, the branch at node 4).  An orthonormal realization in
+  rank-many rational coordinates does not exist for these types, but every
+  quantity here only ever consults the form.
 
 BC_n is the non-reduced system {+-e_i, +-2e_i, +-e_i +- e_j}; its Weyl group
-and fundamental degrees coincide with those of B_n.
+and fundamental degrees coincide with those of B_n.  No degree is tabulated:
+they come from root heights (Kostant 1959, Macdonald 1972), see `degrees`.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial, reduce
 from itertools import chain, islice
-from operator import getitem, itemgetter, mul
+from operator import add, getitem, itemgetter, mul, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from ._common import ConstructionError
@@ -58,13 +61,26 @@ class RootSystem:
         return tuple(f"x{i + 1}" for i in range(self.rank))
 
     @cached_property
+    def _coordinates(self) -> list[tuple[int, ...]]:
+        """The roots in integer simple-root coordinates, the simple roots
+        first; BC's doubled roots are added to `roots` after the closure."""
+        return _reflection_closure(self, _root_coordinates(self, self.simple_roots)[0])
+
+    @cached_property
     def roots(self) -> tuple[Vector, ...]:
         """The sorted closure of the simple roots, with BC's doubled short roots."""
-        vectors, den = _reflection_closure(self, self.simple_roots)
-        if self.type_name == "BC":
-            # BC has the identity form, so the short roots are the unit vectors
-            vectors += [tuple(2 * x for x in v) for v in vectors if sum(map(mul, v, v)) == den * den]
-        return _sorted_vectors(vectors, den)
+        return self._roots(self._coordinates)
+
+    @cached_property
+    def degrees(self) -> tuple[int, ...]:
+        """The fundamental degrees, ascending: one plus each exponent, the
+        partition dual to the positive-root counts by height."""
+        counts = Counter(h for h in map(sum, self._coordinates) if h > 0).values()
+        return tuple(1 + sum(c >= i for c in counts) for i in range(self.rank, 0, -1))
+
+    @cached_property
+    def order(self) -> int:
+        return math.prod(self.degrees)
 
     @cached_property
     def _sinv(self) -> tuple[list[list[int]], int]:
@@ -102,38 +118,37 @@ class RootSystem:
 
     def positive_roots(self) -> tuple[Vector, ...]:
         """Roots whose expansion over the simple roots is nonnegative."""
-        coords = _root_coordinates(self, self.roots)[0]
-        return tuple(r for r, x in zip(self.roots, coords) if min(x) >= 0)
+        return self._roots(x for x in self._coordinates if sum(x) > 0)
+
+    def _roots(self, coords: Iterable[tuple[int, ...]]) -> tuple[Vector, ...]:
+        """Roots in simple-root coordinates as sorted vectors, with BC's doubled short roots."""
+        vectors, den = _from_coordinates(self, coords)
+        if self.type_name == "BC":
+            # BC has the identity form, so the short roots are the unit vectors
+            vectors += [tuple(2 * x for x in v) for v in vectors if sum(map(mul, v, v)) == den * den]
+        return _sorted_vectors(vectors, den)
+
+
+# the least and the greatest supported rank of each type
+_RANKS = {"A": (1, None), "B": (2, None), "C": (2, None), "D": (3, None), "BC": (1, None),
+          "G": (2, 2), "F": (4, 4), "E": (6, 8)}
 
 
 def _validate(type_name: str, rank: int) -> None:
-    limits = {"A": 1, "B": 2, "C": 2, "D": 3, "BC": 1}
-    if type_name in limits:
-        if rank < limits[type_name]:
-            raise ValueError(f"type {type_name} requires rank >= {limits[type_name]}")
-        return
-    fixed = {"G": 2, "F": 4, "E": 6}
-    if type_name in fixed:
-        if rank != fixed[type_name]:
-            raise ValueError(f"type {type_name} is only supported at rank {fixed[type_name]}")
-        return
-    raise ValueError(f"unknown type {type_name!r}")
+    if type_name not in _RANKS:
+        raise ValueError(f"unknown type {type_name!r}")
+    low, high = _RANKS[type_name]
+    if rank < low:
+        raise ValueError(f"type {type_name} requires rank >= {low}")
+    if high is not None and rank > high:
+        raise ValueError(f"type {type_name} requires rank <= {high}")
 
 
+@cache
 def fundamental_degrees(type_name: str, rank: int) -> tuple[int, ...]:
-    """Degrees of a generating set of invariants, ascending with multiplicity."""
-    _validate(type_name, rank)
-    if type_name == "A":
-        return tuple(range(2, rank + 2))
-    if type_name in ("B", "C", "BC"):
-        return tuple(range(2, 2 * rank + 1, 2))
-    if type_name == "D":
-        return tuple(sorted(list(range(2, 2 * rank - 1, 2)) + [rank]))
-    if type_name == "G":
-        return (2, 6)
-    if type_name == "F":
-        return (2, 6, 8, 12)
-    return (2, 5, 6, 8, 9, 12)
+    """Degrees of a generating set of invariants, ascending with multiplicity:
+    `RootSystem.degrees`, built once per type and rank."""
+    return build_root_system(type_name, rank).degrees
 
 
 def weyl_order(type_name: str, rank: int) -> int:
@@ -159,40 +174,22 @@ def _gram(n: int, bonds: Sequence[tuple[int, int]]) -> Matrix:
 def _simple_roots_and_form(type_name: str, rank: int) -> tuple[Matrix, Matrix]:
     n = rank
     e = lambda i: _unit(n, i)
+    step = lambda i: tuple(map(sub, e(i), e(i + 1)))
     if type_name == "A":
         if n == 1:
             return (e(0),), _identity_form(1)
         return tuple(e(i) for i in range(n)), _gram(n, [(i, i + 1) for i in range(n - 1)])
-    if type_name in ("B", "BC"):
-        simples = [
-            tuple(a - b for a, b in zip(e(i), e(i + 1))) for i in range(n - 1)
-        ] + [e(n - 1)]
-        return tuple(simples), _identity_form(n)
-    if type_name == "C":
-        simples = [
-            tuple(a - b for a, b in zip(e(i), e(i + 1))) for i in range(n - 1)
-        ] + [tuple(2 * x for x in e(n - 1))]
-        return tuple(simples), _identity_form(n)
-    if type_name == "D":
-        simples = [
-            tuple(a - b for a, b in zip(e(i), e(i + 1))) for i in range(n - 1)
-        ] + [tuple(a + b for a, b in zip(e(n - 2), e(n - 1)))]
-        return tuple(simples), _identity_form(n)
+    if type_name in ("B", "BC", "C", "D"):
+        # the chain e_i - e_(i+1), closed by e_n, by 2 e_n (C) or by e_(n-1) + e_n (D)
+        last = {"C": tuple(2 * x for x in e(n - 1)), "D": tuple(map(add, e(n - 2), e(n - 1)))}
+        return (*map(step, range(n - 1)), last.get(type_name, e(n - 1))), _identity_form(n)
     if type_name == "G":
-        form = ((Fraction(2), Fraction(-3)), (Fraction(-3), Fraction(6)))
-        return (e(0), e(1)), form
+        return (e(0), e(1)), ((Fraction(2), Fraction(-3)), (Fraction(-3), Fraction(6)))
     if type_name == "F":
         half = Fraction(1, 2)
-        a4 = (half, -half, -half, -half)
-        simples = (
-            tuple(a - b for a, b in zip(e(1), e(2))),
-            tuple(a - b for a, b in zip(e(2), e(3))),
-            e(3),
-            a4,
-        )
-        return simples, _identity_form(4)
-    # E6: nodes 1..6, bonds 1-3, 3-4, 4-5, 5-6 plus the branch 2-4
-    return tuple(e(i) for i in range(6)), _gram(6, ((0, 2), (2, 3), (3, 4), (4, 5), (1, 3)))
+        return (step(1), step(2), e(3), (half, -half, -half, -half)), _identity_form(4)
+    # E_n: nodes 1..n, bonds 1-3, 3-4, ..., (n-1)-n plus the branch 2-4
+    return tuple(e(i) for i in range(n)), _gram(n, [(0, 2), (1, 3)] + [(i, i + 1) for i in range(2, n - 1)])
 
 
 def build_root_system(type_name: str, rank: int) -> RootSystem:
@@ -216,31 +213,30 @@ def weyl_group(rs: RootSystem) -> tuple[Matrix, ...]:
     A group larger than `WEYL_CAP` is refused before any element is built.
     Elements come from `_closure`, the breadth-first closure behind roots and
     orbits, of the simple reflections under composition, each tracked by
-    where in the root list it sends the simple roots.  The count is checked
-    against the product of the fundamental degrees.  Each matrix is img S^-1
+    where among the roots it sends the simple roots.  The count is checked
+    against |W|, the product of the fundamental degrees.  Each matrix is img S^-1
     (images and simple roots as columns), summed in integers over one common
     denominator; each distinct row and entry becomes Fractions once.
     """
-    expected = weyl_order(rs.type_name, rs.rank)
+    expected = rs.order
     if expected > WEYL_CAP:
         raise ConstructionError(f"Weyl group exceeds enumeration cap {WEYL_CAP}")
-    coords = _root_coordinates(rs, rs.roots)[0]
+    n, coords = rs.rank, rs._coordinates
     index = {x: k for k, x in enumerate(coords)}
     gens = [
         tuple(index[_reflect(x, i, row)] for x in coords)
         for i, row in enumerate(rs._cartan)
     ]
-    # the first simple root is tracked twice, so that itemgetter returns a
-    # tuple at rank 1 too
-    identity = tuple(map(rs.roots.index, rs.simple_roots + rs.simple_roots[:1]))
+    # the simple roots lead `coords`; the first is tracked twice, so that
+    # itemgetter returns a tuple at rank 1 too
+    identity = (*range(n), 0)
     elements = _closure([identity], lambda p: map(itemgetter(*p), gens))
     if len(elements) != expected:
         raise ConstructionError(
             f"enumerated {len(elements)} elements, degree product gives {expected}"
         )
 
-    n = rs.rank
-    roots, den = integer_rows(rs.roots)
+    roots, den = _from_coordinates(rs, coords)
     sinv, sinv_den = rs._sinv
     den *= sinv_den
     columns = tuple(zip(*sinv))
@@ -280,15 +276,31 @@ def _closure(seeds: Sequence, neighbours: Callable[..., Iterable]) -> list:
     return out
 
 
-def _reflection_closure(rs: RootSystem, seeds: Sequence[Vector]) -> tuple[list[tuple[int, ...]], int]:
-    """The smallest set holding the seeds and closed under simple reflections,
-    found in integer simple-root coordinates and mapped back once: distinct
-    integer vectors over one denominator, in discovery order."""
-    coords, den = _root_coordinates(rs, seeds)
+def _reflection_closure(rs: RootSystem, coords: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The smallest set of integer simple-root coordinates holding `coords`
+    and closed under simple reflections, in discovery order."""
     cartan = list(enumerate(rs._cartan))
-    seen = _closure(coords, lambda x: (_reflect(x, i, row) for i, row in cartan))
+    return _closure(coords, lambda x: (_reflect(x, i, row) for i, row in cartan))
+
+
+def _from_coordinates(rs: RootSystem, coords: Iterable[tuple[int, ...]], den: int = 1) -> tuple[list[tuple[int, ...]], int]:
+    """Integer simple-root coordinates over den as integer vectors over one denominator."""
     simples, simples_den = integer_rows(transpose(rs.simple_roots))
-    return [tuple(sum(map(mul, row, x)) for row in simples) for x in seen], den * simples_den
+    return [tuple(sum(map(mul, row, x)) for row in simples) for x in coords], den * simples_den
+
+
+def stabilizer_chain_order(rs: RootSystem) -> int:
+    """|W| apart from the degrees, by orbit-stabilizer down the parabolic
+    chain W_j = <s_0, ..., s_j>: W_(j-1) is the stabilizer of the fundamental
+    weight w_j in W_j (Chevalley), so |W_j| = |W_j w_j| |W_(j-1)|.  Each orbit
+    is closed in integer weight coordinates, where s_i subtracts a_i alpha_i,
+    and alpha_i is column i of the Cartan integers."""
+    n, alphas = rs.rank, list(zip(*rs._cartan))
+    order = 1
+    for j in range(n):
+        reflect = lambda a: (tuple(x - a[i] * c for x, c in zip(a, alphas[i])) for i in range(j + 1) if a[i])
+        order *= len(_closure([tuple(int(i == j) for i in range(n))], reflect))
+    return order
 
 
 def _sorted_vectors(vectors: Iterable[tuple[int, ...]], den: int) -> tuple[Vector, ...]:
@@ -299,7 +311,8 @@ def _sorted_vectors(vectors: Iterable[tuple[int, ...]], den: int) -> tuple[Vecto
 
 
 def orbit_vectors(rs: RootSystem, v: Sequence) -> tuple[Vector, ...]:
-    return _sorted_vectors(*_reflection_closure(rs, [tuple(map(_exact, v))]))
+    coords, den = _root_coordinates(rs, [tuple(map(_exact, v))])
+    return _sorted_vectors(*_from_coordinates(rs, _reflection_closure(rs, coords), den))
 
 
 def _product_exponents(degrees: Sequence[int], k: int) -> list[tuple[int, ...]]:
@@ -338,7 +351,7 @@ def orbit_sum_invariant(rs: RootSystem, v: Sequence, k: int) -> Polynomial:
 
 def _orbit_sum(rs: RootSystem, orbit: Sequence[Vector], k: int) -> Polynomial:
     """`orbit_sum_invariant` of a vector whose sorted orbit is given."""
-    mult, rem = divmod(weyl_order(rs.type_name, rs.rank), len(orbit))
+    mult, rem = divmod(rs.order, len(orbit))
     if rem:
         raise ConstructionError("orbit size does not divide the group order")
     form, form_den = integer_rows(rs.form)
@@ -448,10 +461,11 @@ def invariant_family(rs: RootSystem) -> InvariantFamily:
     fallback before giving up.  Candidates are drawn lazily, and each one's
     orbit is built once per family and reused across degrees.
     """
-    degrees = fundamental_degrees(rs.type_name, rs.rank)
+    if rs.order > WEYL_CAP:
+        raise ConstructionError(f"each candidate orbit has |W| = {rs.order} points, over the cap {WEYL_CAP}")
     polys: list[Polynomial] = []
     orbits: dict[Vector, tuple[Vector, ...]] = {}
-    for k in degrees:
+    for k in rs.degrees:
         for v in chain(islice(_regular_vectors(rs), _MAX_CANDIDATES), rs.simple_roots):
             if v not in orbits:
                 orbits[v] = orbit_vectors(rs, v)

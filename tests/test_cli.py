@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -48,6 +49,58 @@ def test_roots_json_golden(capsys):
 def test_roots_f4_order(capsys):
     assert main(["--format", "json", "roots", "F4"]) == 0
     assert '"order":1152' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "system,order,degrees",
+    [("E7", 2903040, "2 6 8 10 12 14 18"), ("E8", 696729600, "2 8 12 14 18 20 24 30")],
+)
+def test_roots_e7_e8_in_a_fresh_process(system, order, degrees):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "chevfiber.cli", "roots", system],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert f"weyl order: {order}\ndegrees: {degrees}\n" in proc.stdout
+    assert proc.stdout.endswith("order == product of degrees : PASS\n")
+    assert elapsed < 1.0
+
+
+# sha256 of the text, JSON and CSV output of `roots`, one after another, as
+# printed when |W| came from enumerating the group
+ROOTS_DIGESTS = {
+    "A1": "58490b7a9961516cae4fa6a374ca2c9008d4eefae56007c2a8a49c39d4b057d7",
+    "A2": "0df4992aceced809a51ee2fc38abff07b1be688a8a33085dd57f37d3ac8ec253",
+    "A3": "ca14b441c3792385bf7a9372793952ff5e046d64240f38f92b0e5b858a7f229f",
+    "A4": "9d2ac503d383025b3c539292958b01cdf3eeb980175f49f9b265691a6f9b5945",
+    "B2": "d2e2c9bb30e28da9fad17546c8be729fad4f2ba604b4d67e1ff43a7682822cc6",
+    "B3": "e9954bc16f48e3462646758758099b3e110fe03b40660ddfb266fb3ae7a8c915",
+    "B4": "564577f66efcaf65bb18b878e03c986aaf2a44db6211d8e05e71703bd21d3ff1",
+    "C2": "e230f98d3931cbed787e300e662aa47b21c428161e46df78125048a806a7f8b5",
+    "C3": "0f26784fa0871f72124c9c3b1cd9a12126177b65d413b1fd57981360eeecae39",
+    "C4": "98f3eab57c22e173680617311509aadd61bfebb7dd82390afe2b7b7529cb6586",
+    "D4": "3a230e8d7aaadb81df644fe99c3ae8c1f3363e05a618ff3f496dd6de32d5bf8d",
+    "G2": "48f3c8ff532ce5ba5c9dc3d176d7311cf94b814bc4d91b0ecc69136ba0dc44c4",
+    "F4": "4a6a8e72f52b4b51656964f91382bf052af3112fc8e04ca52ed5d83c1b9838f5",
+    "BC2": "5eb79df0bd9d85f4f0b19ac650b8f5ef8b4efc9bdd450dc61b9be66fd8710dcb",
+    "BC3": "073582f3a5b329448091b1c4b7f49b011bfc3f67604e31b250e96b888ffb3956",
+    "E6": "52672c348645787cd1352fe2a03ae9c80785058338c840a01e8fd31a9697b6e3",
+}
+
+
+@pytest.mark.parametrize("system", sorted(ROOTS_DIGESTS))
+def test_roots_output_is_pinned(system, capsys):
+    out = ""
+    for fmt in ("text", "json", "csv"):
+        assert main(["--format", fmt, "roots", system]) == 0
+        out += capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ROOTS_DIGESTS[system]
 
 
 def test_roots_bad_type_exits_1(capsys):

@@ -418,10 +418,12 @@ def test_orbit_partition_identity_only():
 
 
 def test_orbit_partition_closure_is_capped():
-    # B2's reflections labelled as A2: the closure of a generic point has 8
-    # points, more than |W(A2)| = 6; the origin, point 0, closes on itself
+    # B2's reflections labelled as A2, with A2's degrees, which |W| is read
+    # from: the closure of a generic point has 8 points, more than
+    # |W(A2)| = 6; the origin, point 0, closes on itself
     fake = replace(build_root_system("B", 2), type_name="A")
-    assert weyl_order("A", 2) == 6
+    fake.__dict__["degrees"] = build_root_system("A", 2).degrees
+    assert weyl_order("A", 2) == fake.order == 6
     with pytest.raises(
         InconsistentClusteringError, match="^the orbit of point 1 has over 6 points$"
     ):
@@ -444,6 +446,19 @@ def test_constant_equation_rejected_before_deriving_d():
             polys=(p,), t_vars=("t1",), x_vars=("x1",), zeta=(0.5,),
             target=(1.0,), little=build_root_system("A", 1),
         )
+
+
+def test_little_group_over_the_cap_is_refused():
+    # the orbit path would close orbits of |W(E7)| = 2,903,040 points
+    names = ("t1",) + tuple(f"x{i}" for i in range(1, 8))
+    polys = tuple(parse_polynomial(f"{x}^2 + t1", names) for x in names[1:])
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^\|W\(E7\)\| = 2903040 is over the cap 100000$"):
+        DeformedSystem(
+            polys=polys, t_vars=names[:1], x_vars=names[1:], zeta=(0.5,),
+            target=(1.0,) * 7, little=build_root_system("E", 7),
+        )
+    assert time.perf_counter() - start < 0.5
 
 
 def a2_system():

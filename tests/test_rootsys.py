@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import math
+import re
+import time
 from fractions import Fraction
 
 import pytest
 
 from chevfiber import rootsys
+from chevfiber.cli import main
 from chevfiber._linalg import matmul, matvec, transpose
 from chevfiber.polyring import Polynomial, parse_polynomial
 from chevfiber.rootsys import (
@@ -15,6 +19,7 @@ from chevfiber.rootsys import (
     orbit_sum_invariant,
     orbit_vectors,
     simple_reflections,
+    stabilizer_chain_order,
     weyl_group,
     weyl_order,
 )
@@ -34,6 +39,8 @@ ROOT_COUNTS = {
     ("G", 2): 12,
     ("F", 4): 48,
     ("E", 6): 72,
+    ("E", 7): 126,
+    ("E", 8): 240,
 }
 
 
@@ -50,28 +57,69 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         build_root_system("B", 1)
     with pytest.raises(ValueError):
-        build_root_system("E", 7)
+        build_root_system("E", 5)
+    with pytest.raises(ValueError):
+        build_root_system("E", 9)
     with pytest.raises(ValueError):
         build_root_system("H", 2)
     with pytest.raises(ValueError):
         fundamental_degrees("D", 2)
 
 
+# Humphreys, Reflection Groups and Coxeter Groups, Table 3.1; BC_n has the
+# degrees of B_n
 DEGREE_TABLE = {
+    ("A", 1): (2,),
+    ("A", 2): (2, 3),
     ("A", 3): (2, 3, 4),
+    ("A", 4): (2, 3, 4, 5),
+    ("A", 5): (2, 3, 4, 5, 6),
+    ("B", 2): (2, 4),
     ("B", 3): (2, 4, 6),
+    ("B", 4): (2, 4, 6, 8),
+    ("C", 2): (2, 4),
+    ("C", 3): (2, 4, 6),
     ("C", 4): (2, 4, 6, 8),
+    ("D", 3): (2, 3, 4),
     ("D", 4): (2, 4, 4, 6),
+    ("D", 5): (2, 4, 5, 6, 8),
+    ("D", 6): (2, 4, 6, 6, 8, 10),
+    ("BC", 1): (2,),
     ("BC", 2): (2, 4),
+    ("BC", 3): (2, 4, 6),
     ("G", 2): (2, 6),
     ("F", 4): (2, 6, 8, 12),
     ("E", 6): (2, 5, 6, 8, 9, 12),
+    ("E", 7): (2, 6, 8, 10, 12, 14, 18),
+    ("E", 8): (2, 8, 12, 14, 18, 20, 24, 30),
 }
 
 
 @pytest.mark.parametrize("key", sorted(DEGREE_TABLE))
 def test_fundamental_degrees(key):
     assert fundamental_degrees(*key) == DEGREE_TABLE[key]
+
+
+@pytest.mark.parametrize("key", sorted(DEGREE_TABLE))
+def test_orbit_count_is_the_degree_product(key):
+    # two derivations of |W|: the fundamental-weight orbits down the
+    # parabolic chain, and the table's degrees
+    assert stabilizer_chain_order(build_root_system(*key)) == math.prod(DEGREE_TABLE[key])
+
+
+GROUP_CASES = (
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4),
+    ("B", 2), ("B", 3), ("B", 4),
+    ("C", 2), ("C", 3), ("C", 4),
+    ("D", 4), ("G", 2), ("F", 4),
+    ("BC", 2), ("BC", 3),
+)
+
+
+@pytest.mark.parametrize("key", GROUP_CASES)
+def test_orbit_count_is_the_enumerated_order(key):
+    rs = build_root_system(*key)
+    assert stabilizer_chain_order(rs) == len(weyl_group(rs)) == rs.order
 
 
 WEYL_ORDERS = {
@@ -100,6 +148,34 @@ def test_weyl_cap(monkeypatch):
     rs = build_root_system("B", 3)
     with pytest.raises(ConstructionError, match="enumeration cap 7"):
         weyl_group(rs)
+
+
+def test_roots_enumerates_no_weyl_group(monkeypatch, capsys):
+    systems = ("A2", "B2", "BC3", "G2", "F4", "E6")
+    formats = ("text", "json", "csv")
+    expected = []
+    for system in systems:
+        for fmt in formats:
+            assert main(["--format", fmt, "roots", system]) == 0
+            expected.append(capsys.readouterr().out)
+
+    def refuse(rs):
+        raise AssertionError("roots enumerated the Weyl group")
+
+    monkeypatch.setattr(rootsys, "weyl_group", refuse)
+    for system in systems:
+        for fmt in formats:
+            assert main(["--format", fmt, "roots", system]) == 0
+            assert capsys.readouterr().out == expected.pop(0)
+
+
+def test_roots_exits_3_when_the_degrees_disagree_with_the_orbits(monkeypatch, capsys):
+    # |W(A2)| = 6 from the orbits, but a wrong degree gives the product 8
+    monkeypatch.setattr(rootsys.RootSystem, "degrees", property(lambda rs: (2, 4)))
+    assert main(["roots", "A2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the orbit count gives |W| = 6, the degrees 8\n"
 
 
 def test_weyl_matrices_preserve_form_and_roots():
@@ -192,6 +268,23 @@ def test_family_jacobian_degree_law():
         j = fam.jacobian()
         assert not j.is_zero
         assert j.homogeneous_degree() == sum(d - 1 for d in fam.degrees)
+
+
+@pytest.mark.parametrize("key", [("E", 7), ("E", 8)])
+def test_family_over_the_cap_closes_no_orbit(monkeypatch, key):
+    # each regular orbit would have |W| points: 2,903,040 for E7
+    rs = build_root_system(*key)
+
+    def refuse(*args):
+        raise AssertionError("an orbit was closed")
+
+    monkeypatch.setattr(rootsys, "_regular_vectors", refuse)
+    monkeypatch.setattr(rootsys, "orbit_vectors", refuse)
+    start = time.perf_counter()
+    message = f"each candidate orbit has |W| = {rs.order} points, over the cap 100000"
+    with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
+        invariant_family(rs)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_family_is_deterministic():
