@@ -7,9 +7,9 @@ homotopy H = (1 - s) g(x) + s (f(x) - a).  With a little group and d = 1
 the fiber of a W-invariant U(zeta; .) is one free W-orbit: one path from
 g = conj(gamma) (f - a0), a0 = f(x0), on which f = (1 - tau) a0 + tau a (a
 parameter homotopy; Sommese and Wampler, 2005, ch. 7), closed under the
-simple reflections, gives it all.  restrict_family proves invariance at t = 0
-only; otherwise, or when a reflected point is no root, g = gamma kappa
-(x^m - c) and every root of x_i^{m_i} = c_i is tracked.  Each step predicts
+simple reflections, gives it all.  `DeformedSystem.invariant` decides that
+exactly, at every t, before any tracking; otherwise g = gamma kappa (x^m - c)
+and every root of x_i^{m_i} = c_i is tracked.  Each step predicts
 with RK4, its first stage the tangent at the last correction, and corrects
 with Newton to an update within 1e-8 max(1, |x|), or, before s = 1, to one
 whose contraction bounds the next within that; ds doubles with no cap short
@@ -53,6 +53,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -69,7 +70,7 @@ from ._common import (
 from ._linalg import matvec
 from .polyring import Polynomial, jacobian_det
 from .restrict import Restriction
-from .rootsys import WEYL_CAP, RootSystem, simple_reflections
+from .rootsys import WEYL_CAP, RootSystem, reflections_fix, simple_reflections
 
 
 _CLUSTER_RADIUS = 1e-6
@@ -175,6 +176,11 @@ class DeformedSystem:
         for p in self.polys:
             out.append(max(sum(e[k:]) for e in p.terms))
         return tuple(out)
+
+    @cached_property
+    def invariant(self) -> bool:
+        """Whether each simple reflection of `little`, on x alone, fixes each U_i; False without."""
+        return self.little is not None and reflections_fix(self.little, self.polys, len(self.t_vars))
 
     def expected_count(self) -> int | None:
         if self.d is None:
@@ -529,8 +535,8 @@ def _orbit(num: _Numeric, a: np.ndarray, little: RootSystem, order: int, rng: np
     a_i, so that a0 = f(x0) has the size of a, is tracked from g = conj(gamma) (f - a0): H
     vanishes where f = (1 - tau) a0 + tau a, tau = gamma s / (1 + (gamma - 1) s), the gamma
     trick on the line through a0 and a.  The closure of the accepted endpoint is the fiber, and
-    each image must meet the endpoint's rule, `_Numeric.accept`.  An image off the bound means U
-    is not W-invariant, and the attempt finds None and no failure.
+    each image must meet the endpoint's rule, `_Numeric.accept`: U is W-invariant, so an image off
+    the bound fails the attempt like a lost path.
     """
     x0, gamma = rng.standard_normal(num.r) + 1j * rng.standard_normal(num.r), _unit_circle(rng)
     f = num.C[:, : num.r]
@@ -547,7 +553,7 @@ def _orbit(num: _Numeric, a: np.ndarray, little: RootSystem, order: int, rng: np
         return None, f"the orbit closure has {len(X)} of {order} points"
     residual, ok = num.accept(X, a)
     if not ok.all():
-        return None, None
+        return None, f"{order - int(ok.sum())} of {order} reflected images missed the bound"
     merged = _merged(X)
     return (X, residual), f"{merged} endpoints merged" if merged else None
 
@@ -556,23 +562,22 @@ def _orbit(num: _Numeric, a: np.ndarray, little: RootSystem, order: int, rng: np
 def solve_fiber(system: DeformedSystem, seed: int = 0) -> FiberResult:
     """Return the complete, sorted fiber.
 
-    With a little group and d = 1 one path is tracked and reflected onto its orbit, one class
-    (`_orbit`); otherwise, or if a reflected image misses the residual bound (U is not
-    W-invariant), all prod(m_i) total-degree paths are, and `orbit_partition` splits them.
-    `path_stats["tracked"]` counts the paths.  Points are checked, sorted and classed at unit
-    scale (`_unit_scale`), and each meets `_Numeric.accept`'s bound as it stands.  An attempt
-    with a lost path, a tracked endpoint off the bound, an orbit closure of the wrong size or two
-    points within the merge radius (a path jump, or a target off the generic locus) is made
-    again from the same generator stream; after three retries the solve raises FiberSolveError.
+    With d = 1 and a W-invariant system (`DeformedSystem.invariant`) one path is tracked and
+    reflected onto its orbit, one class (`_orbit`); otherwise all prod(m_i) total-degree paths are,
+    and `orbit_partition` splits them.  `path_stats["tracked"]` counts the paths.  Points are
+    checked, sorted and classed at unit scale (`_unit_scale`), each within `_Numeric.accept`'s bound
+    as it stands.  An attempt with a lost path, a point off the bound, an orbit closure of the wrong
+    size or two points within the merge radius (a path jump, or a target off the generic locus) is
+    made again from the same generator stream; after three retries it raises FiberSolveError.
     """
     _check_seed(seed)
     lam, powers, zeta, a = _unit_scale(system)
     num = _Numeric(system, zeta)
     rng = np.random.default_rng(seed)
-    found = None
-    if system.d == 1:
-        found = _attempts(lambda: _orbit(num, a, system.little, system.expected_count(), rng))
-    X, residual = found or _attempts(lambda: _total_degree(num, a, rng))
+    if orbit := system.d == 1 and system.invariant:
+        X, residual = _attempts(lambda: _orbit(num, a, system.little, system.expected_count(), rng))
+    else:
+        X, residual = _attempts(lambda: _total_degree(num, a, rng))
 
     # Distinct points differ by at least the merge radius, so keys on a grid
     # 1024 times finer still tell them apart, while float noise in a shared
@@ -584,7 +589,7 @@ def solve_fiber(system: DeformedSystem, seed: int = 0) -> FiberResult:
     residuals = tuple((residual[order] * powers).max(axis=1).tolist())
 
     orbit_classes = None
-    if found:
+    if orbit:
         orbit_classes = (tuple(range(len(X))),)
     elif system.little is not None:
         orbit_classes = orbit_partition(X[order], system.little)
@@ -595,7 +600,7 @@ def solve_fiber(system: DeformedSystem, seed: int = 0) -> FiberResult:
         target=system.target,
         solutions=solutions,
         residuals=residuals,
-        path_stats={"tracked": 1 if found else math.prod(num.degrees), "failed": 0, "merged": 0},
+        path_stats={"tracked": 1 if orbit else math.prod(num.degrees), "failed": 0, "merged": 0},
         orbit_classes=orbit_classes,
     )
 

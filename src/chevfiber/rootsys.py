@@ -207,6 +207,15 @@ def simple_reflections(rs: RootSystem) -> tuple[Matrix, ...]:
     return rs._reflections
 
 
+@cache
+def reflections_fix(rs: RootSystem, polys: tuple[Polynomial, ...], k: int) -> bool:
+    """Whether each simple reflection of `rs`, acting on the variables after the first k, fixes
+    each of `polys`: tested exactly once per key, so callers pass k positionally."""
+    eye = [tuple(int(i == j) for j in range(k + rs.rank)) for i in range(k)]
+    blocks = [eye + [(0,) * k + row for row in s] for s in simple_reflections(rs)]
+    return all(p.linear_change(b) == p for p in polys for b in blocks)
+
+
 def weyl_group(rs: RootSystem) -> tuple[Matrix, ...]:
     """Enumerate the Weyl group as coordinate matrices.
 
@@ -376,8 +385,8 @@ class InvariantFamily:
     `certificate` records a rational point together with the exact nonzero
     Jacobian determinant value there, which proves independence.  `group`
     is the root system the polynomials are invariant under, or None for
-    hand-built families.  `degrees` and `invariant` are read off the
-    members, once per object.
+    hand-built families.  `degrees` is read off the members once per
+    object, `invariant` once per group and members.
     """
 
     polys: tuple[Polynomial, ...]
@@ -396,15 +405,13 @@ class InvariantFamily:
             raise ValueError(f"family member {degrees.index(None) + 1} is not homogeneous")
         return degrees
 
-    @cached_property
+    @property
     def invariant(self) -> bool:
-        """Whether each simple reflection of `group` fixes each member, tested
-        exactly.  A restricted family is invariant at t = 0 only: the adapted
-        members it came from need not be fixed."""
+        """Whether each simple reflection of `group` fixes each member (`reflections_fix`); a
+        restricted family is invariant at t = 0 only, not the adapted members it came from."""
         if self.group is None:
             raise ValueError("no root system attached")
-        reflections = simple_reflections(self.group)
-        return all(w.linear_change(s) == w for w in self.polys for s in reflections)
+        return reflections_fix(self.group, self.polys, 0)
 
     def jacobian(self) -> Polynomial:
         """Exact symbolic Jacobian determinant of the family."""

@@ -233,6 +233,24 @@ def test_fiber_declared_d_mismatch_fails_verdict(monkeypatch, capsys):
     assert "count == |W(a_q)|*d : FAIL (3 != 4)" in capsys.readouterr().out
 
 
+def test_reflected_image_off_the_bound_exits_3(monkeypatch, capsys):
+    # the split BC2 system is W-invariant, so an image that misses the bound
+    # is a failure that is retried, never a fallback to total degree
+    closure = fiber._orbit_points
+
+    def moved(*args):
+        X = closure(*args).copy()
+        X[1, 0] += 1e-7
+        return X
+
+    monkeypatch.setattr(fiber, "_orbit_points", moved)
+    code = main(["fiber", "--config", SPLIT_BC2, "--target", "3,5"])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "error: 1 of 8 reflected images missed the bound after 4 attempts\n"
+    )
+
+
 def test_fiber_wrong_target_arity_exits_1(monkeypatch, capsys):
     # a valid system is square, so the target count is checked against the
     # x count before any family is built; cli imports the function from

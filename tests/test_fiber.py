@@ -30,7 +30,7 @@ from chevfiber.fiber import (
 )
 from chevfiber.polyring import Polynomial, jacobian_det, parse_polynomial
 from chevfiber.restrict import parse_pair_config, restrict_family, split_config
-from chevfiber.rootsys import build_root_system, invariant_family, weyl_order
+from chevfiber.rootsys import build_root_system, invariant_family, reflections_fix, weyl_order
 
 TOY_TEXT = """
 name: toy-axis
@@ -910,10 +910,11 @@ def test_tracked_endpoints_meet_the_bound(make, paths, monkeypatch):
     _assert_within_bound(num, a, X, residual)
 
 
-def test_reflected_image_off_the_bound_takes_total_degree(monkeypatch):
-    # an image moved by 1e-7 is no root, as under a reflection that does not
-    # fix U: the orbit is refused and the solve tracks every total-degree path
+def test_reflected_image_off_the_bound_fails_the_attempt(monkeypatch):
+    # the A3 split system is W-invariant, so an image moved by 1e-7 is a
+    # failure like a lost path: it is retried, and no total-degree path runs
     closure = fiber._orbit_points
+    total = []
 
     def moved(*args):
         X = closure(*args).copy()
@@ -921,16 +922,122 @@ def test_reflected_image_off_the_bound_takes_total_degree(monkeypatch):
         return X
 
     monkeypatch.setattr(fiber, "_orbit_points", moved)
+    monkeypatch.setattr(fiber, "_total_degree", lambda *args: total.append(args))
+    attempts = _patched_tracker(monkeypatch, lambda *args: None)
     system = _a3_pushed_forward(0)
-    out = solve_fiber(system, seed=0)
-    assert out.path_stats["tracked"] == math.prod(system.x_degrees()) == 24
-    assert out.count == 24
+    assert system.invariant
+    with pytest.raises(
+        FiberSolveError, match="^1 of 24 reflected images missed the bound after 4 attempts$"
+    ):
+        solve_fiber(system, seed=0)
+    assert len(attempts) == 4
+    assert total == []
+
+
+def _counted(monkeypatch, name):
+    """Patch fiber.<name> to count its calls; returns the list of calls."""
+    calls, real = [], getattr(fiber, name)
+    monkeypatch.setattr(fiber, name, lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def test_system_that_is_not_invariant_tracks_no_orbit_path(monkeypatch):
+    # the verdict is exact and comes first: no orbit path is tracked and
+    # thrown away before total degree
+    orbit, total = _counted(monkeypatch, "_orbit"), _counted(monkeypatch, "_total_degree")
+    out = solve_fiber(_not_invariant_system(), seed=0)
+    assert (len(orbit), len(total)) == (0, 1)
+    assert out.path_stats["tracked"] == 2
+
+
+@functools.cache
+def _toy_restriction():
+    return restrict_family(invariant_family(build_root_system("B", 2)), parse_pair_config(TOY_TEXT))
+
+
+@pytest.mark.parametrize(
+    "kind, rank", [("toy", 1), ("A", 2), ("B", 2), ("C", 2), ("BC", 2), ("A", 3)]
+)
+def test_invariant_d1_systems_take_no_total_degree_path(kind, rank, monkeypatch):
+    # the d = 1 fiber-unit systems, each at pushed-forward draws: a = U(zeta; x0)
+    # with zeta and x0 standard complex normal, solved from one orbit path alone
+    res = _toy_restriction() if kind == "toy" else _split(kind, rank)
+    k, total = len(res.t_vars), _counted(monkeypatch, "_total_degree")
+    for draw in range(3):
+        rng = np.random.default_rng(draw)
+        point = list(rng.standard_normal(k + rank) + 1j * rng.standard_normal(k + rank))
+        system = DeformedSystem.from_restriction(
+            res, point[:k], [p.eval(point) for p in res.adapted]
+        )
+        assert system.d == 1 and system.invariant
+        out = solve_fiber(system, seed=draw)
+        assert out.path_stats["tracked"] == 1
+        assert out.count == system.expected_count()
+    assert total == []
+
+
+def test_quartic_tracks_no_orbit_path(monkeypatch):
+    # d = 2: an invariant system whose fiber is two orbits takes total degree
+    orbit = _counted(monkeypatch, "_orbit")
+    system = quartic_system()
+    assert system.invariant and system.d == 2
+    assert solve_fiber(system, seed=0).path_stats["tracked"] == 4
+    assert orbit == []
+
+
+@pytest.mark.parametrize(
+    "kind, rank", [("A", 2), ("B", 2), ("C", 2), ("BC", 2), ("G", 2), ("A", 3), ("B", 3),
+                   ("C", 3), ("D", 4)],
+)
+def test_split_systems_are_invariant(kind, rank):
+    res = _split(kind, rank)
+    system = DeformedSystem.from_restriction(res, (), [1.0] * rank)
+    assert system.invariant
+
+
+def test_toy_and_quartic_are_invariant():
+    assert toy_system().invariant
+    assert quartic_system().invariant
+
+
+def test_verdict_is_false_off_invariance_and_without_a_little_group():
+    assert not _not_invariant_system().invariant
+    assert not _no_little_system().invariant
+    assert not replace(toy_system(), little=None).invariant
+
+
+def test_verdict_covers_every_t_not_only_t_zero():
+    # B2 on the line through (1, 2), keeping the quartic: the restriction is
+    # A1-invariant, the adapted member is not fixed by (t1, x1) -> (t1, -x1)
+    cfg = parse_pair_config(
+        "ambient_type: B\nambient_rank: 2\nlittle_type: A\nlittle_rank: 1\nembedding: 1; 2\n"
+    )
+    res = restrict_family(invariant_family(build_root_system("B", 2)), cfg, selection=(1,))
+    assert res.restricted.invariant
+    system = DeformedSystem.from_restriction(res, (0.3,), (1.0,))
+    assert not system.invariant
+
+
+def test_split_verdict_is_the_one_restrict_family_proved(monkeypatch):
+    # a split system's key (little, polys, 0) is the restricted family's, so
+    # the F4 verdict costs no reflection once restrict_family has run; the
+    # memo is cleared first, so no verdict an earlier test left can count
+    family = invariant_family(build_root_system("F", 4))
+    reflections_fix.cache_clear()
+    res = restrict_family(family, split_config("F", 4))
+    changes = []
+    linear_change = Polynomial.linear_change
+    monkeypatch.setattr(
+        Polynomial, "linear_change", lambda p, *args: changes.append(p) or linear_change(p, *args)
+    )
+    system = DeformedSystem.from_restriction(res, (), [1.0] * 4)
+    assert system.invariant
+    assert changes == []
 
 
 def test_system_that_is_not_invariant_takes_total_degree():
     # x^2 + t x is homogeneous with d = 1 over A1, but x -> -x does not fix
-    # it at zeta != 0: the reflected endpoint is no root, so its residual
-    # misses the bound and the solve tracks both total-degree paths instead
+    # it at zeta != 0, so the solve tracks both total-degree paths
     system = _not_invariant_system()
     (zeta,), (a,) = system.zeta, system.target
     assert system.d == 1
@@ -940,6 +1047,18 @@ def test_system_that_is_not_invariant_takes_total_degree():
     want = sorted(np.roots([1, zeta, -a]), key=lambda z: (z.real, z.imag))
     assert np.abs(np.array(got) - want).max() < 1e-12
     assert out.orbit_classes == ((0,), (1,))
+
+
+def test_lambda_of_a_system_that_is_not_invariant_takes_total_degree():
+    # the verdict covers every t, so at zeta = 0, where x^2 is A1-invariant,
+    # the lambda solve still tracks both total-degree paths
+    system = _not_invariant_system()
+    (zeta,), xi = system.zeta, 0.7 - 0.3j
+    out = solve_lambda_xi(system, xi=(xi,), seed=0)
+    assert out.path_stats["tracked"] == 2
+    got = sorted((x for (x,) in out.solutions), key=lambda z: (z.real, z.imag))
+    want = sorted(np.roots([1, 0, -(xi * xi + zeta * xi)]), key=lambda z: (z.real, z.imag))
+    assert np.abs(np.array(got) - want).max() < 1e-12
 
 
 @pytest.mark.parametrize("kind, rank", [("A", 3), ("BC", 2)])

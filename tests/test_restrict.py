@@ -26,6 +26,7 @@ from chevfiber.rootsys import (
     build_root_system,
     fundamental_degrees,
     invariant_family,
+    reflections_fix,
     simple_reflections,
     weyl_group,
 )
@@ -434,9 +435,11 @@ def test_surjectivity_rejects_non_invariant_family():
 
 
 def test_surjectivity_tests_invariance_unless_restrict_family_did(monkeypatch):
-    # restrict_family tests its restricted family once, and the family keeps
+    # restrict_family tests its restricted family once, and the memo keeps
     # the verdict, so surjectivity_check does not test it again; a copy with
-    # a member swapped for a non-invariant one is tested afresh, and rejected
+    # a member swapped for a non-invariant one is tested afresh, and rejected.
+    # The memo is process-wide: cleared, it holds no verdict an earlier test left
+    reflections_fix.cache_clear()
     changes = []
     linear_change = Polynomial.linear_change
     monkeypatch.setattr(
