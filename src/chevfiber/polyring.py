@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cache, reduce
-from operator import index
+from operator import index, mul
 from typing import Mapping, Sequence
 
 from ._linalg import _exact, integer_rows, to_fraction_rows
@@ -40,7 +40,7 @@ Exponent = tuple[int, ...]
 class Polynomial:
     """Immutable sparse polynomial with Fraction coefficients."""
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "terms", "_hash")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Exponent, object] | None = None):
         object.__setattr__(self, "variables", tuple(variables))
@@ -163,7 +163,9 @@ class Polynomial:
         )
 
     def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
+        if not hasattr(self, "_hash"):  # once per object, in its slot: the terms never change
+            object.__setattr__(self, "_hash", hash((self.variables, frozenset(self.terms.items()))))
+        return self._hash
 
     def __repr__(self):
         return f"Polynomial({self.to_text()!r})"
@@ -203,10 +205,9 @@ class Polynomial:
         coefficients as integers a_e over cden, the value is
         sum_e a_e z^e D^(top - |e|) over cden D^top: one Fraction at the end.
         """
-        (pt,), den = integer_rows([[_exact(z) for z in self._checked(point)]])
+        pt, den, (nums,), cden = self._integers(point)
         if not self.terms:
             return Fraction(0)
-        (nums,), cden = integer_rows([self.terms.values()])
         top = self.degree()
         total = 0
         for e, c in zip(self.terms, nums):
@@ -216,6 +217,27 @@ class Polynomial:
                     term *= z**k
             total += term
         return Fraction(total, cden * den**top)
+
+    def gradient_exact(self, point: Sequence) -> list[Fraction]:
+        """Every partial derivative at a rational point, exactly, in one pass over the
+        terms in `eval_exact`'s ints: d/dx_j is sum_e a_e e_j z^(e - u_j) D^(top - |e|)
+        over cden D^(top - 1), u_j the j-th unit exponent."""
+        pt, den, (nums,), cden = self._integers(point)
+        top = self.degree()
+        totals = [0] * len(pt)
+        for e, c in zip(self.terms, nums):
+            c *= den ** (top - sum(e))
+            powers = [z**k for z, k in zip(pt, e)]
+            for j, k in enumerate(e):
+                if k:
+                    powers[j] = pt[j] ** (k - 1)
+                    totals[j] += c * k * reduce(mul, powers)
+                    powers[j] *= pt[j]
+        return [Fraction(t, cden * den ** max(top - 1, 0)) for t in totals]
+
+    def _integers(self, point: Sequence) -> tuple[list[int], int, list[list[int]], int]:
+        (pt,), den = integer_rows([[_exact(z) for z in self._checked(point)]])
+        return pt, den, *integer_rows([self.terms.values()])
 
     def _checked(self, point: Sequence) -> Sequence:
         if len(point) != len(self.variables):

@@ -225,6 +225,8 @@ def restrict_family(
     restriction is nonzero and independent of those kept; it stops at
     little-rank many, so later members are never expanded.  Keeping fewer
     raises RestrictionError ("restricted invariants are zero or dependent").
+    Each kept restriction's gradient rows are computed once, and a little
+    type and rank equal to the ambient's reuse `family.group`.
     The restricted family must be little-group invariant (RestrictionError
     otherwise), which proves invariance at t = 0, not of the adapted members.
     """
@@ -235,7 +237,8 @@ def restrict_family(
         config.ambient_rank,
     ):
         raise RestrictionError("family group does not match the config ambient type")
-    little = build_root_system(config.little_type, config.little_rank)
+    same = (config.little_type, config.little_rank) == (config.ambient_type, config.ambient_rank)
+    little = family.group if same else build_root_system(config.little_type, config.little_rank)
     t_vars, x_vars, change = adapt_coordinates(config, family.group.form)
 
     r = config.little_rank
@@ -253,13 +256,14 @@ def restrict_family(
             raise RestrictionError("selection index out of range")
 
     selected, adapted, w_polys = [], [], []
+    gradients = {}
     for i in candidates:
         u = family.polys[i].linear_change(change, t_vars + x_vars)
         w = u.restrict_zero(t_vars)
         # a zero restriction has a zero Jacobian row, so it never certifies;
         # the last kept trial is the whole family, so its certificate is the
         # family's
-        trial = _jacobian_certificate(w_polys + [w], x_vars)
+        trial = _jacobian_certificate(w_polys + [w], gradients)
         if trial is None:
             continue
         selected.append(i)

@@ -38,7 +38,7 @@ from ._linalg import (
     rank as matrix_rank,
     transpose,
 )
-from .polyring import Polynomial, jacobian_det, jacobian_matrix
+from .polyring import Polynomial, jacobian_det
 
 WEYL_CAP = 100_000
 # regular vectors tried per fundamental degree before the simple roots
@@ -82,6 +82,18 @@ class RootSystem:
     def order(self) -> int:
         return math.prod(self.degrees)
 
+    def __hash__(self) -> int:  # equal systems share these, and they hold no Fraction
+        return hash((self.type_name, self.rank))
+
+    @cached_property
+    def _form_rows(self) -> tuple[list[list[int]], int]:
+        return integer_rows(self.form)
+
+    @cached_property
+    def _simple_columns(self) -> tuple[list[list[int]], int]:
+        """S, the simple roots as columns, as integer rows over one denominator."""
+        return integer_rows(transpose(self.simple_roots))
+
     @cached_property
     def _sinv(self) -> tuple[list[list[int]], int]:
         """S^-1, S with the simple roots as columns, as integer rows over
@@ -94,8 +106,8 @@ class RootSystem:
         supported type is crystallographic, so each is an int.  The Gram
         matrix S F S^T is formed from integer rows of S and F, whose
         denominators cancel in the quotient."""
-        simples = integer_rows(self.simple_roots)[0]
-        form = integer_rows(self.form)[0]
+        simples = list(zip(*self._simple_columns[0]))
+        form = self._form_rows[0]
         images = [[sum(map(mul, row, a)) for row in form] for a in simples]
         gram = [[sum(map(mul, a, b)) for b in images] for a in simples]
         return [tuple(2 * g // row[i] for g in row) for i, row in enumerate(gram)]
@@ -105,9 +117,9 @@ class RootSystem:
         """`simple_reflections`, from integer rows a of the simple roots and
         the form: entry (i, j) is (q delta_ij - a_i b_j) / q with b = 2 B a
         and q = (a, B a)."""
-        form = integer_rows(self.form)[0]
+        form = self._form_rows[0]
         out = []
-        for alpha in integer_rows(self.simple_roots)[0]:
+        for alpha in zip(*self._simple_columns[0]):
             b = [2 * sum(map(mul, row, alpha)) for row in form]
             q = sum(map(mul, alpha, b)) // 2
             out.append(tuple(
@@ -294,7 +306,7 @@ def _reflection_closure(rs: RootSystem, coords: Sequence[tuple[int, ...]]) -> li
 
 def _from_coordinates(rs: RootSystem, coords: Iterable[tuple[int, ...]], den: int = 1) -> tuple[list[tuple[int, ...]], int]:
     """Integer simple-root coordinates over den as integer vectors over one denominator."""
-    simples, simples_den = integer_rows(transpose(rs.simple_roots))
+    simples, simples_den = rs._simple_columns
     return [tuple(sum(map(mul, row, x)) for row in simples) for x in coords], den * simples_den
 
 
@@ -363,7 +375,7 @@ def _orbit_sum(rs: RootSystem, orbit: Sequence[Vector], k: int) -> Polynomial:
     mult, rem = divmod(rs.order, len(orbit))
     if rem:
         raise ConstructionError("orbit size does not divide the group order")
-    form, form_den = integer_rows(rs.form)
+    form, form_den = rs._form_rows
     vectors, den = integer_rows(orbit)
     images = [[sum(map(mul, row, u)) for row in form] for u in vectors]
     # powers[j][e]: coordinate j of every image, to the e-th power
@@ -421,7 +433,7 @@ class InvariantFamily:
 def _regular_vectors(rs: RootSystem) -> Iterator[Vector]:
     """The vectors (1, j, j^2, ...), j = 1, 2, ..., paired with no root to
     0; the pairings run on integer rows of the form and the roots."""
-    form = integer_rows(rs.form)[0]
+    form = rs._form_rows[0]
     roots = integer_rows(rs.roots)[0]
     j = 1
     while True:
@@ -437,24 +449,24 @@ def _test_points(n: int) -> list[Vector]:
 
 
 def _jacobian_certificate(
-    polys: Sequence[Polynomial], variables: Sequence[str]
+    polys: Sequence[Polynomial], gradients: dict[int, list[list[Fraction]]]
 ) -> tuple[Vector, Fraction | None] | None:
     """The first test point where the Jacobian of `polys` has full row rank.
 
     Returns (point, value), None if the rank falls short at every test
     point.  For a square family `value` is the exact Jacobian determinant
     there, nonzero, which proves algebraic independence; for fewer
-    polynomials than variables it is None.
+    polynomials than variables it is None.  `gradients` keeps each test point's
+    gradient rows of the leading members; the last one's stay if it certifies.
     """
-    jac = jacobian_matrix(polys, variables)
-    for point in _test_points(len(variables)):
-        rows = [[q.eval_exact(point) for q in row] for row in jac]
-        if len(rows) == len(variables):
-            value = det(rows)
-            if value != 0:
-                return point, value
-        elif matrix_rank(rows) == len(rows):
-            return point, None
+    for i, point in enumerate(_test_points(len(polys[0].variables))):
+        rows = gradients.setdefault(i, [])
+        rows += [p.gradient_exact(point) for p in polys[len(rows):]]
+        value = det(rows) if len(rows) == len(point) else None
+        if value or value is None and matrix_rank(rows) == len(rows):
+            return point, value
+    for rows in gradients.values():
+        del rows[len(polys) - 1:]
     return None
 
 
@@ -466,12 +478,14 @@ def invariant_family(rs: RootSystem) -> InvariantFamily:
     Jacobian of the partial family reaches full rank at one of a fixed list
     of rational test points.  Orbit sums of the simple roots serve as a
     fallback before giving up.  Candidates are drawn lazily, and each one's
-    orbit is built once per family and reused across degrees.
+    orbit is built once per family and reused across degrees.  Each member's
+    gradient rows are computed once per family (`_jacobian_certificate`).
     """
     if rs.order > WEYL_CAP:
         raise ConstructionError(f"each candidate orbit has |W| = {rs.order} points, over the cap {WEYL_CAP}")
     polys: list[Polynomial] = []
     orbits: dict[Vector, tuple[Vector, ...]] = {}
+    gradients: dict[int, list[list[Fraction]]] = {}
     for k in rs.degrees:
         for v in chain(islice(_regular_vectors(rs), _MAX_CANDIDATES), rs.simple_roots):
             if v not in orbits:
@@ -481,7 +495,7 @@ def invariant_family(rs: RootSystem) -> InvariantFamily:
                 continue
             # the last accepted trial is the whole square family, so its
             # certificate is the family's
-            certificate = _jacobian_certificate(polys + [u], rs.variables)
+            certificate = _jacobian_certificate(polys + [u], gradients)
             if certificate is not None:
                 polys.append(u)
                 break

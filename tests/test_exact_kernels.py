@@ -24,7 +24,11 @@ matrices with entries up to 10^30, and `Polynomial.linear_change` against
 the general substitution it used to call, term order included.  Ragged
 rows, and a matrix that is not square for `det` and `inverse`, raise
 ValueError.  `Polynomial.eval_exact`, which sums in ints, is checked
-against the term-by-term Fraction sum.
+against the term-by-term Fraction sum, and `Polynomial.gradient_exact`
+against `eval_exact` of each formal derivative.  The Jacobian certificates,
+which the package builds from gradient rows, are checked against
+`_ref_certificate`: the symbolic Jacobian matrix, evaluated entry by entry
+at each test point in turn.
 
 Polynomial products, powers and linear changes run in ints over packed
 exponents; `_ref_mul` and `_ref_pow` are the Fraction loops they replaced,
@@ -55,8 +59,14 @@ from chevfiber._linalg import (
     to_fraction_rows,
     transpose,
 )
-from chevfiber.polyring import Polynomial, parse_polynomial
-from chevfiber.restrict import PairConfig, adapt_coordinates, parse_pair_config, split_config
+from chevfiber.polyring import Polynomial, jacobian_matrix, parse_polynomial
+from chevfiber.restrict import (
+    PairConfig,
+    adapt_coordinates,
+    parse_pair_config,
+    restrict_family,
+    split_config,
+)
 from chevfiber.rootsys import (
     RootSystem,
     build_root_system,
@@ -214,6 +224,20 @@ def _ref_regular_vectors(rs):
         j += 1
 
 
+def _ref_certificate(polys, variables):
+    """The Jacobian's symbolic entries, evaluated at each test point in turn."""
+    jac = jacobian_matrix(polys, variables)
+    for point in rootsys._test_points(len(variables)):
+        rows = [[q.eval_exact(point) for q in row] for row in jac]
+        if len(rows) == len(variables):
+            value = det(rows)
+            if value != 0:
+                return point, value
+        elif rank(rows) == len(rows):
+            return point, None
+    return None
+
+
 def _ref_family(rs):
     polys = []
     for k in rootsys.fundamental_degrees(rs.type_name, rs.rank):
@@ -226,7 +250,7 @@ def _ref_family(rs):
             u = _ref_orbit_sum(rs, v, k)
             if u.is_zero:
                 continue
-            certificate = rootsys._jacobian_certificate(polys + [u], rs.variables)
+            certificate = _ref_certificate(polys + [u], rs.variables)
             if certificate is not None:
                 polys.append(u)
                 break
@@ -545,6 +569,24 @@ def test_linear_change_matches_substitution_on_adapted_coordinates(name):
         assert _terms(new) == _terms(_ref_linear_change(p, change, t_vars + x_vars))
 
 
+RESTRICTION_CASES = {
+    "toy": (TOY, "first-by-degree"),
+    "quartic": (TOY, (1,)),
+    **{f"{t}{n}": (split_config(t, n), "first-by-degree") for t, n in (
+        ("A", 2), ("B", 2), ("C", 2), ("BC", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3))},
+}
+
+
+@pytest.mark.parametrize("name", RESTRICTION_CASES)
+def test_restriction_certificate_matches_the_symbolic_jacobian(name):
+    config, selection = RESTRICTION_CASES[name]
+    rs = build_root_system(config.ambient_type, config.ambient_rank)
+    res = restrict_family(invariant_family(rs), config, selection=selection)
+    certificate = _ref_certificate(res.restricted.polys, res.x_vars)
+    assert res.restricted.certificate == certificate
+    assert _entries([certificate[0]]) == _entries([res.restricted.certificate[0]])
+
+
 # -- integer polynomial kernels ----------------------------------------
 
 VARIABLES = ("x1", "x2", "x3", "x4")
@@ -643,6 +685,27 @@ def test_eval_exact_matches_the_fraction_sum(seed):
     assert _entries([[zero.eval_exact(points[0])]]) == [[(Fraction, 0, 1)]]
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_gradient_exact_matches_each_derivative(seed):
+    # one pass over the terms gives every partial derivative's value: mixed
+    # degrees and denominators, points with denominators, negatives and zeros
+    rng = random.Random(500 + seed)
+    n = 1 + seed % 4
+    variables = VARIABLES[:n]
+    p = _random_poly(rng, n, terms=8)
+    points = [tuple(_rational(rng, zero=True) for _ in range(n)) for _ in range(4)]
+    points += [(0,) * n, tuple(Fraction(-2, 3 + i) for i in range(n))]
+    polys = (p, p * _random_poly(rng, n), p - p, Polynomial.constant(variables, Fraction(-5, 6)))
+    for poly in polys:
+        for point in points:
+            gradient = poly.gradient_exact(point)
+            assert all(type(g) is Fraction for g in gradient)
+            assert gradient == [poly.derivative(x).eval_exact(point) for x in variables]
+        for point in ((1,) * (n + 1), (1,) * (n - 1)):
+            with pytest.raises(ValueError, match="coordinates"):
+                poly.gradient_exact(point)
+
+
 @pytest.mark.parametrize("bad", [0.5, 1.0, 0.0])
 def test_linear_change_and_products_take_no_float(bad):
     p = _poly3("x1^2 + 1/2*x2*x3 - 3")
@@ -659,6 +722,8 @@ def test_linear_change_and_products_take_no_float(bad):
     for poly in (p, Polynomial.zero(VARIABLES[:3])):
         with pytest.raises(TypeError):
             poly.eval_exact((1, bad, Fraction(1, 2)))
+        with pytest.raises(TypeError):
+            poly.gradient_exact((1, bad, Fraction(1, 2)))
 
 
 # -- exactness of _linalg -----------------------------------------------

@@ -294,6 +294,23 @@ def test_family_is_deterministic():
     assert a.certificate == b.certificate
 
 
+def test_equal_polynomials_and_systems_hit_one_memo_entry():
+    # a polynomial keeps its hash after the first call and a root system
+    # hashes by type and rank; equal objects built apart hash alike, so
+    # reflections_fix finds the verdict stored under the other
+    rs, other = build_root_system("B", 2), build_root_system("B", 2)
+    x1, x2 = (Polynomial.variable(rs.variables, x) for x in rs.variables)
+    p = parse_polynomial("x1^2 + x2^2", rs.variables)
+    q = (x2 + x1) ** 2 - x1 * x2 * 2
+    assert list(p.terms) != list(q.terms) and p == q and hash(p) == hash(q)
+    assert rs is not other and rs == other and hash(rs) == hash(other)
+    rootsys.reflections_fix.cache_clear()
+    assert rootsys.reflections_fix(rs, (p,), 0)
+    assert rootsys.reflections_fix(other, (q,), 0)
+    info = rootsys.reflections_fix.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+
 def test_regular_vector_skipping():
     # (1, 1) pairs to zero against the root e1 - e2, so BC2 starts at (1, 2)
     assert next(rootsys._regular_vectors(build_root_system("BC", 2))) == (1, 2)
