@@ -9,13 +9,15 @@ g = conj(gamma) (f - a0), a0 = f(x0), on which f = (1 - tau) a0 + tau a (a
 parameter homotopy; Sommese and Wampler, 2005, ch. 7), closed under the
 simple reflections, gives it all.  `DeformedSystem.invariant` decides that
 exactly, at every t, before any tracking; otherwise g = gamma kappa (x^m - c)
-and every root of x_i^{m_i} = c_i is tracked.  Each step predicts
-with RK4, its first stage the tangent at the last correction, and corrects
-with Newton to an update within 1e-8 max(1, |x|), or, before s = 1, to one
-whose contraction bounds the next within that; ds doubles with no cap short
-of s = 1 (`_track_paths`).  All paths move as one numpy batch, each with its
-own s and step, as each would alone; H, H_x and dH/ds are one power table and
-one product with [g | (f - a) - g], and each linear solve is one LAPACK call.
+and every root of x_i^{m_i} = c_i is tracked.  Each step predicts with RK4,
+its first stage the tangent at the last correction, and corrects with Newton
+to an update within 1e-8 max(1, |x|), or, before s = 1, to one whose
+contraction bounds the next within that; the orbit path, which may end at
+any fiber point, within 1e-3 max(1, |x|) before s = 1.  ds doubles with no
+cap short of s = 1 (`_track_paths`).  All paths move as one numpy batch, each
+with its own s and step, as each would alone; H, H_x and dH/ds are one power
+table and one product with [g | (f - a) - g], and each linear solve is one
+LAPACK call.
 
 A system whose equations are all homogeneous is solved at unit scale: with
 U_i(lam t, lam x) = lam^m_i U_i(t, x), the paths are tracked at zeta / lam
@@ -78,6 +80,7 @@ _SINGULAR_TOL = 1e-10
 _INT_TOL = 1e-8
 _NEWTON_STEPS = 30
 _MAX_RETRIES = 3
+_ORBIT_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -372,18 +375,20 @@ def _homotopy(num: _Numeric, a: np.ndarray, start: np.ndarray):
 
 
 def _track_paths(
-    num: _Numeric, a: np.ndarray, homotopy, starts: np.ndarray
+    num: _Numeric, a: np.ndarray, homotopy, starts: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Track the start points (P, r) along the kernel `homotopy` to f(x) = a as one batch.
 
     Every path keeps its own s, step ds and fate, and takes the steps it
     would take alone: an RK4 predictor, at most 4 Newton corrections, each
-    step accepted once its update d_k is within tol = 1e-8 max(1, |x|), ds
-    doubled after a correction in at most 2 iterations and halved after a
-    failed one, the path lost below ds = 1e-7.  Before s = 1 a 2nd or 3rd
-    update is also accepted, keeping ds, once the contraction rate bounds
-    the next one within tol: max|d_k|^2 <= tol max|d_k-1| (Timme,
-    arXiv:1902.02968).  The first RK4 stage is the tangent H_x^-1 dH/ds,
+    step accepted once its update d_k is within b = tol max(1, |x|) before
+    s = 1 and b = 1e-8 max(1, |x|) at s = 1, ds doubled after a correction
+    in at most 2 iterations and halved after a failed one, the path lost
+    below ds = 1e-7.  Before s = 1 a 2nd or 3rd update is also accepted,
+    keeping ds, once the contraction rate bounds the next one within b:
+    max|d_k|^2 <= b max|d_k-1| (Timme, arXiv:1902.02968); otherwise a 2nd or
+    3rd update not within half the last one, or not finite, fails the step
+    at once.  The first RK4 stage is the tangent H_x^-1 dH/ds,
     solved for all starts at once, then from the H_x and dH/ds of each
     accepted step's last correction, taken one update before the accepted
     point: 3 kernel calls a step, 1 a correction.  A step never passes s = 1, and no
@@ -404,7 +409,7 @@ def _track_paths(
     while idx.size:
         step = np.minimum(ds, 1.0 - s)
         half, s_next = step / 2, s + step
-        s_half = s + half
+        s_half, rel = s + half, np.where(s_next < 1.0, tol, 1e-8)
         # RK4 on dx/ds = -tangent; a row whose prediction is not finite stays at x
         k2 = solve1(*homotopy(x - half[:, None] * tangent, s_half)[1:])
         k3 = solve1(*homotopy(x - half[:, None] * k2, s_half)[1:])
@@ -417,20 +422,25 @@ def _track_paths(
             H, Hx, hs = homotopy(xk, sk)
             delta = solve1(Hx, H)
             xk = xk - delta
-            tol = 1e-8 * np.maximum(1.0, np.maximum.reduce(abs(xk), 1))
+            bound = rel * np.maximum(1.0, np.maximum.reduce(abs(xk), 1))
             norm = np.maximum.reduce(abs(delta), 1)
-            done = accept = norm <= tol
+            done = accept = stop = norm <= bound
             if (k == 1 or k == 2) and not np.logical_and.reduce(done):
-                # contraction bounds the next update within tol: accept it, and keep ds
-                accept = done | ((norm * norm <= tol * last) & (sk < 1.0))
+                # contraction bounds the next update within the bound: accept it, and keep ds;
+                # an update not within half the last one, or nan, fails the step
+                accept = done | ((norm * norm <= bound * last) & (sk < 1.0))
                 factor = np.where(done, factor, 1.0)
+                stop = accept | ~(norm + norm <= last)
             if np.logical_and.reduce(accept):
                 xn[rows], grow[rows], tangent[rows] = xk, factor, solve1(Hx, hs)
                 break
             if np.logical_or.reduce(accept):
                 xn[rows[accept]], grow[rows[accept]] = xk[accept], np.where(done, factor, 1.0)[accept]
                 tangent[rows[accept]] = solve1(Hx[accept], hs[accept])
-                rows, xk, sk, norm = rows[~accept], xk[~accept], sk[~accept], norm[~accept]
+            if np.logical_or.reduce(stop):
+                if np.logical_and.reduce(stop):
+                    break
+                rows, xk, sk, norm, rel = (v[~stop] for v in (rows, xk, sk, norm, rel))
             last = norm
         moved = grow > 0.5
         x, s, ds = np.where(moved[:, None], xn, x), np.where(moved, s_next, s), ds * grow
@@ -475,12 +485,12 @@ def _unit_scale(system: DeformedSystem) -> tuple[float, np.ndarray, tuple, np.nd
     When every equation is homogeneous, U_i(lam t, lam x) = lam^m_i U_i(t, x)
     with m_i its total degree, so x solves the system at (zeta, a) exactly
     when x / lam solves it at (zeta / lam, a_i / lam^m_i).  Equation and
-    variable scaling (Morgan, 1987) picks lam = exp(mean_i log(|a_i| / c_i)
-    / m_i) over the nonzero a_i, c_i the largest |coefficient| of equation i
-    before zeta is substituted, so that the fiber lies near unit size; when
-    a = 0, lam is the geometric mean of the nonzero |zeta_j|.  When both are
-    zero the fiber is the origin alone, and FiberSolveError names the target
-    non-generic.  A system with an inhomogeneous equation keeps lam = 1.
+    variable scaling (Morgan, 1987) picks lam, the larger of max_j |zeta_j|
+    and exp(mean_i log(|a_i| / c_i) / m_i) over the nonzero a_i, c_i the
+    largest |coefficient| of equation i before zeta is substituted, so that
+    the fiber lies near unit size also where zeta, not a, sets its size.
+    When both are zero the fiber is the origin alone, and FiberSolveError
+    names the target non-generic.  An inhomogeneous system keeps lam = 1.
     """
     m = [p.homogeneous_degree() for p in system.polys]
     a = np.array(system.target)
@@ -491,13 +501,12 @@ def _unit_scale(system: DeformedSystem) -> tuple[float, np.ndarray, tuple, np.nd
         for p, m_i, a in zip(system.polys, m, system.target)
         if a
     ]
-    logs = logs or [math.log(abs(z)) for z in system.zeta if z]
-    if not logs:
+    lam = max([math.exp(sum(logs) / len(logs)) if logs else 0.0, *map(abs, system.zeta)])
+    if not lam:
         raise FiberSolveError(
             "non-generic target: target and zeta are zero, so the fiber is the origin"
             f" with multiplicity {math.prod(m)}"
         )
-    lam = math.exp(sum(logs) / len(logs))
     powers = np.array([lam**m_i for m_i in m])
     return lam, powers, tuple(z / lam for z in system.zeta), a / powers
 
@@ -512,7 +521,8 @@ def _attempts(attempt):
 
 
 def _total_degree(num: _Numeric, a: np.ndarray, rng: np.random.Generator):
-    """One attempt of the total-degree homotopy: prod(m_i) start paths, none lost or merged."""
+    """One attempt of the total-degree homotopy: prod(m_i) start paths, none lost or merged, each
+    corrected to 1e-8 max(1, |x|) before s = 1 as at s = 1, since a path jump merges two."""
     degrees, total = num.degrees, math.prod(num.degrees)
     # start point `flat` takes root (flat // prod(degrees[:i])) % degrees[i] of equation i
     digits = np.unravel_index(np.arange(total), degrees, order="F")
@@ -520,7 +530,7 @@ def _total_degree(num: _Numeric, a: np.ndarray, rng: np.random.Generator):
     cs = np.array([_unit_circle(rng) for _ in degrees], dtype=np.complex128)
     roots = [c ** (1.0 / m) * np.exp(2j * np.pi * k / m) for m, c, k in zip(degrees, cs, digits)]
     kernel = _homotopy(num, a, _start_system(num, gamma, cs))
-    X, residual, ok = _track_paths(num, a, kernel, np.stack(roots, axis=1))
+    X, residual, ok = _track_paths(num, a, kernel, np.stack(roots, axis=1), 1e-8)
     failed = total - int(ok.sum())
     if failed:
         return None, f"{failed} of {total} paths failed"
@@ -536,7 +546,8 @@ def _orbit(num: _Numeric, a: np.ndarray, little: RootSystem, order: int, rng: np
     vanishes where f = (1 - tau) a0 + tau a, tau = gamma s / (1 + (gamma - 1) s), the gamma
     trick on the line through a0 and a.  The closure of the accepted endpoint is the fiber, and
     each image must meet the endpoint's rule, `_Numeric.accept`: U is W-invariant, so an image off
-    the bound fails the attempt like a lost path.
+    the bound fails the attempt like a lost path.  So the path may end at any fiber point, and is
+    corrected to 1e-3 max(1, |x|) before s = 1: a jump onto another trajectory changes only which.
     """
     x0, gamma = rng.standard_normal(num.r) + 1j * rng.standard_normal(num.r), _unit_circle(rng)
     f = num.C[:, : num.r]
@@ -545,7 +556,7 @@ def _orbit(num: _Numeric, a: np.ndarray, little: RootSystem, order: int, rng: np
     x0 *= math.exp(sum(logs) / len(logs)) if logs else 1.0
     a0 = num.evaluate(x0[None], f)[1][0]
     kernel = _homotopy(num, a, np.conj(gamma) * num.shifted(a0))
-    x, _, ok = _track_paths(num, a, kernel, x0[None])
+    x, _, ok = _track_paths(num, a, kernel, x0[None], _ORBIT_TOL)
     if not ok[0]:
         return None, "1 of 1 paths failed"
     X = _orbit_points(x[0], little, order)

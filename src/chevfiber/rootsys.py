@@ -331,9 +331,14 @@ def _sorted_vectors(vectors: Iterable[tuple[int, ...]], den: int) -> tuple[Vecto
     return tuple(tuple(map(entries, v)) for v in sorted(vectors))
 
 
-def orbit_vectors(rs: RootSystem, v: Sequence) -> tuple[Vector, ...]:
+def _integer_orbit(rs: RootSystem, v: Sequence) -> tuple[list[tuple[int, ...]], int]:
+    """The orbit of v as integer vectors over one denominator, closed in simple-root coordinates."""
     coords, den = _root_coordinates(rs, [tuple(map(_exact, v))])
-    return _sorted_vectors(*_from_coordinates(rs, _reflection_closure(rs, coords), den))
+    return _from_coordinates(rs, _reflection_closure(rs, coords), den)
+
+
+def orbit_vectors(rs: RootSystem, v: Sequence) -> tuple[Vector, ...]:
+    return _sorted_vectors(*_integer_orbit(rs, v))
 
 
 def _product_exponents(degrees: Sequence[int], k: int) -> list[tuple[int, ...]]:
@@ -367,16 +372,15 @@ def orbit_sum_invariant(rs: RootSystem, v: Sequence, k: int) -> Polynomial:
     """
     if k < 1:
         raise ValueError("power must be positive")
-    return _orbit_sum(rs, orbit_vectors(rs, v), k)
+    return _orbit_sum(rs, *_integer_orbit(rs, v), k)
 
 
-def _orbit_sum(rs: RootSystem, orbit: Sequence[Vector], k: int) -> Polynomial:
-    """`orbit_sum_invariant` of a vector whose sorted orbit is given."""
-    mult, rem = divmod(rs.order, len(orbit))
+def _orbit_sum(rs: RootSystem, vectors: Sequence[tuple[int, ...]], den: int, k: int) -> Polynomial:
+    """`orbit_sum_invariant` of a vector whose orbit is given as integer vectors over den."""
+    mult, rem = divmod(rs.order, len(vectors))
     if rem:
         raise ConstructionError("orbit size does not divide the group order")
     form, form_den = rs._form_rows
-    vectors, den = integer_rows(orbit)
     images = [[sum(map(mul, row, u)) for row in form] for u in vectors]
     # powers[j][e]: coordinate j of every image, to the e-th power
     powers = [[tuple(x**e for x in column) for e in range(k + 1)] for column in zip(*images)]
@@ -431,15 +435,15 @@ class InvariantFamily:
 
 
 def _regular_vectors(rs: RootSystem) -> Iterator[Vector]:
-    """The vectors (1, j, j^2, ...), j = 1, 2, ..., paired with no root to
-    0; the pairings run on integer rows of the form and the roots."""
-    form = rs._form_rows[0]
-    roots = integer_rows(rs.roots)[0]
+    """The vectors (1, j, j^2, ...), j = 1, 2, ..., paired with no root to 0: a root's pairing
+    combines by its integer coordinates the simple roots', the integer rows of S^T B."""
+    form, simples = rs._form_rows[0], zip(*rs._simple_columns[0])
+    pair = [[sum(map(mul, alpha, col)) for col in zip(*form)] for alpha in simples]
     j = 1
     while True:
         v = [j**i for i in range(rs.rank)]
-        bv = [sum(map(mul, row, v)) for row in form]
-        if all(sum(map(mul, alpha, bv)) for alpha in roots):
+        pairings = [sum(map(mul, row, v)) for row in pair]
+        if all(sum(map(mul, c, pairings)) for c in rs._coordinates):
             yield tuple(map(Fraction, v))
         j += 1
 
@@ -484,13 +488,13 @@ def invariant_family(rs: RootSystem) -> InvariantFamily:
     if rs.order > WEYL_CAP:
         raise ConstructionError(f"each candidate orbit has |W| = {rs.order} points, over the cap {WEYL_CAP}")
     polys: list[Polynomial] = []
-    orbits: dict[Vector, tuple[Vector, ...]] = {}
+    orbits: dict[Vector, tuple[list[tuple[int, ...]], int]] = {}
     gradients: dict[int, list[list[Fraction]]] = {}
     for k in rs.degrees:
         for v in chain(islice(_regular_vectors(rs), _MAX_CANDIDATES), rs.simple_roots):
             if v not in orbits:
-                orbits[v] = orbit_vectors(rs, v)
-            u = _orbit_sum(rs, orbits[v], k)
+                orbits[v] = _integer_orbit(rs, v)
+            u = _orbit_sum(rs, *orbits[v], k)
             if u.is_zero:
                 continue
             # the last accepted trial is the whole square family, so its
